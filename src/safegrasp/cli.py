@@ -35,6 +35,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, apply_overrides, default_config_text, load_config
 from .env import RewardConfig, compute_reward, TransitionEvents
 from .fsa import build_report, format_report_text, inputs_from_episodes, run_assessment
+from .kinematics import ArmModel
 from .metrics import summarize
 from .rollout import rollout_episodes
 from .runlog import EpisodeLogWriter, load_episodes, read_log, records_to_episodes
@@ -345,19 +346,9 @@ def cmd_bench(args) -> int:
     from . import kernels
 
     rng = np.random.default_rng(0)
-    dh = np.array(
-        [
-            [0.0, 0.089159, np.pi / 2, 0.0],
-            [-0.425, 0.0, 0.0, 0.0],
-            [-0.39225, 0.0, 0.0, 0.0],
-            [0.0, 0.10915, np.pi / 2, 0.0],
-            [0.0, 0.09465, -np.pi / 2, 0.0],
-            [0.0, 0.0823, 0.0, 0.0],
-        ]
-    )
-    limits = np.tile((-2 * np.pi, 2 * np.pi), (6, 1))
-    q = rng.uniform(-1.5, 1.5, 6)
-    target = np.array([0.45, 0.1, 0.1])
+    arm = ArmModel.default_ur5()
+    q = tuple(rng.uniform(-1.5, 1.5, 6).tolist())
+    target = (0.45, 0.1, 0.1)
     preds = rng.normal(size=(2, 128, 25))
     targets = rng.normal(size=(128, 46))
     taus = (2.0 * np.arange(1, 26) - 1.0) / 50.0
@@ -366,8 +357,16 @@ def cmd_bench(args) -> int:
     half = np.array([0.025, 0.025, 0.025])
 
     cases = {
-        "fk_frames": lambda fn: fn(dh, q),
-        "ik_dls": lambda fn: fn(dh, limits, q, target, 0.05, 1e-4, 200),
+        "fk_frames": lambda fn: fn(arm.dh_rows, q),
+        "ik_dls": lambda fn: fn(
+            arm.dh_rows,
+            arm.limit_rows,
+            q,
+            target,
+            arm.ik_damping,
+            arm.ik_tolerance,
+            arm.ik_max_iterations,
+        ),
         "sphere_box_signed_distance": lambda fn: fn(point, center, half),
         "quantile_huber_loss_grad": lambda fn: fn(preds, targets, taus),
     }

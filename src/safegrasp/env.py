@@ -468,9 +468,7 @@ class GraspEnv:
         # leave the joint vector untouched
         target = prev_eef + act.delta_position * cfg.action_scale
         ik = inverse_kinematics(
-            self.arm,
-            Pose(position=target, orientation=np.asarray(DOWN_QUAT)),
-            seed=self._q,
+            self.arm, Pose(position=target, orientation=DOWN_QUAT), seed=self._q
         )
         if ik.status is not IkStatus.CONVERGED:
             events.ik_failure = True

@@ -1,12 +1,19 @@
 """Hot numeric kernels.
 
-Each kernel is written once as a plain Python/numpy function and wrapped with
-``@njit`` when numba is enabled (see :mod:`safegrasp.accel`).  The compiled
-and uncompiled variants execute the same floating-point operations, so
-results are identical in both modes, except for ``quantile_huber_loss_grad``
-whose fallback is a vectorised numpy implementation (the scalar loop form is
-impractically slow without compilation); the two variants agree to machine
-rounding and are cross-checked in the test suite.
+Each kernel is written once as a plain Python function and wrapped with
+``@njit`` when numba is enabled (see :mod:`safegrasp.accel`).  The FK kernel
+is the DH chain in scalar form and the IK kernel iterates on it: floats,
+tuples and lists with ``math`` functions, no numpy calls, which is also what
+numba's nopython mode compiles.  They take the arm's precomputed ``dh_rows``/``limit_rows``
+and tuples of floats (see :class:`safegrasp.kinematics.ArmModel`).
+
+Across kernel modes, "identical results" means that both modes run the
+same IEEE operations in the same order, so they agree bit for bit as long as
+the compiled ``cos``/``sin`` round like the C library's.  The exception is
+``quantile_huber_loss_grad``, whose fallback is a vectorised numpy
+implementation (the scalar loop form is impractically slow without
+compilation) and whose compiled form uses ``fastmath``; the two agree to
+rounding level and are cross-checked against the scalar loops in the tests.
 
 ``BENCH_PAIRS`` maps kernel names to ``(compiled_or_selected, fallback)``
 pairs for the ``safegrasp bench`` command.
@@ -14,59 +21,68 @@ pairs for the ``safegrasp bench`` command.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .accel import NUMBA_ENABLED, maybe_njit
 
 
 # ---------------------------------------------------------------------------
-# forward kinematics: standard DH chain
+# forward kinematics: standard DH chain in scalar form
 # ---------------------------------------------------------------------------
 
-def _fk_frames(dh: np.ndarray, q: np.ndarray):
-    """Compose the DH chain for a 6-joint serial arm.
+def _fk_frames(dh, q):
+    """Compose the DH chain of a 6-joint serial arm, one scalar at a time.
 
-    ``dh`` is a (6, 4) array of per-joint ``a, d, alpha, theta_offset``.
-    Returns the end-effector rotation (3, 3), the per-frame origins (7, 3)
-    and joint z axes (7, 3); index 0 is the base frame.
+    ``dh`` holds six ``(a, d, cos alpha, sin alpha, theta_offset)`` rows
+    (:attr:`ArmModel.dh_rows <safegrasp.kinematics.ArmModel>`) and ``q`` six
+    joint angles.  The running rotation ``r`` and origin ``p`` are
+    float locals; each joint applies ``T <- T @ A_i`` with the standard DH
+    link transform ``A_i`` written out element by element.  Returns the
+    end-effector rotation as three row tuples, and the per-frame origins and
+    joint z axes as lists of seven ``(x, y, z)`` tuples; index 0 is the base
+    frame.
     """
-    t = np.eye(4)
-    origins = np.zeros((7, 3))
-    zaxes = np.zeros((7, 3))
-    zaxes[0, 2] = 1.0
-    a_mat = np.empty((4, 4))
-    a_mat[3, 0] = 0.0
-    a_mat[3, 1] = 0.0
-    a_mat[3, 2] = 0.0
-    a_mat[3, 3] = 1.0
-    for i in range(6):
-        theta = q[i] + dh[i, 3]
-        ct = np.cos(theta)
-        st = np.sin(theta)
-        ca = np.cos(dh[i, 2])
-        sa = np.sin(dh[i, 2])
-        a_len = dh[i, 0]
-        d_len = dh[i, 1]
-        a_mat[0, 0] = ct
-        a_mat[0, 1] = -st * ca
-        a_mat[0, 2] = st * sa
-        a_mat[0, 3] = a_len * ct
-        a_mat[1, 0] = st
-        a_mat[1, 1] = ct * ca
-        a_mat[1, 2] = -ct * sa
-        a_mat[1, 3] = a_len * st
-        a_mat[2, 0] = 0.0
-        a_mat[2, 1] = sa
-        a_mat[2, 2] = ca
-        a_mat[2, 3] = d_len
-        t = t @ a_mat
-        origins[i + 1, 0] = t[0, 3]
-        origins[i + 1, 1] = t[1, 3]
-        origins[i + 1, 2] = t[2, 3]
-        zaxes[i + 1, 0] = t[0, 2]
-        zaxes[i + 1, 1] = t[1, 2]
-        zaxes[i + 1, 2] = t[2, 2]
-    rot = t[:3, :3].copy()
+    r00, r01, r02 = 1.0, 0.0, 0.0
+    r10, r11, r12 = 0.0, 1.0, 0.0
+    r20, r21, r22 = 0.0, 0.0, 1.0
+    px, py, pz = 0.0, 0.0, 0.0
+    origins = [(0.0, 0.0, 0.0)]
+    zaxes = [(0.0, 0.0, 1.0)]
+    for (a, d, ca, sa, offset), qi in zip(dh, q):
+        theta = qi + offset
+        ct = math.cos(theta)
+        st = math.sin(theta)
+        # A_i = [[ct, -st ca, st sa, a ct], [st, ct ca, -ct sa, a st],
+        #        [0, sa, ca, d], [0, 0, 0, 1]]
+        b01 = -st * ca
+        b11 = ct * ca
+        b02 = st * sa
+        b12 = -ct * sa
+        b03 = a * ct
+        b13 = a * st
+        px = r00 * b03 + r01 * b13 + r02 * d + px
+        py = r10 * b03 + r11 * b13 + r12 * d + py
+        pz = r20 * b03 + r21 * b13 + r22 * d + pz
+        r00, r01, r02 = (
+            r00 * ct + r01 * st,
+            r00 * b01 + r01 * b11 + r02 * sa,
+            r00 * b02 + r01 * b12 + r02 * ca,
+        )
+        r10, r11, r12 = (
+            r10 * ct + r11 * st,
+            r10 * b01 + r11 * b11 + r12 * sa,
+            r10 * b02 + r11 * b12 + r12 * ca,
+        )
+        r20, r21, r22 = (
+            r20 * ct + r21 * st,
+            r20 * b01 + r21 * b11 + r22 * sa,
+            r20 * b02 + r21 * b12 + r22 * ca,
+        )
+        origins.append((px, py, pz))
+        zaxes.append((r02, r12, r22))
+    rot = ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22))
     return rot, origins, zaxes
 
 
@@ -77,41 +93,38 @@ fk_frames = maybe_njit(_fk_frames)
 # inverse kinematics: damped least squares on position
 # ---------------------------------------------------------------------------
 
-def _ik_dls(
-    dh: np.ndarray,
-    limits: np.ndarray,
-    q_seed: np.ndarray,
-    target: np.ndarray,
-    damping: float,
-    tolerance: float,
-    max_iterations: int,
-):
+def _ik_dls(dh, limits, q_seed, target, damping, tolerance, max_iterations):
     """Position-only damped-least-squares IK, iterates projected to limits.
 
-    Returns ``(q_best, best_residual, iterations, clamped, converged)`` where
+    ``dh`` and ``limits`` are the arm's ``dh_rows`` and ``limit_rows``
+    (six ``(lower, upper)`` pairs); ``q_seed`` and ``target`` are tuples of
+    six and three floats.  Returns ``(q_best, best_residual, iterations,
+    clamped, converged)`` where ``q_best`` is a list of six floats and
     ``clamped`` is 1 when the best iterate had a joint pinned at a limit.
     """
-    q = q_seed.copy()
-    best_q = q_seed.copy()
+    tx, ty, tz = target
+    q = list(q_seed)
+    best_q = q.copy()
     best_res = 1.0e300
     best_clamped = 0
     lam2 = damping * damping
     iterations = 0
     converged = 0
-    jac = np.empty((3, 6))
+    columns = [(0.0, 0.0, 0.0)] * 6
     for it in range(max_iterations + 1):
-        rot, origins, zaxes = fk_frames(dh, q)
-        ex = target[0] - origins[6, 0]
-        ey = target[1] - origins[6, 1]
-        ez = target[2] - origins[6, 2]
-        res = np.sqrt(ex * ex + ey * ey + ez * ez)
+        _, origins, zaxes = fk_frames(dh, q)
+        px, py, pz = origins[6]
+        ex = tx - px
+        ey = ty - py
+        ez = tz - pz
+        res = math.sqrt(ex * ex + ey * ey + ez * ez)
         clamped = 0
-        for j in range(6):
-            if q[j] <= limits[j, 0] or q[j] >= limits[j, 1]:
+        for qj, (lower, upper) in zip(q, limits):
+            if qj <= lower or qj >= upper:
                 clamped = 1
         if res < best_res:
             best_res = res
-            best_q[:] = q
+            best_q = q.copy()
             best_clamped = clamped
         iterations = it
         if res <= tolerance:
@@ -119,18 +132,8 @@ def _ik_dls(
             break
         if it == max_iterations:
             break
-        # geometric position Jacobian: column j = z_j x (p - o_j)
-        for j in range(6):
-            rx = origins[6, 0] - origins[j, 0]
-            ry = origins[6, 1] - origins[j, 1]
-            rz = origins[6, 2] - origins[j, 2]
-            zx = zaxes[j, 0]
-            zy = zaxes[j, 1]
-            zz = zaxes[j, 2]
-            jac[0, j] = zy * rz - zz * ry
-            jac[1, j] = zz * rx - zx * rz
-            jac[2, j] = zx * ry - zy * rx
-        # solve (J J^T + lam^2 I) y = e, 3x3 by Cramer's rule
+        # geometric position Jacobian, column j = z_j x (p - o_j), and the
+        # 3x3 system (J J^T + lam^2 I) y = e, solved by Cramer's rule
         m00 = lam2
         m01 = 0.0
         m02 = 0.0
@@ -138,12 +141,21 @@ def _ik_dls(
         m12 = 0.0
         m22 = lam2
         for j in range(6):
-            m00 += jac[0, j] * jac[0, j]
-            m01 += jac[0, j] * jac[1, j]
-            m02 += jac[0, j] * jac[2, j]
-            m11 += jac[1, j] * jac[1, j]
-            m12 += jac[1, j] * jac[2, j]
-            m22 += jac[2, j] * jac[2, j]
+            ox, oy, oz = origins[j]
+            zx, zy, zz = zaxes[j]
+            rx = px - ox
+            ry = py - oy
+            rz = pz - oz
+            jx = zy * rz - zz * ry
+            jy = zz * rx - zx * rz
+            jz = zx * ry - zy * rx
+            columns[j] = (jx, jy, jz)
+            m00 += jx * jx
+            m01 += jx * jy
+            m02 += jx * jz
+            m11 += jy * jy
+            m12 += jy * jz
+            m22 += jz * jz
         det = (
             m00 * (m11 * m22 - m12 * m12)
             - m01 * (m01 * m22 - m12 * m02)
@@ -167,12 +179,13 @@ def _ik_dls(
             + ex * (m01 * m12 - m11 * m02)
         ) / det
         for j in range(6):
-            dq = jac[0, j] * y0 + jac[1, j] * y1 + jac[2, j] * y2
-            qj = q[j] + dq
-            if qj < limits[j, 0]:
-                qj = limits[j, 0]
-            elif qj > limits[j, 1]:
-                qj = limits[j, 1]
+            jx, jy, jz = columns[j]
+            lower, upper = limits[j]
+            qj = q[j] + (jx * y0 + jy * y1 + jz * y2)
+            if qj < lower:
+                qj = lower
+            elif qj > upper:
+                qj = upper
             q[j] = qj
     return best_q, best_res, iterations, best_clamped, converged
 

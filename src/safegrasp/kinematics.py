@@ -9,6 +9,7 @@ rejection is a normal runtime event for the environment's safety shield.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -42,7 +43,14 @@ class IkStatus(Enum):
 
 @dataclass(frozen=True)
 class ArmModel:
-    """Serial-arm description: DH rows, joint limits and the speed limit."""
+    """Serial-arm description: DH rows, joint limits and the speed limit.
+
+    ``dh_rows`` and ``limit_rows`` are derived once from ``dh`` and
+    ``joint_limits`` as tuples of Python floats, in the argument form of
+    :func:`safegrasp.kernels.fk_frames` and :func:`safegrasp.kernels.ik_dls`:
+    ``(a, d, cos alpha, sin alpha, theta_offset)`` and ``(lower, upper)``
+    per joint.
+    """
 
     dh: np.ndarray  # (6, 4) rows of a, d, alpha, theta_offset
     joint_limits: np.ndarray  # (6, 2) min/max in rad
@@ -50,6 +58,8 @@ class ArmModel:
     ik_damping: float = DEFAULT_IK_DAMPING
     ik_tolerance: float = DEFAULT_IK_TOLERANCE
     ik_max_iterations: int = DEFAULT_IK_MAX_ITERATIONS
+    dh_rows: tuple = field(init=False, repr=False, compare=False)
+    limit_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dh = np.ascontiguousarray(np.asarray(self.dh, dtype=np.float64))
@@ -74,6 +84,12 @@ class ArmModel:
             raise ValueError("ik_max_iterations must be >= 1")
         object.__setattr__(self, "dh", dh)
         object.__setattr__(self, "joint_limits", limits)
+        dh_rows = tuple(
+            (a, d, math.cos(alpha), math.sin(alpha), offset)
+            for a, d, alpha, offset in dh.tolist()
+        )
+        object.__setattr__(self, "dh_rows", dh_rows)
+        object.__setattr__(self, "limit_rows", tuple(map(tuple, limits.tolist())))
 
     @classmethod
     def default_ur5(cls, **overrides) -> "ArmModel":
@@ -81,14 +97,17 @@ class ArmModel:
         limits = np.tile((-TWO_PI, TWO_PI), (6, 1))
         return cls(dh=np.array(UR5_DH), joint_limits=limits, **overrides)
 
-    def clamp_to_limits(self, q: np.ndarray) -> np.ndarray:
-        return np.clip(q, self.joint_limits[:, 0], self.joint_limits[:, 1])
+    def within_limits(self, q) -> bool:
+        return _within(self.limit_rows, _joint_values(q))
 
-    def within_limits(self, q: np.ndarray) -> bool:
-        return bool(
-            np.all(q >= self.joint_limits[:, 0])
-            and np.all(q <= self.joint_limits[:, 1])
-        )
+
+def _joint_values(q) -> tuple:
+    """A joint vector as a tuple of six Python floats (the kernel form)."""
+    return tuple(np.asarray(q, dtype=np.float64).reshape(6).tolist())
+
+
+def _within(limit_rows: tuple, values: tuple) -> bool:
+    return all(lo <= v <= hi for v, (lo, hi) in zip(values, limit_rows))
 
 
 @dataclass(frozen=True)
@@ -103,7 +122,7 @@ class Pose:
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=np.float64).reshape(3)
         quat = np.asarray(self.orientation, dtype=np.float64).reshape(4)
-        norm = float(np.linalg.norm(quat))
+        norm = math.hypot(*quat.tolist())
         if abs(norm - 1.0) > 1.0e-9:
             if norm == 0.0:
                 raise ValueError("orientation quaternion must be nonzero")
@@ -179,18 +198,20 @@ def rotation_to_quaternion(rot: np.ndarray) -> np.ndarray:
 
 def forward_kinematics(model: ArmModel, q: np.ndarray) -> Pose:
     """End-effector pose from the DH chain product."""
-    q = np.ascontiguousarray(np.asarray(q, dtype=np.float64).reshape(6))
-    if not np.all(np.isfinite(q)):
+    values = _joint_values(q)
+    if not all(math.isfinite(v) for v in values):
         raise ValueError("joint vector must be finite")
-    rot, origins, _ = kernels.fk_frames(model.dh, q)
-    return Pose(position=origins[6].copy(), orientation=rotation_to_quaternion(rot))
+    rot, origins, _ = kernels.fk_frames(model.dh_rows, values)
+    return Pose(
+        position=np.array(origins[6]),
+        orientation=rotation_to_quaternion(np.array(rot)),
+    )
 
 
 def eef_position(model: ArmModel, q: np.ndarray) -> np.ndarray:
     """End-effector position only (cheaper path used by the environment)."""
-    q = np.ascontiguousarray(np.asarray(q, dtype=np.float64).reshape(6))
-    _, origins, _ = kernels.fk_frames(model.dh, q)
-    return origins[6].copy()
+    _, origins, _ = kernels.fk_frames(model.dh_rows, _joint_values(q))
+    return np.array(origins[6])
 
 
 def inverse_kinematics(model: ArmModel, target: Pose, seed: np.ndarray) -> IkResult:
@@ -202,15 +223,14 @@ def inverse_kinematics(model: ArmModel, target: Pose, seed: np.ndarray) -> IkRes
     as ``UNREACHABLE``, or ``LIMIT_VIOLATION`` when the best iterate was
     pinned at a joint limit.
     """
-    seed = np.ascontiguousarray(np.asarray(seed, dtype=np.float64).reshape(6))
-    if not model.within_limits(seed):
+    seed_values = _joint_values(seed)
+    if not _within(model.limit_rows, seed_values):
         raise ValueError("IK seed must lie within joint limits")
-    target_pos = np.ascontiguousarray(target.position)
     q_best, residual, iterations, clamped, converged = kernels.ik_dls(
-        model.dh,
-        model.joint_limits,
-        seed,
-        target_pos,
+        model.dh_rows,
+        model.limit_rows,
+        seed_values,
+        tuple(target.position.tolist()),
         model.ik_damping,
         model.ik_tolerance,
         model.ik_max_iterations,
@@ -218,7 +238,7 @@ def inverse_kinematics(model: ArmModel, target: Pose, seed: np.ndarray) -> IkRes
     if converged:
         return IkResult(
             status=IkStatus.CONVERGED,
-            solution=q_best,
+            solution=np.array(q_best),
             residual=float(residual),
             iterations=int(iterations),
         )
@@ -234,7 +254,8 @@ def check_speed(
     """Per-joint rate check against the arm's speed limit."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    prev = np.asarray(prev, dtype=np.float64).reshape(6)
-    next_q = np.asarray(next_q, dtype=np.float64).reshape(6)
-    max_rate = float(np.max(np.abs(next_q - prev)) / dt)
+    steps = [abs(b - a) for a, b in zip(_joint_values(prev), _joint_values(next_q))]
+    # max() skips a NaN that is not first; a NaN command must fail the check
+    max_step = math.nan if math.isnan(sum(steps)) else max(steps)
+    max_rate = max_step / dt
     return SpeedCheck(ok=max_rate <= model.max_joint_speed, max_rate=max_rate)

@@ -1,4 +1,9 @@
-"""Kinematics: FK against an independent DH oracle, IK round trips, speed checks."""
+"""Kinematics: FK against an independent DH oracle, IK round trips, speed checks.
+
+The scalar FK/IK kernels are also checked against a 4x4 homogeneous-matrix
+reference (``matrix_fk_frames`` / ``matrix_ik_dls`` below) that runs the same
+damped-least-squares iteration with numpy matrices.
+"""
 
 from functools import reduce
 
@@ -7,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safegrasp import kernels
 from safegrasp.kinematics import (
     ArmModel,
     IkStatus,
@@ -40,6 +46,121 @@ def dh_oracle(dh_rows, q) -> np.ndarray:
         matrix(q[i] + row[3], row[0], row[1], row[2]) for i, row in enumerate(dh_rows)
     ]
     return reduce(np.matmul, mats)
+
+
+def matmul4(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """4x4 matrix product summed in index order, whatever the BLAS build.
+
+    ``x @ y`` goes through BLAS, whose rounding depends on the library and
+    the CPU (fused multiply-adds, blocked sums).
+    """
+    out = x[:, 0:1] * y[0:1, :]
+    for k in range(1, 4):
+        out = out + x[:, k : k + 1] * y[k : k + 1, :]
+    return out
+
+
+def matrix_fk_frames(dh: np.ndarray, q: np.ndarray, matmul=matmul4):
+    """Reference FK: one 4x4 DH matrix per joint, chained with ``matmul``.
+
+    ``dh`` is a (6, 4) array of ``a, d, alpha, theta_offset``; returns the
+    end-effector rotation (3, 3), the frame origins (7, 3) and the joint z
+    axes (7, 3), index 0 being the base frame.
+    """
+    t = np.eye(4)
+    origins = np.zeros((7, 3))
+    zaxes = np.zeros((7, 3))
+    zaxes[0, 2] = 1.0
+    a_mat = np.empty((4, 4))
+    a_mat[3] = (0.0, 0.0, 0.0, 1.0)
+    for i in range(6):
+        theta = q[i] + dh[i, 3]
+        ct, st = np.cos(theta), np.sin(theta)
+        ca, sa = np.cos(dh[i, 2]), np.sin(dh[i, 2])
+        a_len, d_len = dh[i, 0], dh[i, 1]
+        a_mat[0] = (ct, -st * ca, st * sa, a_len * ct)
+        a_mat[1] = (st, ct * ca, -ct * sa, a_len * st)
+        a_mat[2] = (0.0, sa, ca, d_len)
+        t = matmul(t, a_mat)
+        origins[i + 1] = t[:3, 3]
+        zaxes[i + 1] = t[:3, 2]
+    return t[:3, :3].copy(), origins, zaxes
+
+
+def matrix_ik_dls(dh, limits, q_seed, target, damping, tolerance, max_iterations):
+    """Reference DLS IK on :func:`matrix_fk_frames`, numpy arrays throughout.
+
+    Same iteration and return form as :func:`safegrasp.kernels.ik_dls`.  It
+    chains with :func:`matmul4`: started far from a solution, or driven at
+    an unreachable target for 200 iterations, the iteration grows a 1-ulp
+    difference in the FK into different iterates, so a comparison against
+    a BLAS-rounded chain would test the BLAS build rather than the kernel.
+    """
+    q = q_seed.copy()
+    best_q = q_seed.copy()
+    best_res = 1.0e300
+    best_clamped = 0
+    lam2 = damping * damping
+    iterations = 0
+    converged = 0
+    jac = np.empty((3, 6))
+    for it in range(max_iterations + 1):
+        _, origins, zaxes = matrix_fk_frames(dh, q)
+        ex, ey, ez = target - origins[6]
+        res = np.sqrt(ex * ex + ey * ey + ez * ez)
+        clamped = 0
+        for j in range(6):
+            if q[j] <= limits[j, 0] or q[j] >= limits[j, 1]:
+                clamped = 1
+        if res < best_res:
+            best_res = res
+            best_q[:] = q
+            best_clamped = clamped
+        iterations = it
+        if res <= tolerance:
+            converged = 1
+            break
+        if it == max_iterations:
+            break
+        for j in range(6):
+            r = origins[6] - origins[j]
+            jac[0, j] = zaxes[j, 1] * r[2] - zaxes[j, 2] * r[1]
+            jac[1, j] = zaxes[j, 2] * r[0] - zaxes[j, 0] * r[2]
+            jac[2, j] = zaxes[j, 0] * r[1] - zaxes[j, 1] * r[0]
+        m00, m01, m02, m11, m12, m22 = lam2, 0.0, 0.0, lam2, 0.0, lam2
+        for j in range(6):
+            m00 += jac[0, j] * jac[0, j]
+            m01 += jac[0, j] * jac[1, j]
+            m02 += jac[0, j] * jac[2, j]
+            m11 += jac[1, j] * jac[1, j]
+            m12 += jac[1, j] * jac[2, j]
+            m22 += jac[2, j] * jac[2, j]
+        det = (
+            m00 * (m11 * m22 - m12 * m12)
+            - m01 * (m01 * m22 - m12 * m02)
+            + m02 * (m01 * m12 - m11 * m02)
+        )
+        if det == 0.0:
+            break
+        y0 = (
+            ex * (m11 * m22 - m12 * m12)
+            - m01 * (ey * m22 - m12 * ez)
+            + m02 * (ey * m12 - m11 * ez)
+        ) / det
+        y1 = (
+            m00 * (ey * m22 - m12 * ez)
+            - ex * (m01 * m22 - m12 * m02)
+            + m02 * (m01 * ez - ey * m02)
+        ) / det
+        y2 = (
+            m00 * (m11 * ez - ey * m12)
+            - m01 * (m01 * ez - ey * m02)
+            + ex * (m01 * m12 - m11 * m02)
+        ) / det
+        for j in range(6):
+            dq = jac[0, j] * y0 + jac[1, j] * y1 + jac[2, j] * y2
+            q[j] = min(max(q[j] + dq, limits[j, 0]), limits[j, 1])
+    return best_q, best_res, iterations, best_clamped, converged
 
 
 class TestForwardKinematics:
@@ -142,6 +263,78 @@ class TestInverseKinematics:
             inverse_kinematics(arm, target, seed=np.full(6, 10.0))
 
 
+class TestKernelsAgainstMatrixReference:
+    """Scalar kernels against the 4x4-matrix reference, to rounding level."""
+
+    @staticmethod
+    def random_arm(rng) -> ArmModel:
+        dh = np.column_stack(
+            [
+                rng.uniform(-0.5, 0.5, 6),
+                rng.uniform(-0.2, 0.2, 6),
+                rng.uniform(-np.pi, np.pi, 6),
+                rng.uniform(-np.pi, np.pi, 6),
+            ]
+        )
+        return ArmModel(dh=dh, joint_limits=np.tile((-7.0, 7.0), (6, 1)))
+
+    def test_fk_frames_match(self, arm):
+        rng = np.random.default_rng(5)
+        arms = [arm] + [self.random_arm(rng) for _ in range(4)]
+        for model in arms:
+            for _ in range(100):
+                q = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 6)
+                rot, origins, zaxes = kernels.fk_frames(model.dh_rows, tuple(q.tolist()))
+                for matmul in (matmul4, np.matmul):
+                    ref_rot, ref_origins, ref_zaxes = matrix_fk_frames(model.dh, q, matmul)
+                    assert np.abs(np.array(rot) - ref_rot).max() <= 1e-12
+                    assert np.abs(np.array(origins) - ref_origins).max() <= 1e-12
+                    assert np.abs(np.array(zaxes) - ref_zaxes).max() <= 1e-12
+
+    def test_ik_dls_matches_on_1000_pairs(self):
+        rng = np.random.default_rng(99)
+        # 60 iterations keep the reference affordable; most reachable
+        # targets still converge, the rest end as failures of either kind
+        arm = ArmModel.default_ur5(ik_max_iterations=60)
+        tight = ArmModel(
+            dh=arm.dh, joint_limits=np.tile((-1.0, 1.0), (6, 1)), ik_max_iterations=60
+        )
+        reach = float(np.sum(np.abs(arm.dh[:, :2])))
+        cases = []
+        for _ in range(600):  # reachable targets, free seeds
+            target = forward_kinematics(arm, rng.uniform(-np.pi, np.pi, 6)).position
+            cases.append((arm, rng.uniform(-np.pi, np.pi, 6), target))
+        for _ in range(100):  # beyond the sum of all link offsets
+            direction = rng.normal(size=3)
+            target = 1.5 * reach * direction / np.linalg.norm(direction)
+            cases.append((arm, rng.uniform(-np.pi, np.pi, 6), target))
+        for _ in range(300):  # targets mostly outside the tight limits' reach
+            target = forward_kinematics(tight, rng.uniform(-3.0, 3.0, 6)).position
+            cases.append((tight, rng.uniform(-1.0, 1.0, 6), target))
+
+        statuses = set()
+        for model, seed, target in cases:
+            args = (model.ik_damping, model.ik_tolerance, model.ik_max_iterations)
+            q, res, iters, clamped, converged = kernels.ik_dls(
+                model.dh_rows,
+                model.limit_rows,
+                tuple(seed.tolist()),
+                tuple(target.tolist()),
+                *args,
+            )
+            ref_q, ref_res, ref_iters, ref_clamped, ref_converged = matrix_ik_dls(
+                model.dh, model.joint_limits, seed, target, *args
+            )
+            assert (converged, clamped, iters) == (ref_converged, ref_clamped, ref_iters)
+            assert abs(res - ref_res) <= 1e-12
+            if converged:
+                assert np.abs(np.array(q) - ref_q).max() <= 1e-9
+                statuses.add(IkStatus.CONVERGED)
+            else:
+                statuses.add(IkStatus.LIMIT_VIOLATION if clamped else IkStatus.UNREACHABLE)
+        assert statuses == set(IkStatus)
+
+
 class TestCheckSpeed:
     def test_within_limit(self, arm):
         prev = np.zeros(6)
@@ -164,6 +357,14 @@ class TestCheckSpeed:
         check = check_speed(prev, nxt, 0.1, arm)
         assert not check.ok
         assert check.max_rate == pytest.approx(3.0)
+
+    def test_nan_command_fails_wherever_it_sits(self, arm):
+        for j in range(6):
+            nxt = np.zeros(6)
+            nxt[j] = np.nan
+            check = check_speed(np.zeros(6), nxt, 0.05, arm)
+            assert not check.ok
+            assert np.isnan(check.max_rate)
 
     def test_invalid_dt(self, arm):
         with pytest.raises(ValueError):
