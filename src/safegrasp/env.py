@@ -480,7 +480,7 @@ class GraspEnv:
                 velocity = np.zeros(3)
             else:
                 self._q = ik.solution
-                new_eef = eef_position(self.arm, self._q)
+                new_eef = ik.tool_position
                 velocity = (new_eef - prev_eef) / cfg.dt
                 self._eef = new_eef
         self._eef_velocity = velocity

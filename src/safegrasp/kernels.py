@@ -10,10 +10,12 @@ and tuples of floats (see :class:`safegrasp.kinematics.ArmModel`).
 Across kernel modes, "identical results" means that both modes run the
 same IEEE operations in the same order, so they agree bit for bit as long as
 the compiled ``cos``/``sin`` round like the C library's.  The exception is
-``quantile_huber_loss_grad``, whose fallback is a vectorised numpy
-implementation (the scalar loop form is impractically slow without
-compilation) and whose compiled form uses ``fastmath``; the two agree to
-rounding level and are cross-checked against the scalar loops in the tests.
+``quantile_huber_loss_grad``: its compiled form is the pairwise scalar loops
+with ``fastmath``, and its numpy fallback is an exact sort/prefix-sum form
+(sorted target rows, a vectorised binary search for the region boundaries of
+each prediction, closed-form sums per region) that never builds the
+(critic, sample, quantile, atom) array.  The two agree to rounding level,
+and the tests cross-check the fallback against the scalar loops.
 
 ``BENCH_PAIRS`` maps kernel names to ``(compiled_or_selected, fallback)``
 pairs for the ``safegrasp bench`` command.
@@ -98,13 +100,15 @@ def _ik_dls(dh, limits, q_seed, target, damping, tolerance, max_iterations):
 
     ``dh`` and ``limits`` are the arm's ``dh_rows`` and ``limit_rows``
     (six ``(lower, upper)`` pairs); ``q_seed`` and ``target`` are tuples of
-    six and three floats.  Returns ``(q_best, best_residual, iterations,
-    clamped, converged)`` where ``q_best`` is a list of six floats and
+    six and three floats.  Returns ``(q_best, p_best, best_residual,
+    iterations, clamped, converged)`` where ``q_best`` is a list of six
+    floats, ``p_best`` the tool origin ``fk_frames`` gave for it, and
     ``clamped`` is 1 when the best iterate had a joint pinned at a limit.
     """
     tx, ty, tz = target
     q = list(q_seed)
     best_q = q.copy()
+    best_p = (math.nan, math.nan, math.nan)
     best_res = 1.0e300
     best_clamped = 0
     lam2 = damping * damping
@@ -125,6 +129,7 @@ def _ik_dls(dh, limits, q_seed, target, damping, tolerance, max_iterations):
         if res < best_res:
             best_res = res
             best_q = q.copy()
+            best_p = (px, py, pz)
             best_clamped = clamped
         iterations = it
         if res <= tolerance:
@@ -187,7 +192,7 @@ def _ik_dls(dh, limits, q_seed, target, damping, tolerance, max_iterations):
             elif qj > upper:
                 qj = upper
             q[j] = qj
-    return best_q, best_res, iterations, best_clamped, converged
+    return best_q, best_p, best_res, iterations, best_clamped, converged
 
 
 ik_dls = maybe_njit(_ik_dls)
@@ -291,19 +296,70 @@ def _quantile_huber_loss_grad_loops(
 def _quantile_huber_loss_grad_numpy(
     preds: np.ndarray, targets: np.ndarray, fractions: np.ndarray
 ):
-    """Vectorised fallback for :func:`quantile_huber_loss_grad`."""
+    """Sort/prefix-sum fallback for :func:`quantile_huber_loss_grad`.
+
+    Same loss and gradient as the pairwise loops, without an array per
+    (critic, sample, quantile, atom) pair.  With each target row sorted,
+    the atoms facing a prediction ``z`` fall into four runs by
+    ``u = t - z``: ``u < -1``, ``-1 <= u < 0``, ``0 <= u <= 1`` and
+    ``u > 1``.  Per run, the sums of ``huber(u)`` and ``huber'(u)`` are
+    closed forms in the run's atom count and its sums of ``t`` and ``t^2``,
+    read off prefix sums; the weight is ``1 - tau`` below ``z`` and ``tau``
+    from ``z`` up.  The run boundaries are the atom counts below ``z - 1``,
+    below ``z`` and at most ``z + 1``, found by a branchless binary search
+    over every row at once.  Values are centred on their row's mean so the
+    quadratic sums keep their precision when returns are large.  Cost is
+    O(N B M log K + B K log K) for N critics, B samples, M quantiles and K
+    atoms, against O(N B M K) for the loops.
+    """
     n_crit, batch, n_quant = preds.shape
     n_atoms = targets.shape[1]
-    u = targets[None, :, None, :] - preds[..., None]
-    au = np.abs(u)
-    taus = fractions.reshape(1, 1, n_quant, 1)
-    w = np.where(u < 0.0, 1.0 - taus, taus)
-    huber = np.where(au <= 1.0, 0.5 * u * u, au - 0.5)
-    dhuber = np.where(au <= 1.0, u, np.sign(u))
+    # sorted rows padded with +inf to a power of two above n_atoms, so the
+    # search needs no bounds checks; row b starts at flat index b * width
+    width = 1 << n_atoms.bit_length()
+    padded = np.full((batch, width), np.inf)
+    padded[:, :n_atoms] = targets
+    padded.sort(axis=1)
+    atoms = padded[:, :n_atoms]
+    center = atoms.mean(axis=1, keepdims=True)
+    centred = atoms - center
+    # prefix sums of t and t^2 in the same layout: entry b * width + i sums
+    # the i smallest atoms of row b
+    sum1 = np.zeros((batch, width))
+    sum2 = np.zeros((batch, width))
+    np.cumsum(centred, axis=1, out=sum1[:, 1 : n_atoms + 1])
+    np.cumsum(centred * centred, axis=1, out=sum2[:, 1 : n_atoms + 1])
+
+    # atoms below z - 1, below z, and at most z + 1 (= below its successor)
+    queries = np.stack([preds - 1.0, preds, np.nextafter(preds + 1.0, np.inf)])
+    row_start = np.arange(0, batch * width, width)[:, None]
+    pos = np.broadcast_to(row_start, queries.shape).copy()
+    flat = padded.ravel()
+    step = width >> 1
+    while step:
+        # probe the atom at pos + step - 1 and jump past it when it is below
+        pos += step * (flat[step - 1 :].take(pos) < queries)
+        step >>= 1
+    counts = pos - row_start
+
+    # per boundary: sum of u and of u^2 over the atoms below it
+    y = preds - center
+    below1 = sum1.take(pos)
+    lin = below1 - counts * y
+    quad = sum2.take(pos) - y * (below1 + lin)
+    (n1, n2, n3), (l1, l2, l3), (q1, q2, q3) = counts, lin, quad
+    lin_all = sum1[:, n_atoms : n_atoms + 1] - n_atoms * y
+    # huber(u) is -u - 1/2 below u = -1, u^2 / 2 up to u = 1 and u - 1/2
+    # above; its slope is -1, u and 1 on those pieces
+    loss_below = 0.5 * (q2 - q1 - n1) - l1
+    loss_above = 0.5 * (q3 - q2 - (n_atoms - n3)) + (lin_all - l3)
+    grad_below = l2 - l1 - n1
+    grad_above = l3 - l2 + (n_atoms - n3)
+
     scale = 1.0 / (n_crit * batch * n_quant * n_atoms)
-    loss = float(np.sum(w * huber)) * scale
-    grad = -np.sum(w * dhuber, axis=-1) * scale
-    return loss, grad
+    loss = float(np.sum((1.0 - fractions) * loss_below + fractions * loss_above))
+    grad = -((1.0 - fractions) * grad_below + fractions * grad_above) * scale
+    return loss * scale, grad
 
 
 if NUMBA_ENABLED:

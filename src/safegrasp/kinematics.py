@@ -137,6 +137,8 @@ class IkResult:
     solution: np.ndarray | None
     residual: float
     iterations: int
+    # tool origin of ``solution`` as the solver's FK evaluated it
+    tool_position: np.ndarray | None = None
 
     @property
     def converged(self) -> bool:
@@ -226,7 +228,7 @@ def inverse_kinematics(model: ArmModel, target: Pose, seed: np.ndarray) -> IkRes
     seed_values = _joint_values(seed)
     if not _within(model.limit_rows, seed_values):
         raise ValueError("IK seed must lie within joint limits")
-    q_best, residual, iterations, clamped, converged = kernels.ik_dls(
+    q_best, p_best, residual, iterations, clamped, converged = kernels.ik_dls(
         model.dh_rows,
         model.limit_rows,
         seed_values,
@@ -241,6 +243,7 @@ def inverse_kinematics(model: ArmModel, target: Pose, seed: np.ndarray) -> IkRes
             solution=np.array(q_best),
             residual=float(residual),
             iterations=int(iterations),
+            tool_position=np.array(p_best),
         )
     status = IkStatus.LIMIT_VIOLATION if clamped else IkStatus.UNREACHABLE
     return IkResult(

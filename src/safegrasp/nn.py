@@ -6,12 +6,15 @@ layer convention is ``w{i}`` of shape (fan_in, fan_out) and ``b{i}`` of shape
 critic ensemble); every routine here broadcasts over it transparently.
 
 Checkpoints are a small binary container (magic, shape table, row-major
-float64 payload) with a JSON sidecar for hyperparameters.
+float64 payload) with a JSON sidecar for hyperparameters.  Each file is
+written to a temporary name and moved into place, so an interrupted save
+leaves the previous file, never a partial one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -227,34 +230,61 @@ def save_checkpoint(path, arrays: dict, meta: dict | None = None) -> None:
         payload.append(arr.tobytes())
     blob = CHECKPOINT_MAGIC + struct.pack("<I", len(entries))
     blob += b"".join(entries) + b"".join(payload)
-    path.write_bytes(blob)
     sidecar = path.with_suffix(path.suffix + ".meta.json")
-    sidecar.write_text(json.dumps(meta or {}, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(meta or {}, indent=2, sort_keys=True) + "\n"
+    _replace_atomically(path, blob)
+    _replace_atomically(sidecar, text.encode("utf-8"))
+
+
+def _replace_atomically(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns ``(arrays, meta)``."""
+    """Read a checkpoint; returns ``(arrays, meta)``.
+
+    Raises ``ValueError`` unless the file is exactly one header plus the
+    payload it declares: bad magic, a truncated file and trailing bytes
+    are all rejected.
+    """
     path = Path(path)
     blob = path.read_bytes()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint file (bad magic)")
     offset = len(CHECKPOINT_MAGIC)
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
     shapes = []
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        shapes.append((name, shape))
+    try:
+        (count,) = struct.unpack_from("<I", blob, offset)
+        offset += 4
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", blob, offset)
+            offset += 2
+            name = blob[offset : offset + name_len].decode("utf-8")
+            offset += name_len
+            (ndim,) = struct.unpack_from("<B", blob, offset)
+            offset += 1
+            shape = struct.unpack_from(f"<{ndim}I", blob, offset)
+            offset += 4 * ndim
+            shapes.append((name, shape, int(np.prod(shape, dtype=np.int64))))
+    except struct.error as exc:
+        raise ValueError(f"{path} is truncated (in the shape table)") from exc
+    expected = offset + 8 * sum(size for _, _, size in shapes)
+    if len(blob) < expected:
+        raise ValueError(f"{path} is truncated: {len(blob)} bytes, expected {expected}")
+    if len(blob) > expected:
+        raise ValueError(f"{path} has {len(blob) - expected} trailing bytes")
     arrays = {}
-    for name, shape in shapes:
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    for name, shape, size in shapes:
         arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
         offset += size * 8
         arrays[name] = arr.copy()

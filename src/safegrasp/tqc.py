@@ -143,17 +143,23 @@ class ActorSnapshot:
 
 
 class ReplayBuffer:
-    """Uniform ring buffer of transitions."""
+    """Uniform ring buffer of transitions.
+
+    The arrays are allocated uninitialised: ``sample`` only draws rows below
+    ``len(self)``, all of which ``add`` has written.  Zero-filling them would
+    make the whole capacity resident (``calloc`` must clear memory it reuses
+    from the heap) although most of it is never read.
+    """
 
     def __init__(self, obs_dim: int, act_dim: int, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self._obs = np.zeros((capacity, obs_dim))
-        self._act = np.zeros((capacity, act_dim))
-        self._rew = np.zeros(capacity)
-        self._next_obs = np.zeros((capacity, obs_dim))
-        self._term = np.zeros(capacity)
+        self._obs = np.empty((capacity, obs_dim))
+        self._act = np.empty((capacity, act_dim))
+        self._rew = np.empty(capacity)
+        self._next_obs = np.empty((capacity, obs_dim))
+        self._term = np.empty(capacity)
         self._size = 0
         self._cursor = 0
 

@@ -27,7 +27,7 @@ import numpy as np
 from .config import RunConfig
 from .metrics import summarize
 from .rollout import derive_seed, rollout_episodes
-from .runlog import EpisodeLogWriter, dumps_canonical
+from .runlog import EpisodeLogWriter, dumps_canonical, records_to_episodes
 from .tqc import ReplayBuffer, TqcAgent
 from .env import ACTION_DIM, OBSERVATION_DIM
 
@@ -209,8 +209,6 @@ class Trainer:
                 if result.terminated or result.truncated or step >= self.total_steps:
                     break
             env.set_log_writer(None)
-            from .runlog import records_to_episodes
-
             summary = _episode_summary(episode, records_to_episodes(ep_records))
             self._train_fh.write(dumps_canonical(summary) + "\n")
             episode += 1
@@ -278,8 +276,6 @@ class Trainer:
         ]
         for t in threads:
             t.start()
-
-        from .runlog import records_to_episodes
 
         step = 0
         episode = 0

@@ -429,7 +429,7 @@ RUN_TRAINING = os.environ.get("SAFEGRASP_RUN_TRAINING_ACCEPTANCE", "") == "1"
 @pytest.mark.skipif(
     not RUN_TRAINING,
     reason=(
-        "desk-scale directional training check (~3 h on one core); "
+        "desk-scale directional training check (~1 h on one core); "
         "set SAFEGRASP_RUN_TRAINING_ACCEPTANCE=1 to run"
     ),
 )

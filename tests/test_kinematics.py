@@ -19,6 +19,7 @@ from safegrasp.kinematics import (
     Pose,
     UR5_DH,
     check_speed,
+    eef_position,
     forward_kinematics,
     inverse_kinematics,
 )
@@ -98,6 +99,7 @@ def matrix_ik_dls(dh, limits, q_seed, target, damping, tolerance, max_iterations
     """
     q = q_seed.copy()
     best_q = q_seed.copy()
+    best_p = np.full(3, np.nan)
     best_res = 1.0e300
     best_clamped = 0
     lam2 = damping * damping
@@ -115,6 +117,7 @@ def matrix_ik_dls(dh, limits, q_seed, target, damping, tolerance, max_iterations
         if res < best_res:
             best_res = res
             best_q[:] = q
+            best_p[:] = origins[6]
             best_clamped = clamped
         iterations = it
         if res <= tolerance:
@@ -160,7 +163,7 @@ def matrix_ik_dls(dh, limits, q_seed, target, damping, tolerance, max_iterations
         for j in range(6):
             dq = jac[0, j] * y0 + jac[1, j] * y1 + jac[2, j] * y2
             q[j] = min(max(q[j] + dq, limits[j, 0]), limits[j, 1])
-    return best_q, best_res, iterations, best_clamped, converged
+    return best_q, best_p, best_res, iterations, best_clamped, converged
 
 
 class TestForwardKinematics:
@@ -262,6 +265,25 @@ class TestInverseKinematics:
         with pytest.raises(ValueError):
             inverse_kinematics(arm, target, seed=np.full(6, 10.0))
 
+    def test_tool_position_is_fk_of_solution(self, arm):
+        # the env moves the tool to this position without recomputing FK,
+        # so it must equal eef_position of the solution bit for bit
+        rng = np.random.default_rng(8)
+        seen = set()
+        for _ in range(200):
+            seed = rng.uniform(-np.pi, np.pi, 6)
+            start = eef_position(arm, seed)
+            target = Pose(position=start + rng.uniform(-0.3, 0.3, 3))
+            result = inverse_kinematics(arm, target, seed=seed)
+            seen.add(result.status)
+            if result.converged:
+                assert np.array_equal(
+                    result.tool_position, eef_position(arm, result.solution)
+                )
+            else:
+                assert result.tool_position is None
+        assert IkStatus.CONVERGED in seen and len(seen) > 1
+
 
 class TestKernelsAgainstMatrixReference:
     """Scalar kernels against the 4x4-matrix reference, to rounding level."""
@@ -315,18 +337,21 @@ class TestKernelsAgainstMatrixReference:
         statuses = set()
         for model, seed, target in cases:
             args = (model.ik_damping, model.ik_tolerance, model.ik_max_iterations)
-            q, res, iters, clamped, converged = kernels.ik_dls(
+            q, p, res, iters, clamped, converged = kernels.ik_dls(
                 model.dh_rows,
                 model.limit_rows,
                 tuple(seed.tolist()),
                 tuple(target.tolist()),
                 *args,
             )
-            ref_q, ref_res, ref_iters, ref_clamped, ref_converged = matrix_ik_dls(
+            ref_q, ref_p, ref_res, ref_iters, ref_clamped, ref_converged = matrix_ik_dls(
                 model.dh, model.joint_limits, seed, target, *args
             )
             assert (converged, clamped, iters) == (ref_converged, ref_clamped, ref_iters)
             assert abs(res - ref_res) <= 1e-12
+            assert np.abs(np.array(p) - ref_p).max() <= 1e-9
+            # the returned tool origin is the FK of the returned joints, exactly
+            assert kernels.fk_frames(model.dh_rows, tuple(q))[1][6] == p
             if converged:
                 assert np.abs(np.array(q) - ref_q).max() <= 1e-9
                 statuses.add(IkStatus.CONVERGED)

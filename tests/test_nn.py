@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from safegrasp import nn as nn_module
 from safegrasp.autodiff import Tensor, concat
 from safegrasp.nn import (
     AdamState,
@@ -312,3 +313,58 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    @staticmethod
+    def saved_blob(tmp_path) -> bytes:
+        arrays = {"w0": np.arange(12.0).reshape(3, 4), "log_alpha": np.array(0.5)}
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(path, arrays, {"obs_dim": 3})
+        return path.read_bytes()
+
+    def test_truncated_file_rejected(self, tmp_path):
+        blob = self.saved_blob(tmp_path)
+        path = tmp_path / "cut.ckpt"
+        # cut inside the payload, inside the shape table, and one byte short
+        for size in (len(blob) - 8 * 7, 14, len(blob) - 1):
+            path.write_bytes(blob[:size])
+            with pytest.raises(ValueError, match="truncated"):
+                load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        blob = self.saved_blob(tmp_path)
+        path = tmp_path / "long.ckpt"
+        for extra in (b"\x00", b"\x00" * 8):
+            path.write_bytes(blob + extra)
+            with pytest.raises(ValueError, match="trailing"):
+                load_checkpoint(path)
+
+    def test_save_replaces_files_whole_and_leaves_no_temporaries(self, tmp_path):
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(path, {"w": np.zeros((50, 50))}, {"round": 1})
+        save_checkpoint(path, {"w": np.ones((2, 2))}, {"round": 2})
+        arrays, meta = load_checkpoint(path)
+        assert np.array_equal(arrays["w"], np.ones((2, 2)))
+        assert meta == {"round": 2}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "agent.ckpt",
+            "agent.ckpt.meta.json",
+        ]
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(path, {"w": np.zeros(3)}, {"round": 1})
+        before = path.read_bytes()
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(nn_module.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(path, {"w": np.ones(3)}, {"round": 2})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_checkpoint(path)[1] == {"round": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "agent.ckpt",
+            "agent.ckpt.meta.json",
+        ]

@@ -113,6 +113,20 @@ class TestTruncatedTarget:
             assert all(means[i + 1] <= means[i] + 1e-12 for i in range(m - 1))
 
 
+def assert_kernel_matches_loops(preds, targets, taus):
+    """Active kernel against the scalar loops, 1e-12 relative.
+
+    The loss is compared relative to itself and the gradient relative to
+    its largest entry, since single entries can cancel to near zero.
+    """
+    loss, grad = kernels.quantile_huber_loss_grad(preds, targets, taus)
+    ref_loss, ref_grad = kernels._quantile_huber_loss_grad_loops(preds, targets, taus)
+    assert grad.shape == ref_grad.shape == preds.shape
+    assert ref_loss > 0.0
+    assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+    assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+
 class TestQuantileHuberLoss:
     def test_zero_when_predictions_equal_targets(self):
         # the loss is pairwise, so exact zero needs every pair to agree
@@ -162,11 +176,78 @@ class TestQuantileHuberLoss:
         rng = np.random.default_rng(11)
         preds = rng.normal(size=(2, 16, 5))
         targets = rng.normal(size=(16, 8))
+        assert_kernel_matches_loops(preds, targets, quantile_fractions(5))
+
+
+class TestQuantileHuberKernel:
+    """The active kernel against the pairwise loops it must reproduce."""
+
+    def test_unsorted_targets(self):
+        rng = np.random.default_rng(40)
+        preds = rng.normal(size=(2, 12, 5))
+        targets = rng.normal(size=(12, 9))
+        assert np.any(np.diff(targets, axis=1) < 0.0)
         taus = quantile_fractions(5)
-        loss_a, grad_a = kernels.quantile_huber_loss_grad(preds, targets, taus)
-        loss_b, grad_b = kernels._quantile_huber_loss_grad_loops(preds, targets, taus)
-        assert loss_a == pytest.approx(loss_b, rel=1e-12, abs=1e-13)
-        assert np.allclose(grad_a, grad_b, atol=1e-13)
+        assert_kernel_matches_loops(preds, targets, taus)
+        # descending rows, and rows that are a permutation of each other
+        assert_kernel_matches_loops(preds, -np.sort(-targets, axis=1), taus)
+        assert_kernel_matches_loops(preds, rng.permuted(targets, axis=1), taus)
+
+    def test_ties_at_zero_and_unit_distance(self):
+        # small integers put many pairs exactly at u = 0 and |u| = 1
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            preds = rng.integers(-2, 3, size=(2, 6, 4)).astype(np.float64)
+            targets = rng.integers(-3, 4, size=(6, 10)).astype(np.float64)
+            u = targets[None, :, None, :] - preds[..., None]
+            assert np.any(u == 0.0) and np.any(np.abs(u) == 1.0)
+            assert_kernel_matches_loops(preds, targets, quantile_fractions(4))
+        # every atom exactly one unit below or above its prediction
+        preds = np.full((1, 3, 3), 0.5)
+        targets = np.array([[-0.5, 1.5], [-0.5, -0.5], [1.5, 1.5]])
+        assert_kernel_matches_loops(preds, targets, quantile_fractions(3))
+        # atoms a hair either side of each boundary: misplacing one changes
+        # its weight by 1 - 2 tau at a slope of 1e-9, far above rounding
+        preds = rng.normal(size=(2, 6, 4))
+        offsets = np.array([-1.0, 0.0, 1.0])[:, None] + np.array([-1e-9, 1e-9])
+        targets = (preds[0, :, :, None] + offsets.reshape(-1)).reshape(6, -1)
+        assert_kernel_matches_loops(preds, targets, quantile_fractions(4))
+
+    @pytest.mark.parametrize("spread", [1e-3, 1.0, 30.0, 1e3])
+    @pytest.mark.parametrize("offset", [0.0, 1e4, -1e4])
+    def test_spreads_and_offsets(self, spread, offset):
+        rng = np.random.default_rng(42)
+        preds = offset + spread * rng.normal(size=(2, 8, 5))
+        # targets share the offset, plus a shifted copy so the linear
+        # regions on both sides are populated
+        targets = offset + spread * rng.normal(size=(8, 12))
+        targets[:, :3] += 3.0 * spread
+        assert_kernel_matches_loops(preds, targets, quantile_fractions(5))
+
+    @pytest.mark.parametrize("n_critics", [1, 3])
+    def test_critic_counts(self, n_critics):
+        rng = np.random.default_rng(43)
+        preds = rng.normal(size=(n_critics, 10, 6)) * 2.0
+        targets = rng.normal(size=(10, 13)) * 2.0
+        assert_kernel_matches_loops(preds, targets, quantile_fractions(6))
+
+    @pytest.mark.parametrize(
+        "batch,n_quant,n_atoms", [(1, 5, 7), (6, 1, 7), (6, 5, 1), (1, 1, 1)]
+    )
+    def test_unit_dimensions(self, batch, n_quant, n_atoms):
+        rng = np.random.default_rng(44)
+        preds = rng.normal(size=(2, batch, n_quant)) * 2.0
+        targets = rng.normal(size=(batch, n_atoms)) * 2.0
+        assert_kernel_matches_loops(preds, targets, quantile_fractions(n_quant))
+
+    @pytest.mark.parametrize("n_atoms", [31, 32, 33, 46, 64])
+    def test_training_shape_and_power_of_two_rows(self, n_atoms):
+        # the default critic shape (2 x 25 quantiles, 46 kept atoms) on a
+        # smaller batch, and atom counts around a power of two
+        rng = np.random.default_rng(45)
+        preds = rng.normal(size=(2, 16, 25)) * 3.0
+        targets = rng.normal(size=(16, n_atoms)) * 3.0
+        assert_kernel_matches_loops(preds, targets, quantile_fractions(25))
 
 
 class TestSelectAction:
@@ -258,6 +339,35 @@ class TestReplayBuffer:
         buf = ReplayBuffer(1, 1, 4)
         with pytest.raises(ValueError):
             buf.sample(1, np.random.default_rng(0))
+
+    @staticmethod
+    def add_numbered(buf: ReplayBuffer, numbers) -> None:
+        # every field of transition i is derived from i, so a sampled row
+        # identifies the transition it came from
+        for i in numbers:
+            buf.add([i, -i], [i + 0.5], 2.0 * i, [i + 0.25, -i], i % 2 == 1)
+
+    @staticmethod
+    def sampled_numbers(buf: ReplayBuffer, size: int) -> set:
+        obs, act, rew, next_obs, term = buf.sample(size, np.random.default_rng(7))
+        numbers = obs[:, 0]
+        assert np.array_equal(obs[:, 1], -numbers)
+        assert np.array_equal(act[:, 0], numbers + 0.5)
+        assert np.array_equal(rew, 2.0 * numbers)
+        assert np.array_equal(next_obs, np.column_stack([numbers + 0.25, -numbers]))
+        assert np.array_equal(term, (numbers % 2 == 1).astype(np.float64))
+        return set(numbers.astype(int).tolist())
+
+    def test_partly_filled_samples_only_added_rows(self):
+        buf = ReplayBuffer(2, 1, 1000)
+        self.add_numbered(buf, range(1, 6))
+        assert self.sampled_numbers(buf, 2000) == {1, 2, 3, 4, 5}
+
+    def test_wrapped_ring_samples_only_live_rows(self):
+        buf = ReplayBuffer(2, 1, 8)
+        self.add_numbered(buf, range(1, 14))
+        assert len(buf) == 8
+        assert self.sampled_numbers(buf, 2000) == set(range(6, 14))
 
 
 class TestTrainStep:
