@@ -38,7 +38,13 @@ from .fsa import build_report, format_report_text, inputs_from_episodes, run_ass
 from .kinematics import ArmModel
 from .metrics import summarize
 from .rollout import rollout_episodes
-from .runlog import EpisodeLogWriter, load_episodes, read_log, records_to_episodes
+from .runlog import (
+    EpisodeLogWriter,
+    load_episodes,
+    read_log,
+    records_to_episodes,
+    replace_atomically,
+)
 from .tqc import RandomPolicy, ScriptedGraspPolicy, TqcAgent
 from .training import Trainer
 from .world import DisturbanceSpec
@@ -47,10 +53,6 @@ EXIT_OK = 0
 EXIT_AUDIT = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-class AuditFailure(Exception):
-    """A log failed its integrity audit."""
 
 
 def _timestamp() -> str:
@@ -247,8 +249,9 @@ def cmd_evaluate(args) -> int:
     )
     writer.close()
     summary = summarize(records)
-    (out_dir / "metrics.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    replace_atomically(
+        out_dir / "metrics.json",
+        (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode("utf-8"),
     )
     print(f"log: {log_path}")
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -280,7 +283,7 @@ def cmd_assess(args) -> int:
         all_records = []
         for scenario in scenarios:
             env = config.build_env()
-            writer = EpisodeLogWriter(
+            with EpisodeLogWriter(
                 out_dir / f"assess_{scenario}_{_timestamp()}_s{config.seed}.jsonl",
                 header={
                     "seed": config.seed,
@@ -288,16 +291,16 @@ def cmd_assess(args) -> int:
                     "reward": config.reward.as_dict(),
                     "policy": args.policy,
                 },
-            )
-            _, records = run_assessment(
-                env,
-                policy,
-                episodes=per_scenario,
-                seed=config.seed,
-                scenario=scenario,
-                disturbance=disturbance,
-                log_writer=writer,
-            )
+            ) as writer:
+                _, records = run_assessment(
+                    env,
+                    policy,
+                    episodes=per_scenario,
+                    seed=config.seed,
+                    scenario=scenario,
+                    disturbance=disturbance,
+                    log_writer=writer,
+                )
             all_records.extend(records)
         report = build_report(inputs_from_episodes(all_records))
     (out_dir / "fsa_report.json").write_text(
@@ -352,9 +355,9 @@ def cmd_bench(args) -> int:
     preds = rng.normal(size=(2, 128, 25))
     targets = rng.normal(size=(128, 46))
     taus = (2.0 * np.arange(1, 26) - 1.0) / 50.0
-    point = np.array([0.5, 0.0, -0.06])
-    center = np.array([0.5, 0.0, -0.075])
-    half = np.array([0.025, 0.025, 0.025])
+    point = (0.5, 0.0, -0.06)
+    center = (0.5, 0.0, -0.075)
+    half = (0.025, 0.025, 0.025)
 
     cases = {
         "fk_frames": lambda fn: fn(arm.dh_rows, q),
@@ -418,9 +421,6 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AuditFailure as exc:
-        print(f"audit failure: {exc}", file=sys.stderr)
-        return EXIT_AUDIT
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -13,8 +13,10 @@ budget truncates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -181,44 +183,67 @@ class SceneConfig:
             raise ValueError("contact stiffnesses must be positive")
 
 
-@dataclass(frozen=True)
-class Action:
-    """4-dim end-effector command; components are clamped to [-1, 1].
+class Action(tuple):
+    """4-dim end-effector command held as four Python floats.
 
-    ``gripper >= 0`` commands the gripper closed, ``< 0`` open.
+    ``Action(delta_position, gripper)``: a tool displacement 3-vector and the
+    gripper command, both in units of full deflection; ``clamped`` limits
+    each component to [-1, 1].  ``gripper >= 0`` commands the gripper
+    closed, ``< 0`` open.  A NaN component raises ``ValueError``; +-inf is
+    kept and clamps to +-1.
     """
 
-    delta_position: np.ndarray
-    gripper: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        delta = np.asarray(self.delta_position, dtype=np.float64).reshape(3)
-        object.__setattr__(self, "delta_position", delta)
-        object.__setattr__(self, "gripper", float(self.gripper))
+    def __new__(cls, delta_position, gripper):
+        dx, dy, dz = np.asarray(delta_position, dtype=np.float64).reshape(3).tolist()
+        return cls._of(dx, dy, dz, float(gripper))
+
+    @classmethod
+    def _of(cls, dx: float, dy: float, dz: float, gripper: float) -> "Action":
+        if dx != dx or dy != dy or dz != dz or gripper != gripper:
+            raise ValueError("action components must not be NaN")
+        return tuple.__new__(cls, (dx, dy, dz, gripper))
+
+    @property
+    def delta_position(self) -> np.ndarray:
+        return np.array(self[:3])
+
+    @property
+    def gripper(self) -> float:
+        return self[3]
 
     def clamped(self) -> "Action":
-        return Action(
-            delta_position=np.clip(self.delta_position, -1.0, 1.0),
-            gripper=min(1.0, max(-1.0, self.gripper)),
+        dx, dy, dz, gripper = self
+        return tuple.__new__(
+            Action,
+            (
+                min(1.0, max(-1.0, dx)),
+                min(1.0, max(-1.0, dy)),
+                min(1.0, max(-1.0, dz)),
+                min(1.0, max(-1.0, gripper)),
+            ),
         )
 
     def as_array(self) -> np.ndarray:
-        return np.concatenate([self.delta_position, [self.gripper]])
+        return np.array(self)
+
+    def __getnewargs__(self):  # copy and pickle through ``__new__``'s signature
+        return self[:3], self[3]
 
     @classmethod
     def from_array(cls, arr) -> "Action":
-        arr = np.asarray(arr, dtype=np.float64).reshape(ACTION_DIM)
-        return cls(delta_position=arr[:3], gripper=float(arr[3]))
+        return cls._of(*np.asarray(arr, dtype=np.float64).reshape(ACTION_DIM).tolist())
 
 
 def as_action(value) -> Action:
+    """An ``Action`` from an ``Action`` or any 4-element array-like."""
     if isinstance(value, Action):
         return value
     return Action.from_array(value)
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     eef_position: np.ndarray
     eef_velocity: np.ndarray
     gripper_aperture: float  # 0 closed .. 1 open
@@ -259,7 +284,8 @@ class TransitionEvents:
     collision_impact_speed: float = 0.0
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        # the instance dict holds exactly the fields, in declaration order
+        return dict(self.__dict__)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TransitionEvents":
@@ -270,8 +296,7 @@ class TransitionEvents:
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     observation: Observation
     reward: float
     terminated: bool
@@ -280,11 +305,11 @@ class StepResult:
 
 
 def check_grasp(
-    eef_position: np.ndarray,
+    eef_position,
     gripper_closing: bool,
     gripper_was_open: bool,
     already_grasped: bool,
-    cube_center: np.ndarray,
+    cube_center,
     cube_rest_height: float,
     grasp_radius: float,
     lift_height: float,
@@ -296,6 +321,7 @@ def check_grasp(
     open->closed transition.  A held cube follows the tool point, so the lift
     test reads the prospective cube height.
 
+    The two positions are 3-vectors (the env passes tuples of floats).
     Returns ``(grasp_success, grasp_attempt_failed, lifted, now_grasped)``,
     each a plain Python ``bool`` (never ``np.bool_``): they go straight into
     the JSON step record.
@@ -304,8 +330,7 @@ def check_grasp(
     grasp_attempt_failed = False
     now_grasped = bool(already_grasped)
     if gripper_closing and not already_grasped:
-        distance = float(np.linalg.norm(np.asarray(cube_center) - eef_position))
-        if distance <= grasp_radius:
+        if math.dist(cube_center, eef_position) <= grasp_radius:
             grasp_success = True
             now_grasped = True
         elif gripper_was_open:
@@ -364,7 +389,7 @@ class GraspEnv:
         self.reward_config = (
             reward_config if reward_config is not None else RewardConfig()
         )
-        self._home_q: np.ndarray | None = None
+        self._home_q: tuple | None = None
         self._log_writer = None
         self._episode_index = -1
         self._done = True
@@ -376,7 +401,7 @@ class GraspEnv:
         """Attach an object with a ``write_step(record: dict)`` method."""
         self._log_writer = writer
 
-    def _resolve_home(self) -> np.ndarray:
+    def _resolve_home(self) -> tuple:
         if self._home_q is None:
             target = Pose(
                 position=np.asarray(self.scene_config.home_position),
@@ -390,7 +415,7 @@ class GraspEnv:
                     "home position is not reachable with the configured arm: "
                     f"status={result.status.value}, residual={result.residual:.4g}"
                 )
-            self._home_q = result.solution
+            self._home_q = result.joint_values
         return self._home_q
 
     def _sample_scene(self, rng: np.random.Generator, scenario: Scenario) -> Scene:
@@ -444,9 +469,10 @@ class GraspEnv:
             scene = apply_disturbance(scene, disturbance)
         self._scene = scene
         self._scenario = scenario
-        self._q = self._resolve_home().copy()
-        self._eef = eef_position(self.arm, self._q)
-        self._eef_velocity = np.zeros(3)
+        # env state as Python floats: joints, tool point, tool velocity
+        self._q = self._resolve_home()
+        self._eef = tuple(eef_position(self.arm, self._q).tolist())
+        self._eef_velocity = (0.0, 0.0, 0.0)
         self._aperture = 1.0
         self._grasped = False
         self._step_count = 0
@@ -460,95 +486,105 @@ class GraspEnv:
         if self._done:
             raise RuntimeError("step() called on a finished episode; call reset()")
         act = as_action(action).clamped()
+        dx, dy, dz, gripper = act
         cfg = self.env_config
-        events = TransitionEvents()
-        prev_eef = self._eef
+        reward_cfg = self.reward_config
+        scale = cfg.action_scale
+        px, py, pz = self._eef
+        ik_failure = speed_violation = False
 
         # 1-3: command shield -- IK then joint-speed check; rejected commands
         # leave the joint vector untouched
-        target = prev_eef + act.delta_position * cfg.action_scale
-        ik = inverse_kinematics(
-            self.arm, Pose(position=target, orientation=DOWN_QUAT), seed=self._q
-        )
+        target = (px + dx * scale, py + dy * scale, pz + dz * scale)
+        ik = inverse_kinematics(self.arm, target, self._q)
+        velocity = (0.0, 0.0, 0.0)
         if ik.status is not IkStatus.CONVERGED:
-            events.ik_failure = True
-            velocity = np.zeros(3)
+            ik_failure = True
+        elif not check_speed(self._q, ik.joint_values, cfg.dt, self.arm).ok:
+            speed_violation = True
         else:
-            speed = check_speed(self._q, ik.solution, cfg.dt, self.arm)
-            if not speed.ok:
-                events.speed_violation = True
-                velocity = np.zeros(3)
-            else:
-                self._q = ik.solution
-                new_eef = ik.tool_position
-                velocity = (new_eef - prev_eef) / cfg.dt
-                self._eef = new_eef
+            self._q = ik.joint_values
+            nx, ny, nz = self._eef = ik.tool_point
+            velocity = ((nx - px) / cfg.dt, (ny - py) / cfg.dt, (nz - pz) / cfg.dt)
         self._eef_velocity = velocity
+        eef = self._eef
 
         scene = self._scene
-        if self._grasped:
-            scene = scene.with_cube_center(self._eef)
+        was_grasped = self._grasped
+        if was_grasped:
+            scene = scene.with_cube_center(eef)
 
         # 4: contacts at the (possibly unmoved) tool position
-        reports = detect_collisions(
-            scene, self._eef, self.scene_config.eef_radius, velocity
-        )
-        for report in reports:
-            if report.body in (Body.TABLE, Body.WORKSPACE_BOUND):
-                events.collision_env = True
-            elif report.body is Body.CUBE:
-                events.collision_cube = True
-            else:
-                events.collision_obstacle = True
-            if report.impact_speed > self.reward_config.collision_velocity_threshold:
-                events.collision_velocity_exceeded = True
-            if report.force > events.collision_force:
-                events.collision_force = report.force
-                events.collision_impact_speed = report.impact_speed
+        collision_env = collision_cube = collision_obstacle = False
+        velocity_exceeded = False
+        force = impact_speed = 0.0
+        threshold = reward_cfg.collision_velocity_threshold
+        radius = self.scene_config.eef_radius
+        for report in detect_collisions(scene, eef, radius, velocity):
+            if report.body is Body.CUBE:
+                collision_cube = True
+            elif report.body is Body.OBSTACLE:
+                collision_obstacle = True
+            else:  # table or workspace wall
+                collision_env = True
+            if report.impact_speed > threshold:
+                velocity_exceeded = True
+            if report.force > force:
+                force = report.force
+                impact_speed = report.impact_speed
 
-        # near-body overspeed counter (no contact required)
-        eef_speed = float(np.linalg.norm(velocity))
-        if eef_speed > self.reward_config.collision_velocity_threshold:
-            clearances = signed_clearances(
-                scene, self._eef, self.scene_config.eef_radius
-            )
-            if min(clearances.values()) <= cfg.proximity_threshold:
-                events.velocity_violation = True
+        # near-body overspeed counter (no contact required); the speed only
+        # decides a flag, so a scalar norm stands in for numpy's
+        velocity_violation = False
+        if math.hypot(*velocity) > threshold:
+            clearances = signed_clearances(scene, eef, radius)
+            velocity_violation = min(clearances.values()) <= cfg.proximity_threshold
 
         # 5: gripper and grasp-state transition
-        closing = act.gripper >= 0.0
-        was_grasped = self._grasped
-        (
-            events.grasp_success,
-            events.grasp_attempt_failed,
-            events.lift_success,
-            self._grasped,
-        ) = check_grasp(
-            self._eef,
+        closing = gripper >= 0.0
+        grasp_success, grasp_attempt_failed, lift_success, self._grasped = check_grasp(
+            eef,
             gripper_closing=closing,
             gripper_was_open=self._aperture > 0.5,
             already_grasped=was_grasped,
-            cube_center=scene.cube_center,
+            cube_center=scene.cube_point,
             cube_rest_height=scene.cube_rest_height(),
             grasp_radius=cfg.grasp_radius,
             lift_height=cfg.lift_height,
         )
         if self._grasped:
-            scene = scene.with_cube_center(self._eef)
+            if not was_grasped:
+                scene = scene.with_cube_center(eef)
         elif was_grasped:  # released: the cube drops back onto the surface
-            dropped = scene.cube_center.copy()
-            dropped[2] = scene.cube_rest_height()
-            scene = scene.with_cube_center(dropped)
+            cx, cy, _ = scene.cube_point
+            scene = scene.with_cube_center((cx, cy, scene.cube_rest_height()))
         self._aperture = 0.0 if closing else 1.0
         self._scene = scene
 
         # 6-7: score and terminate
-        events.distance_d = float(np.linalg.norm(scene.cube_center - self._eef))
-        reward = compute_reward(events, self.reward_config)
+        cx, cy, cz = scene.cube_point
+        ex, ey, ez = eef
+        events = TransitionEvents(
+            # numpy's norm, not a scalar one: the distance reaches the record
+            distance_d=float(np.linalg.norm((cx - ex, cy - ey, cz - ez))),
+            grasp_success=grasp_success,
+            lift_success=lift_success,
+            grasp_attempt_failed=grasp_attempt_failed,
+            speed_violation=speed_violation,
+            ik_failure=ik_failure,
+            collision_env=collision_env,
+            collision_cube=collision_cube,
+            collision_obstacle=collision_obstacle,
+            collision_velocity_exceeded=velocity_exceeded,
+            velocity_violation=velocity_violation,
+            collision_force=force,
+            collision_impact_speed=impact_speed,
+        )
+        reward = compute_reward(events, reward_cfg)
         terminated = (
-            events.lift_success
-            or events.collision_env
-            or events.collision_force > self.reward_config.force_failure_threshold
+            lift_success
+            or collision_env
+            or force > reward_cfg.force_failure_threshold
         )
         self._step_count += 1
         truncated = not terminated and self._step_count >= cfg.max_steps
@@ -573,7 +609,7 @@ class GraspEnv:
 
     @property
     def joints(self) -> np.ndarray:
-        return self._q.copy()
+        return np.array(self._q)
 
     @property
     def episode_index(self) -> int:
@@ -585,16 +621,15 @@ class GraspEnv:
 
     def _observation(self) -> Observation:
         scene = self._scene
-        obstacle = (
-            scene.obstacle_center if scene.obstacle_present else np.zeros(3)
-        )
+        ex, ey, ez = eef = self._eef
+        cx, cy, cz = cube = scene.cube_point
         return Observation(
-            eef_position=self._eef.copy(),
-            eef_velocity=self._eef_velocity.copy(),
+            eef_position=np.array(eef),
+            eef_velocity=np.array(self._eef_velocity),
             gripper_aperture=self._aperture,
-            cube_position=scene.cube_center.copy(),
-            cube_relative=scene.cube_center - self._eef,
-            obstacle_position=np.asarray(obstacle, dtype=np.float64).copy(),
+            cube_position=np.array(cube),
+            cube_relative=np.array((cx - ex, cy - ey, cz - ez)),
+            obstacle_position=np.array(scene.obstacle_point or (0.0, 0.0, 0.0)),
             grasped=self._grasped,
         )
 
@@ -602,11 +637,11 @@ class GraspEnv:
         return {
             "episode": self._episode_index,
             "step": self._step_count,
-            "action": [float(v) for v in act.as_array()],
+            "action": list(act),
             "reward": result.reward,
             "terminated": result.terminated,
             "truncated": result.truncated,
             "events": result.events.as_dict(),
-            "eef": [float(v) for v in self._eef],
-            "cube": [float(v) for v in self._scene.cube_center],
+            "eef": list(self._eef),
+            "cube": list(self._scene.cube_point),
         }

@@ -202,7 +202,8 @@ def run_assessment(
     """Roll out a deterministic policy and assess the resulting log.
 
     Returns ``(report, episode_records)``.  Episode seeds derive from
-    ``seed`` so the protocol is reproducible.
+    ``seed`` so the protocol is reproducible.  Each step record also goes to
+    ``log_writer`` when one is given; it is left open for its owner to close.
     """
     from .rollout import rollout_episodes
 
@@ -216,7 +217,5 @@ def run_assessment(
         disturbance=disturbance,
         log_writer=log_writer,
     )
-    if log_writer is not None:
-        log_writer.close()
     inputs = inputs_from_episodes(episode_records, safe_state_probability_mass)
     return build_report(inputs), episode_records

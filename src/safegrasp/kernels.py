@@ -202,13 +202,13 @@ ik_dls = maybe_njit(_ik_dls)
 # sphere vs axis-aligned box signed distance
 # ---------------------------------------------------------------------------
 
-def _sphere_box_signed_distance(
-    point: np.ndarray, center: np.ndarray, half: np.ndarray
-):
+def _sphere_box_signed_distance(point, center, half):
     """Signed distance from ``point`` to the box surface plus outward normal.
 
-    Positive outside, negative inside.  The normal points from the box
-    surface toward the point (for inside points: toward the nearest face).
+    ``point``, ``center`` and ``half`` (the half extents) are (x, y, z)
+    tuples of floats.  Positive outside, negative inside.  The normal points
+    from the box surface toward the point (for inside points: toward the
+    nearest face).
     """
     dx = point[0] - center[0]
     dy = point[1] - center[1]
@@ -219,7 +219,7 @@ def _sphere_box_signed_distance(
     px = qx if qx > 0.0 else 0.0
     py = qy if qy > 0.0 else 0.0
     pz = qz if qz > 0.0 else 0.0
-    outside = np.sqrt(px * px + py * py + pz * pz)
+    outside = math.sqrt(px * px + py * py + pz * pz)
     if outside > 0.0:
         nx = px / outside
         ny = py / outside

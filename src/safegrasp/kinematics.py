@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,12 +103,20 @@ class ArmModel:
 
 
 def _joint_values(q) -> tuple:
-    """A joint vector as a tuple of six Python floats (the kernel form)."""
+    """A joint vector as a tuple of six Python floats (the kernel form).
+
+    A tuple is taken as that form already: the env keeps its joints so.
+    """
+    if type(q) is tuple:
+        return q
     return tuple(np.asarray(q, dtype=np.float64).reshape(6).tolist())
 
 
 def _within(limit_rows: tuple, values: tuple) -> bool:
-    return all(lo <= v <= hi for v, (lo, hi) in zip(values, limit_rows))
+    for v, (lo, hi) in zip(values, limit_rows):
+        if not lo <= v <= hi:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -131,22 +140,33 @@ class Pose:
         object.__setattr__(self, "orientation", quat)
 
 
-@dataclass(frozen=True)
-class IkResult:
+class IkResult(NamedTuple):
+    """IK outcome; the joints and the tool point are tuples of floats.
+
+    ``solution`` and ``tool_position`` give them as arrays.
+    """
+
     status: IkStatus
-    solution: np.ndarray | None
+    joint_values: tuple | None  # six joint angles; None unless converged
     residual: float
     iterations: int
-    # tool origin of ``solution`` as the solver's FK evaluated it
-    tool_position: np.ndarray | None = None
+    # tool origin of the solution as the solver's FK evaluated it
+    tool_point: tuple | None = None
 
     @property
     def converged(self) -> bool:
         return self.status is IkStatus.CONVERGED
 
+    @property
+    def solution(self) -> np.ndarray | None:
+        return None if self.joint_values is None else np.array(self.joint_values)
 
-@dataclass(frozen=True)
-class SpeedCheck:
+    @property
+    def tool_position(self) -> np.ndarray | None:
+        return None if self.tool_point is None else np.array(self.tool_point)
+
+
+class SpeedCheck(NamedTuple):
     ok: bool
     max_rate: float  # rad/s, largest per-joint rate of the command
 
@@ -216,39 +236,38 @@ def eef_position(model: ArmModel, q: np.ndarray) -> np.ndarray:
     return np.array(origins[6])
 
 
-def inverse_kinematics(model: ArmModel, target: Pose, seed: np.ndarray) -> IkResult:
+def inverse_kinematics(model: ArmModel, target, seed) -> IkResult:
     """Damped-least-squares IK for the target position.
 
-    Orientation is not part of the objective: the arm commands the grasp tool
-    point in position only, so the solver drives the 3-dim position error
-    with the geometric position Jacobian.  A failure to converge is reported
-    as ``UNREACHABLE``, or ``LIMIT_VIOLATION`` when the best iterate was
-    pinned at a joint limit.
+    ``target`` is a :class:`Pose` or the tool position itself (a 3-vector;
+    the env passes a tuple of floats).  Orientation is not part of the
+    objective: the arm commands the grasp tool point in position only, so
+    the solver drives the 3-dim position error with the geometric position
+    Jacobian.  A failure to converge is reported as ``UNREACHABLE``, or
+    ``LIMIT_VIOLATION`` when the best iterate was pinned at a joint limit.
     """
     seed_values = _joint_values(seed)
     if not _within(model.limit_rows, seed_values):
         raise ValueError("IK seed must lie within joint limits")
+    if isinstance(target, Pose):
+        target = target.position
+    if type(target) is not tuple:
+        target = tuple(np.asarray(target, dtype=np.float64).reshape(3).tolist())
     q_best, p_best, residual, iterations, clamped, converged = kernels.ik_dls(
         model.dh_rows,
         model.limit_rows,
         seed_values,
-        tuple(target.position.tolist()),
+        target,
         model.ik_damping,
         model.ik_tolerance,
         model.ik_max_iterations,
     )
     if converged:
         return IkResult(
-            status=IkStatus.CONVERGED,
-            solution=np.array(q_best),
-            residual=float(residual),
-            iterations=int(iterations),
-            tool_position=np.array(p_best),
+            IkStatus.CONVERGED, tuple(q_best), float(residual), int(iterations), p_best
         )
     status = IkStatus.LIMIT_VIOLATION if clamped else IkStatus.UNREACHABLE
-    return IkResult(
-        status=status, solution=None, residual=float(residual), iterations=int(iterations)
-    )
+    return IkResult(status, None, float(residual), int(iterations))
 
 
 def check_speed(
@@ -261,4 +280,4 @@ def check_speed(
     # max() skips a NaN that is not first; a NaN command must fail the check
     max_step = math.nan if math.isnan(sum(steps)) else max(steps)
     max_rate = max_step / dt
-    return SpeedCheck(ok=max_rate <= model.max_joint_speed, max_rate=max_rate)
+    return SpeedCheck(max_rate <= model.max_joint_speed, max_rate)

@@ -14,7 +14,6 @@ leaves the previous file, never a partial one.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
+from .runlog import replace_atomically
 
 CHECKPOINT_MAGIC = b"SGNET001"
 
@@ -232,22 +232,8 @@ def save_checkpoint(path, arrays: dict, meta: dict | None = None) -> None:
     blob += b"".join(entries) + b"".join(payload)
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     text = json.dumps(meta or {}, indent=2, sort_keys=True) + "\n"
-    _replace_atomically(path, blob)
-    _replace_atomically(sidecar, text.encode("utf-8"))
-
-
-def _replace_atomically(path: Path, data: bytes) -> None:
-    """Write ``data`` to a temporary file beside ``path``, then rename it."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    replace_atomically(path, blob)
+    replace_atomically(sidecar, text.encode("utf-8"))
 
 
 def load_checkpoint(path):

@@ -41,7 +41,7 @@ def rollout_episodes(
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     sink: list[dict] = []
-    env.set_log_writer(_Tee(sink, log_writer))
+    env.set_log_writer(RecordSink(sink, forward=log_writer))
     try:
         for index in range(episodes):
             run_episode(
@@ -56,14 +56,19 @@ def rollout_episodes(
     return records_to_episodes(sink)
 
 
-class _Tee:
-    """Collect step records in memory and optionally forward them to a file."""
+class RecordSink:
+    """In-memory step-record writer for ``env.set_log_writer``.
 
-    def __init__(self, sink: list, writer=None):
-        self._sink = sink
-        self._writer = writer
+    Appends each record to ``records`` and, when ``forward`` is given (an
+    ``EpisodeLogWriter``, say), passes it on there too.  It never closes
+    ``forward``: that writer stays its owner's to close.
+    """
+
+    def __init__(self, records: list, forward=None):
+        self.records = records
+        self._forward = forward
 
     def write_step(self, record: dict) -> None:
-        self._sink.append(record)
-        if self._writer is not None:
-            self._writer.write_step(record)
+        self.records.append(record)
+        if self._forward is not None:
+            self._forward.write_step(record)

@@ -9,12 +9,33 @@ produce byte-identical logs.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 
 def dumps_canonical(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def replace_atomically(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it.
+
+    The file is fsynced before ``os.replace``, so ``path`` holds either its
+    old or its new content, never a part; a failed write removes its
+    temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class EpisodeLogWriter:

@@ -479,11 +479,6 @@ class ScriptedGraspPolicy:
         return np.array([act[0], act[1], act[2], 1.0 if close else -1.0])
 
 
-def scripted_policy(obs) -> np.ndarray:
-    """Default-configured scripted controller (module-level convenience)."""
-    return ScriptedGraspPolicy()(obs)
-
-
 class RandomPolicy:
     """Uniform actions in [-1, 1]^4."""
 

@@ -26,8 +26,13 @@ import numpy as np
 
 from .config import RunConfig
 from .metrics import summarize
-from .rollout import derive_seed, rollout_episodes
-from .runlog import EpisodeLogWriter, dumps_canonical, records_to_episodes
+from .rollout import RecordSink, derive_seed, rollout_episodes
+from .runlog import (
+    EpisodeLogWriter,
+    dumps_canonical,
+    records_to_episodes,
+    replace_atomically,
+)
 from .tqc import ReplayBuffer, TqcAgent
 from .env import ACTION_DIM, OBSERVATION_DIM
 
@@ -166,8 +171,9 @@ class Trainer:
             "final_eval": final_eval,
             "eval_history": self.eval_history,
         }
-        (self.out_dir / "metrics.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        replace_atomically(
+            self.out_dir / "metrics.json",
+            (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode("utf-8"),
         )
         return summary
 
@@ -185,7 +191,7 @@ class Trainer:
                 scenario=cfg.scenario,
             )
             ep_records: list[dict] = []
-            env.set_log_writer(_ListWriter(ep_records))
+            env.set_log_writer(RecordSink(ep_records))
             while True:
                 if step < tqc.warmup_steps:
                     action = self._warmup_rng.uniform(-1.0, 1.0, ACTION_DIM)
@@ -242,7 +248,7 @@ class Trainer:
                 )
                 transitions = []
                 records: list[dict] = []
-                env.set_log_writer(_ListWriter(records))
+                env.set_log_writer(RecordSink(records))
                 while True:
                     if warmed:
                         action = policy.select_action(obs.vector, stochastic=True, rng=rng)
@@ -311,11 +317,3 @@ class Trainer:
             for t in threads:
                 t.join(timeout=5.0)
         return episode
-
-
-class _ListWriter:
-    def __init__(self, sink: list):
-        self._sink = sink
-
-    def write_step(self, record: dict) -> None:
-        self._sink.append(record)

@@ -16,6 +16,7 @@ around is penalised, not force-lethal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -33,10 +34,6 @@ class Body(Enum):
     CUBE = "cube"
     OBSTACLE = "obstacle"
     WORKSPACE_BOUND = "workspace_bound"
-
-
-# detection order is fixed so reports are order-stable
-_BODY_ORDER = (Body.TABLE, Body.CUBE, Body.OBSTACLE, Body.WORKSPACE_BOUND)
 
 
 @dataclass(frozen=True)
@@ -109,6 +106,17 @@ class Scene:
     cube_size_offset: float = 0.0
     contact_stiffness: float = DEFAULT_CONTACT_STIFFNESS
     cube_stiffness: float = DEFAULT_CUBE_STIFFNESS
+    # float forms of the geometry above, derived once per scene for the
+    # scalar contact tests: (x, y, z) tuples of Python floats, and the
+    # obstacle's pair None when there is no obstacle
+    table_height: float = field(init=False, repr=False, compare=False)
+    cube_point: tuple = field(init=False, repr=False, compare=False)
+    cube_half: tuple = field(init=False, repr=False, compare=False)
+    cube_rest_z: float = field(init=False, repr=False, compare=False)
+    obstacle_point: tuple | None = field(init=False, repr=False, compare=False)
+    obstacle_half: tuple | None = field(init=False, repr=False, compare=False)
+    workspace_low: tuple = field(init=False, repr=False, compare=False)
+    workspace_high: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ws_min = np.asarray(self.workspace_min, dtype=np.float64).reshape(3)
@@ -136,6 +144,23 @@ class Scene:
                 raise ValueError("obstacle half extents must be positive")
             object.__setattr__(self, "obstacle_center", oc)
             object.__setattr__(self, "obstacle_half_extents", oh)
+        table_height = float(self.nominal_table_height + self.surface_offset)
+        cube_half = tuple(self.cube_half_extents.tolist())
+        derived = {
+            "table_height": table_height,
+            "cube_point": tuple(cube_center.tolist()),
+            "cube_half": cube_half,
+            "cube_rest_z": table_height + cube_half[2],
+            "obstacle_point": None,
+            "obstacle_half": None,
+            "workspace_low": tuple(ws_min.tolist()),
+            "workspace_high": tuple(ws_max.tolist()),
+        }
+        if self.obstacle_center is not None:
+            derived["obstacle_point"] = tuple(self.obstacle_center.tolist())
+            derived["obstacle_half"] = tuple(self.obstacle_half_extents.tolist())
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def validate_containment(self) -> "Scene":
         """Check the resting geometry fits the workspace.
@@ -153,10 +178,6 @@ class Scene:
         ):
             raise ValueError("table height escapes the workspace bounds")
         return self
-
-    @property
-    def table_height(self) -> float:
-        return self.nominal_table_height + self.surface_offset
 
     @property
     def cube_half_extents(self) -> np.ndarray:
@@ -178,10 +199,22 @@ class Scene:
 
     def cube_rest_height(self) -> float:
         """Cube center z when the cube rests on the table."""
-        return self.table_height + self.cube_half_extents[2]
+        return self.cube_rest_z
 
-    def with_cube_center(self, center: np.ndarray) -> "Scene":
-        return replace(self, cube_center=np.asarray(center, dtype=np.float64).reshape(3))
+    def with_cube_center(self, center) -> "Scene":
+        """This scene with the cube moved to ``center``, a 3-vector.
+
+        Only the cube moves, so nothing else is re-validated: the copy shares
+        every other field, and a carried cube may go anywhere the tool does.
+        """
+        cube_center = np.array(center, dtype=np.float64).reshape(3)
+        moved = object.__new__(Scene)
+        moved.__dict__.update(
+            self.__dict__,
+            cube_center=cube_center,
+            cube_point=tuple(cube_center.tolist()),
+        )
+        return moved
 
 
 def contact_force(impact_speed: float, stiffness: float) -> float:
@@ -193,88 +226,104 @@ def contact_force(impact_speed: float, stiffness: float) -> float:
     return stiffness * impact_speed
 
 
-def _approach_speed(velocity: np.ndarray, normal: np.ndarray) -> float:
-    # component of the velocity driving into the surface, clamped at zero
+def _vec3(value) -> tuple:
+    """A 3-vector as a tuple of Python floats; a tuple is taken as one already."""
+    if type(value) is tuple:
+        return value
+    return tuple(np.asarray(value, dtype=np.float64).reshape(3).tolist())
+
+
+def _approach_speed(velocity: tuple, normal: tuple) -> float:
+    """Velocity component driving into the surface, clamped at zero."""
+    nx, ny, nz = normal
+    if (nx == 0.0) + (ny == 0.0) + (nz == 0.0) == 2:
+        # axis-aligned normal: one exact product, so any summation order
+        # gives the same dot product
+        vx, vy, vz = velocity
+        return max(0.0, -(vx * nx + vy * ny + vz * nz))
+    # oblique (edge or corner) normal: numpy's dot, whose rounding a
+    # left-to-right sum does not reproduce in the last bit
     return max(0.0, -float(np.dot(velocity, normal)))
+
+
+def _report(body: Body, penetration: float, impact: float, stiffness: float):
+    # force as contact_force computes it; the impact is never negative here
+    return ContactReport(
+        body=body, penetration=penetration, impact_speed=impact, force=stiffness * impact
+    )
+
+
+# inward normals of the low and of the high workspace wall, per axis
+_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+_NEGATIVE_AXES = ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
 
 
 def detect_collisions(
     scene: Scene,
-    eef_center: np.ndarray,
+    eef_center,
     eef_radius: float,
-    eef_velocity: np.ndarray,
+    eef_velocity,
 ) -> list[ContactReport]:
-    """One report per penetrated (or touching) body, in fixed body order."""
+    """One report per penetrated (or touching) body, in fixed body order.
+
+    Points are 3-vectors; the env passes tuples of floats.
+    """
     if not eef_radius > 0.0:
         raise ValueError("eef_radius must be positive")
-    center = np.asarray(eef_center, dtype=np.float64).reshape(3)
-    velocity = np.asarray(eef_velocity, dtype=np.float64).reshape(3)
+    center = _vec3(eef_center)
+    velocity = _vec3(eef_velocity)
     reports: list[ContactReport] = []
-    for body in _BODY_ORDER:
-        if body is Body.TABLE:
-            clearance = float(center[2] - scene.table_height)
-            if clearance > eef_radius:
-                continue
-            normal = np.array([0.0, 0.0, 1.0])
-            penetration = eef_radius - clearance
-        elif body in (Body.CUBE, Body.OBSTACLE):
-            box = scene.cube if body is Body.CUBE else scene.obstacle
-            if box is None:
-                continue
-            sd, nx, ny, nz = kernels.sphere_box_signed_distance(
-                center, box.center, box.half_extents
-            )
-            if sd > eef_radius:
-                continue
-            normal = np.array([nx, ny, nz])
-            penetration = eef_radius - float(sd)
-        else:  # workspace bound: sphere touching the box walls from inside
-            pen_best = -np.inf
-            normal = None
-            for axis in range(3):
-                low_pen = scene.workspace_min[axis] - (center[axis] - eef_radius)
-                if low_pen >= 0.0 and low_pen > pen_best:
-                    pen_best = low_pen
-                    normal = np.zeros(3)
-                    normal[axis] = 1.0  # wall pushes back inward (+axis)
-                high_pen = (center[axis] + eef_radius) - scene.workspace_max[axis]
-                if high_pen >= 0.0 and high_pen > pen_best:
-                    pen_best = high_pen
-                    normal = np.zeros(3)
-                    normal[axis] = -1.0
-            if normal is None:
-                continue
-            penetration = float(pen_best)
-        impact = _approach_speed(velocity, normal)
-        stiffness = (
-            scene.cube_stiffness if body is Body.CUBE else scene.contact_stiffness
-        )
+    clearance = center[2] - scene.table_height
+    if not clearance > eef_radius:
+        impact = _approach_speed(velocity, (0.0, 0.0, 1.0))
         reports.append(
-            ContactReport(
-                body=body,
-                penetration=penetration,
-                impact_speed=impact,
-                force=contact_force(impact, stiffness),
-            )
+            _report(Body.TABLE, eef_radius - clearance, impact, scene.contact_stiffness)
+        )
+    for body, point, half, stiffness in (
+        (Body.CUBE, scene.cube_point, scene.cube_half, scene.cube_stiffness),
+        (Body.OBSTACLE, scene.obstacle_point, scene.obstacle_half, scene.contact_stiffness),
+    ):
+        if point is None:
+            continue
+        sd, nx, ny, nz = kernels.sphere_box_signed_distance(center, point, half)
+        if sd > eef_radius:
+            continue
+        impact = _approach_speed(velocity, (nx, ny, nz))
+        reports.append(_report(body, eef_radius - sd, impact, stiffness))
+    # workspace bound: sphere touching the box walls from inside; the
+    # deepest wall wins, the first axis and the low wall on ties
+    pen_best = -math.inf
+    normal = None
+    for axis in range(3):
+        low_pen = scene.workspace_low[axis] - (center[axis] - eef_radius)
+        if low_pen >= 0.0 and low_pen > pen_best:
+            pen_best = low_pen
+            normal = _AXES[axis]
+        high_pen = (center[axis] + eef_radius) - scene.workspace_high[axis]
+        if high_pen >= 0.0 and high_pen > pen_best:
+            pen_best = high_pen
+            normal = _NEGATIVE_AXES[axis]
+    if normal is not None:
+        impact = _approach_speed(velocity, normal)
+        reports.append(
+            _report(Body.WORKSPACE_BOUND, pen_best, impact, scene.contact_stiffness)
         )
     return reports
 
 
-def signed_clearances(
-    scene: Scene, eef_center: np.ndarray, eef_radius: float
-) -> dict[Body, float]:
+def signed_clearances(scene: Scene, eef_center, eef_radius: float) -> dict[Body, float]:
     """Distance from the sphere surface to each body (negative inside)."""
-    center = np.asarray(eef_center, dtype=np.float64).reshape(3)
-    out = {Body.TABLE: float(center[2] - scene.table_height) - eef_radius}
+    center = _vec3(eef_center)
+    out = {Body.TABLE: center[2] - scene.table_height - eef_radius}
     sd, _, _, _ = kernels.sphere_box_signed_distance(
-        center, scene.cube_center, scene.cube_half_extents
+        center, scene.cube_point, scene.cube_half
     )
-    out[Body.CUBE] = float(sd) - eef_radius
-    if scene.obstacle_present:
+    out[Body.CUBE] = sd - eef_radius
+    if scene.obstacle_point is not None:
         sd, _, _, _ = kernels.sphere_box_signed_distance(
-            center, scene.obstacle_center, scene.obstacle_half_extents
+            center, scene.obstacle_point, scene.obstacle_half
         )
-        out[Body.OBSTACLE] = float(sd) - eef_radius
+        out[Body.OBSTACLE] = sd - eef_radius
     return out
 
 

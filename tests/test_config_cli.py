@@ -1,6 +1,8 @@
 """Configuration loading, log IO, and the command-line surface."""
 
 import json
+import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +11,14 @@ import pytest
 from safegrasp.cli import main
 from safegrasp.config import ConfigError, default_config_text, load_config
 from safegrasp.env import GraspEnv, RewardMode
+from safegrasp import runlog
 from safegrasp.runlog import (
     EpisodeLogWriter,
     load_episodes,
     read_log,
     records_to_episodes,
 )
+from safegrasp.training import Trainer
 
 
 class TestConfig:
@@ -293,3 +297,53 @@ class TestTrainerSmoke:
         )
         assert code == 0
         assert (out / "checkpoint.ckpt").exists()
+
+
+def fail_metrics_replace(monkeypatch):
+    """Make moving a finished ``metrics.json`` into place fail."""
+    real_replace = os.replace
+
+    def replace_or_fail(src, dst):
+        if Path(dst).name == "metrics.json":
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(runlog.os, "replace", replace_or_fail)
+
+
+class TestAtomicMetrics:
+    """A failed write leaves the previous metrics.json whole and no temporary."""
+
+    def test_evaluate(self, tmp_path, monkeypatch):
+        args = ("evaluate", "--policy", "scripted", "--out", tmp_path)
+        assert run_cli(*args, "--episodes", "1", "--seed", "3") == 0
+        before = (tmp_path / "metrics.json").read_bytes()
+        fail_metrics_replace(monkeypatch)
+        assert run_cli(*args, "--episodes", "2", "--seed", "4") == 3  # io error
+        assert (tmp_path / "metrics.json").read_bytes() == before
+        assert json.loads(before)["episodes"] == 1
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_trainer(self, tmp_path, monkeypatch):
+        config_path = tmp_path / "tiny.ini"
+        config_path.write_text(
+            "[tqc]\nbatch_size = 32\nhidden_sizes = 16 16\nwarmup_steps = 40\n"
+            "replay_capacity = 1000\n"
+        )
+        config = load_config(config_path)
+        out = tmp_path / "run"
+
+        def train(seed):
+            Trainer(
+                replace(config, seed=seed), out, total_steps=50,
+                eval_every_episodes=100, eval_episodes=1,
+            ).run()
+
+        train(1)
+        before = (out / "metrics.json").read_bytes()
+        fail_metrics_replace(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            train(2)
+        assert (out / "metrics.json").read_bytes() == before
+        assert json.loads(before)["seed"] == 1
+        assert not list(out.glob("*.tmp"))

@@ -1,12 +1,15 @@
 """Environment: reward engine, command shield, grasp logic, termination."""
 
+import copy
 import itertools
+import json
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from safegrasp.env import (
+    Action,
     EnvConfig,
     GraspEnv,
     Observation,
@@ -14,6 +17,7 @@ from safegrasp.env import (
     RewardMode,
     SceneConfig,
     TransitionEvents,
+    as_action,
     check_grasp,
     compute_reward,
 )
@@ -324,6 +328,58 @@ class TestStepPipeline:
             return out
 
         assert run() == run()
+
+
+class TestActionParsing:
+    @pytest.mark.parametrize("index", range(4))
+    def test_nan_component_is_rejected(self, index):
+        action = np.zeros(4)
+        action[index] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            as_action(action)
+        with pytest.raises(ValueError, match="NaN"):
+            Action(action[:3], action[3])
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_nan_step_raises_and_leaves_the_env_as_it_was(self, env, index):
+        env.reset(seed=12)
+        writer = _ListWriter()
+        env.set_log_writer(writer)
+        env.step(np.array([0.3, -0.2, 0.1, -1.0]))
+        before = (env.joints, env.scene.cube_center.copy(), env.done)
+        action = np.array([0.5, 0.5, 0.5, -1.0])
+        action[index] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            env.step(action)
+        # nothing was logged or moved; the episode goes on
+        assert len(writer.records) == 1
+        assert np.array_equal(env.joints, before[0])
+        assert np.array_equal(env.scene.cube_center, before[1])
+        assert env.done == before[2]
+        env.step(np.zeros(4))
+        assert [r["step"] for r in writer.records] == [1, 2]
+
+    def test_infinities_clamp_to_unit_deflection(self, env):
+        env.reset(seed=12)
+        writer = _ListWriter()
+        env.set_log_writer(writer)
+        env.step(np.array([np.inf, -np.inf, 0.0, -np.inf]))
+        env.step(np.array([0.0, 0.0, 0.0, np.inf]))
+        assert writer.records[0]["action"] == [1.0, -1.0, 0.0, -1.0]
+        assert writer.records[1]["action"] == [0.0, 0.0, 0.0, 1.0]
+        assert json.loads(json.dumps(writer.records)) == writer.records
+
+    def test_action_holds_plain_floats(self):
+        act = as_action(np.array([2.0, -0.5, 0.25, -3.0], dtype=np.float32))
+        clamped = act.clamped()
+        assert clamped == (1.0, -0.5, 0.25, -1.0)
+        assert all(type(v) is float for v in clamped)
+        assert np.array_equal(act.delta_position, [2.0, -0.5, 0.25])
+        assert act.gripper == -3.0
+        assert as_action(act) is act
+        assert copy.deepcopy(clamped) == clamped
+        with pytest.raises(ValueError):
+            as_action(np.zeros(3))
 
 
 class TestGraspLogic:

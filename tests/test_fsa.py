@@ -247,3 +247,26 @@ class TestRunAssessment:
             return report.as_dict()
 
         assert run() == run()
+
+
+class _OwnedWriter:
+    def __init__(self):
+        self.records = []
+        self.closed = False
+
+    def write_step(self, record: dict) -> None:
+        assert not self.closed
+        self.records.append(record)
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class TestAssessmentWriter:
+    def test_writer_stays_open_for_its_owner(self):
+        writer = _OwnedWriter()
+        _, episodes = run_assessment(
+            GraspEnv(), ScriptedGraspPolicy(), episodes=2, seed=0, log_writer=writer
+        )
+        assert not writer.closed
+        assert len(writer.records) == sum(e.steps for e in episodes)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from safegrasp import nn as nn_module
+from safegrasp import runlog
 from safegrasp.autodiff import Tensor, concat
 from safegrasp.nn import (
     AdamState,
@@ -358,7 +358,8 @@ class TestCheckpoint:
         def interrupted(src, dst):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(nn_module.os, "replace", interrupted)
+        # the atomic write lives in runlog, shared with metrics.json
+        monkeypatch.setattr(runlog.os, "replace", interrupted)
         with pytest.raises(KeyboardInterrupt):
             save_checkpoint(path, {"w": np.ones(3)}, {"round": 2})
         monkeypatch.undo()

@@ -1,10 +1,13 @@
 """Scene geometry: contacts, forces, disturbance injection."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safegrasp.env import GraspEnv, Scenario
 from safegrasp.world import (
     Body,
     Box,
@@ -14,6 +17,7 @@ from safegrasp.world import (
     apply_disturbance,
     contact_force,
     detect_collisions,
+    signed_clearances,
 )
 
 
@@ -242,3 +246,270 @@ class TestSceneInvariants:
             assert report.force >= 0.0
             if report.impact_speed == 0.0:
                 assert report.force == 0.0
+
+
+# ---------------------------------------------------------------------------
+# array-based reference: the contact tests on Box objects and numpy 3-vectors
+# that the scalar ones in safegrasp.world replaced
+# ---------------------------------------------------------------------------
+
+def reference_sphere_box(point, center, half):
+    d = point - center
+    q = np.abs(d) - half
+    p = np.maximum(q, 0.0)
+    outside = np.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2])
+    if outside > 0.0:
+        n = np.where(d < 0.0, -p / outside, p / outside)
+        return outside, n
+    axis = 0
+    for k in (1, 2):
+        if q[k] > q[axis]:
+            axis = k
+    n = np.zeros(3)
+    n[axis] = 1.0 if d[axis] >= 0.0 else -1.0
+    return q[axis], n
+
+
+def reference_approach_speed(velocity, normal) -> float:
+    return max(0.0, -float(np.dot(velocity, normal)))
+
+
+def reference_detect_collisions(scene, eef_center, eef_radius, eef_velocity):
+    center = np.asarray(eef_center, dtype=np.float64).reshape(3)
+    velocity = np.asarray(eef_velocity, dtype=np.float64).reshape(3)
+    reports = []
+    for body in (Body.TABLE, Body.CUBE, Body.OBSTACLE, Body.WORKSPACE_BOUND):
+        if body is Body.TABLE:
+            clearance = float(center[2] - scene.table_height)
+            if clearance > eef_radius:
+                continue
+            normal = np.array([0.0, 0.0, 1.0])
+            penetration = eef_radius - clearance
+        elif body in (Body.CUBE, Body.OBSTACLE):
+            box = scene.cube if body is Body.CUBE else scene.obstacle
+            if box is None:
+                continue
+            sd, normal = reference_sphere_box(center, box.center, box.half_extents)
+            if sd > eef_radius:
+                continue
+            penetration = eef_radius - float(sd)
+        else:
+            pen_best = -np.inf
+            normal = None
+            for axis in range(3):
+                low_pen = scene.workspace_min[axis] - (center[axis] - eef_radius)
+                if low_pen >= 0.0 and low_pen > pen_best:
+                    pen_best = low_pen
+                    normal = np.zeros(3)
+                    normal[axis] = 1.0
+                high_pen = (center[axis] + eef_radius) - scene.workspace_max[axis]
+                if high_pen >= 0.0 and high_pen > pen_best:
+                    pen_best = high_pen
+                    normal = np.zeros(3)
+                    normal[axis] = -1.0
+            if normal is None:
+                continue
+            penetration = float(pen_best)
+        impact = reference_approach_speed(velocity, normal)
+        stiffness = scene.cube_stiffness if body is Body.CUBE else scene.contact_stiffness
+        reports.append(
+            ContactReport(
+                body=body,
+                penetration=penetration,
+                impact_speed=impact,
+                force=contact_force(impact, stiffness),
+            )
+        )
+    return reports
+
+
+def reference_signed_clearances(scene, eef_center, eef_radius):
+    center = np.asarray(eef_center, dtype=np.float64).reshape(3)
+    out = {Body.TABLE: float(center[2] - scene.table_height) - eef_radius}
+    sd, _ = reference_sphere_box(center, scene.cube_center, scene.cube_half_extents)
+    out[Body.CUBE] = float(sd) - eef_radius
+    if scene.obstacle_present:
+        sd, _ = reference_sphere_box(
+            center, scene.obstacle_center, scene.obstacle_half_extents
+        )
+        out[Body.OBSTACLE] = float(sd) - eef_radius
+    return out
+
+
+def env_scenes():
+    """Reset scenes of both scenarios, nominal and with the assess disturbance."""
+    env = GraspEnv()
+    rng = np.random.default_rng(31)
+    scenes = {}
+    for scenario in Scenario:
+        for label, spec in (("nominal", None), ("disturbed", DisturbanceSpec(0.075, 0.005))):
+            scene = env._sample_scene(rng, scenario)
+            if spec is not None:
+                scene = apply_disturbance(scene, spec)
+            scenes[f"{scenario.value}-{label}"] = scene
+    return scenes
+
+
+def points_near(scene, rng, n):
+    """Points spread over the workcell with most of them close to a surface."""
+    lo = scene.workspace_min - 0.03
+    hi = scene.workspace_max + 0.03
+    parts = [rng.uniform(lo, hi, size=(n // 4, 3))]
+    boxes = [(scene.cube_center, scene.cube_half_extents)]
+    if scene.obstacle_present:
+        boxes.append((scene.obstacle_center, scene.obstacle_half_extents))
+    for center, half in boxes:
+        parts.append(center + rng.uniform(-1, 1, size=(n // 4, 3)) * (half + 0.03))
+    table = rng.uniform(lo, hi, size=(n // 8, 3))
+    table[:, 2] = scene.table_height + rng.uniform(-0.01, 0.03, size=n // 8)
+    parts.append(table)
+    walls = rng.uniform(lo, hi, size=(n - sum(len(p) for p in parts), 3))
+    axis = rng.integers(0, 3, size=len(walls))
+    side = rng.integers(0, 2, size=len(walls)).astype(bool)
+    edge = np.where(side, scene.workspace_max[axis], scene.workspace_min[axis])
+    walls[np.arange(len(walls)), axis] = edge + rng.uniform(-0.03, 0.03, size=len(walls))
+    parts.append(walls)
+    return np.concatenate(parts)
+
+
+def contact_tuples(reports):
+    out = [(r.body, r.penetration, r.impact_speed, r.force) for r in reports]
+    for _, *values in out:
+        assert all(type(v) is float for v in values)
+    return out
+
+
+def assert_matches_reference(scene, center, velocity, radius=0.02):
+    expected = reference_detect_collisions(scene, center, radius, velocity)
+    for form in (np.asarray, lambda v: tuple(np.asarray(v, dtype=float).tolist())):
+        got = detect_collisions(scene, form(center), radius, form(velocity))
+        assert contact_tuples(got) == contact_tuples(expected), (center, velocity)
+        clearances = signed_clearances(scene, form(center), radius)
+        assert clearances == reference_signed_clearances(scene, center, radius)
+        assert all(type(v) is float for v in clearances.values())
+
+
+class TestScalarContactsMatchArrayReference:
+    """Bodies, penetration, impact speed, force and clearances, bit for bit."""
+
+    def test_random_points_and_velocities(self):
+        rng = np.random.default_rng(2024)
+        contacts = set()
+        total = 0
+        for scene in env_scenes().values():
+            points = points_near(scene, rng, 25_000)
+            # speeds up to about 1 m/s, some exactly zero or axis-aligned
+            velocities = rng.normal(0.0, 0.5, size=points.shape)
+            velocities[::7] = 0.0
+            velocities[3::7, :2] = 0.0
+            for center, velocity in zip(points, velocities):
+                # the env's form: tuples of floats
+                point, speed = tuple(center.tolist()), tuple(velocity.tolist())
+                expected = reference_detect_collisions(scene, center, 0.02, velocity)
+                got = detect_collisions(scene, point, 0.02, speed)
+                assert contact_tuples(got) == contact_tuples(expected), (center, velocity)
+                contacts.update(r.body for r in got)
+                assert signed_clearances(scene, point, 0.02) == (
+                    reference_signed_clearances(scene, center, 0.02)
+                )
+            total += len(points)
+        assert total >= 100_000
+        assert contacts == set(Body)
+
+    def test_touching_contacts(self):
+        scene = make_scene(obstacle=True, table=0.0)
+        half = scene.cube_half_extents
+        r = 0.02
+        cases = [
+            np.array([0.3, 0.1, scene.table_height + r]),  # tangent to the table
+            scene.cube_center + np.array([half[0] + r, 0.0, 0.0]),  # cube face
+            scene.cube_center - np.array([0.0, half[1] + r, 0.0]),
+            np.array([scene.workspace_max[0] - r, 0.0, 0.2]),  # wall
+            np.array([scene.workspace_min[0] + r, scene.workspace_min[1] + r, 0.2]),
+        ]
+        for center in cases:
+            for velocity in ([0.0, 0.0, 0.0], [0.3, -0.2, -0.4], [-0.5, 0.5, 0.1]):
+                assert_matches_reference(scene, center, np.array(velocity), r)
+        got = detect_collisions(scene, cases[0], r, np.zeros(3))
+        assert [c.body for c in got] == [Body.TABLE] and got[0].penetration == 0.0
+
+    def test_inside_boxes(self):
+        scene = make_scene(obstacle=True)
+        rng = np.random.default_rng(3)
+        for center, half in (
+            (scene.cube_center, scene.cube_half_extents),
+            (scene.obstacle_center, scene.obstacle_half_extents),
+        ):
+            # the center itself (every axis ties), axis ties and interior points
+            offsets = [np.zeros(3), np.array([0.01, 0.01, 0.0]), np.array([0, -0.01, -0.01])]
+            offsets += list(rng.uniform(-1, 1, size=(200, 3)) * half)
+            for offset in offsets:
+                velocity = rng.normal(0.0, 0.5, size=3)
+                assert_matches_reference(scene, center + offset, velocity)
+
+    def test_box_edges_and_corners(self):
+        scene = make_scene(obstacle=True)
+        rng = np.random.default_rng(4)
+        for center, half in (
+            (scene.cube_center, scene.cube_half_extents),
+            (scene.obstacle_center, scene.obstacle_half_extents),
+        ):
+            for signs in itertools.product((-1.0, 1.0), repeat=3):
+                corner = center + np.array(signs) * half
+                for axes in ((0, 1), (0, 2), (1, 2), (0, 1, 2)):
+                    for _ in range(40):
+                        offset = np.zeros(3)
+                        for axis in axes:
+                            offset[axis] = signs[axis] * rng.uniform(0.0, 0.02)
+                        velocity = rng.normal(0.0, 0.5, size=3)
+                        assert_matches_reference(scene, corner + offset, velocity)
+
+    def test_workspace_walls_edges_and_corners(self):
+        scene = make_scene()
+        rng = np.random.default_rng(5)
+        lo, hi = scene.workspace_min, scene.workspace_max
+        for _ in range(2000):
+            center = rng.uniform(lo + 0.05, hi - 0.05)
+            for axis in rng.choice(3, size=rng.integers(1, 4), replace=False):
+                bound = hi[axis] if rng.integers(2) else lo[axis]
+                offset = rng.choice([-0.02, 0.0, 0.02, rng.uniform(-0.03, 0.03)])
+                center[axis] = bound + offset
+            assert_matches_reference(scene, center, rng.normal(0.0, 0.5, size=3))
+
+    def test_held_cube_scene(self):
+        # the env moves a held cube onto the tool point every step
+        rng = np.random.default_rng(6)
+        for scene in env_scenes().values():
+            for _ in range(200):
+                point = rng.uniform(scene.workspace_min, scene.workspace_max)
+                held = scene.with_cube_center(tuple(point.tolist()))
+                assert_matches_reference(held, point, rng.normal(0.0, 0.5, size=3))
+
+
+class TestCubeMove:
+    def test_moves_only_the_cube(self):
+        scene = make_scene(obstacle=True)
+        moved = scene.with_cube_center((0.77, 0.37, 0.44))
+        assert np.array_equal(moved.cube_center, [0.77, 0.37, 0.44])
+        assert moved.cube_point == (0.77, 0.37, 0.44)
+        assert moved.cube_center.dtype == np.float64
+        # every other field is the original's own value, not re-derived
+        for name, value in vars(scene).items():
+            if name not in ("cube_center", "cube_point"):
+                assert vars(moved)[name] is value, name
+        assert scene.cube_point == tuple(scene.cube_center.tolist())
+
+    def test_does_not_alias_the_argument(self):
+        scene = make_scene()
+        center = np.array([0.5, 0.1, 0.2])
+        moved = scene.with_cube_center(center)
+        center[0] = 0.0
+        assert moved.cube_center[0] == 0.5 and moved.cube_point[0] == 0.5
+
+    @pytest.mark.parametrize(
+        "center", [(0.5, 0.1), np.zeros(4), np.zeros((2, 3)), [[0.5, 0.1, 0.2, 0.3]]]
+    )
+    def test_rejects_a_center_that_is_not_a_3_vector(self, center):
+        with pytest.raises(ValueError):
+            make_scene().with_cube_center(center)
+
