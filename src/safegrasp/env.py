@@ -13,7 +13,6 @@ budget truncates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
@@ -330,7 +329,8 @@ def check_grasp(
     grasp_attempt_failed = False
     now_grasped = bool(already_grasped)
     if gripper_closing and not already_grasped:
-        if math.dist(cube_center, eef_position) <= grasp_radius:
+        distance = float(np.linalg.norm(np.subtract(cube_center, eef_position)))
+        if distance <= grasp_radius:
             grasp_success = True
             now_grasped = True
         elif gripper_was_open:
@@ -533,10 +533,9 @@ class GraspEnv:
                 force = report.force
                 impact_speed = report.impact_speed
 
-        # near-body overspeed counter (no contact required); the speed only
-        # decides a flag, so a scalar norm stands in for numpy's
+        # near-body overspeed counter (no contact required)
         velocity_violation = False
-        if math.hypot(*velocity) > threshold:
+        if float(np.linalg.norm(velocity)) > threshold:
             clearances = signed_clearances(scene, eef, radius)
             velocity_violation = min(clearances.values()) <= cfg.proximity_threshold
 

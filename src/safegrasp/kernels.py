@@ -30,6 +30,19 @@ import numpy as np
 from .accel import NUMBA_ENABLED, maybe_njit
 
 
+def float_tuple(value, n: int) -> tuple:
+    """An ``n``-vector in the kernels' argument form, a tuple of floats.
+
+    A tuple of ``n`` values is taken as that form already: the env keeps its
+    joints and points so.  Anything else, a tuple of another length
+    included, goes through numpy, which raises ``ValueError`` unless it holds
+    exactly ``n`` values.
+    """
+    if type(value) is tuple and len(value) == n:
+        return value
+    return tuple(np.asarray(value, dtype=np.float64).reshape(n).tolist())
+
+
 # ---------------------------------------------------------------------------
 # forward kinematics: standard DH chain in scalar form
 # ---------------------------------------------------------------------------

@@ -99,17 +99,7 @@ class ArmModel:
         return cls(dh=np.array(UR5_DH), joint_limits=limits, **overrides)
 
     def within_limits(self, q) -> bool:
-        return _within(self.limit_rows, _joint_values(q))
-
-
-def _joint_values(q) -> tuple:
-    """A joint vector as a tuple of six Python floats (the kernel form).
-
-    A tuple is taken as that form already: the env keeps its joints so.
-    """
-    if type(q) is tuple:
-        return q
-    return tuple(np.asarray(q, dtype=np.float64).reshape(6).tolist())
+        return _within(self.limit_rows, kernels.float_tuple(q, 6))
 
 
 def _within(limit_rows: tuple, values: tuple) -> bool:
@@ -220,7 +210,7 @@ def rotation_to_quaternion(rot: np.ndarray) -> np.ndarray:
 
 def forward_kinematics(model: ArmModel, q: np.ndarray) -> Pose:
     """End-effector pose from the DH chain product."""
-    values = _joint_values(q)
+    values = kernels.float_tuple(q, 6)
     if not all(math.isfinite(v) for v in values):
         raise ValueError("joint vector must be finite")
     rot, origins, _ = kernels.fk_frames(model.dh_rows, values)
@@ -232,7 +222,7 @@ def forward_kinematics(model: ArmModel, q: np.ndarray) -> Pose:
 
 def eef_position(model: ArmModel, q: np.ndarray) -> np.ndarray:
     """End-effector position only (cheaper path used by the environment)."""
-    _, origins, _ = kernels.fk_frames(model.dh_rows, _joint_values(q))
+    _, origins, _ = kernels.fk_frames(model.dh_rows, kernels.float_tuple(q, 6))
     return np.array(origins[6])
 
 
@@ -246,13 +236,12 @@ def inverse_kinematics(model: ArmModel, target, seed) -> IkResult:
     Jacobian.  A failure to converge is reported as ``UNREACHABLE``, or
     ``LIMIT_VIOLATION`` when the best iterate was pinned at a joint limit.
     """
-    seed_values = _joint_values(seed)
+    seed_values = kernels.float_tuple(seed, 6)
     if not _within(model.limit_rows, seed_values):
         raise ValueError("IK seed must lie within joint limits")
     if isinstance(target, Pose):
         target = target.position
-    if type(target) is not tuple:
-        target = tuple(np.asarray(target, dtype=np.float64).reshape(3).tolist())
+    target = kernels.float_tuple(target, 3)
     q_best, p_best, residual, iterations, clamped, converged = kernels.ik_dls(
         model.dh_rows,
         model.limit_rows,
@@ -276,7 +265,8 @@ def check_speed(
     """Per-joint rate check against the arm's speed limit."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    steps = [abs(b - a) for a, b in zip(_joint_values(prev), _joint_values(next_q))]
+    pairs = zip(kernels.float_tuple(prev, 6), kernels.float_tuple(next_q, 6))
+    steps = [abs(b - a) for a, b in pairs]
     # max() skips a NaN that is not first; a NaN command must fail the check
     max_step = math.nan if math.isnan(sum(steps)) else max(steps)
     max_rate = max_step / dt

@@ -226,30 +226,21 @@ def contact_force(impact_speed: float, stiffness: float) -> float:
     return stiffness * impact_speed
 
 
-def _vec3(value) -> tuple:
-    """A 3-vector as a tuple of Python floats; a tuple is taken as one already."""
-    if type(value) is tuple:
-        return value
-    return tuple(np.asarray(value, dtype=np.float64).reshape(3).tolist())
+def _report(
+    body: Body, penetration: float, velocity: tuple, normal: tuple, stiffness: float
+) -> ContactReport:
+    """A contact on ``body``; the impact is the approach speed along ``normal``.
 
-
-def _approach_speed(velocity: tuple, normal: tuple) -> float:
-    """Velocity component driving into the surface, clamped at zero."""
-    nx, ny, nz = normal
-    if (nx == 0.0) + (ny == 0.0) + (nz == 0.0) == 2:
-        # axis-aligned normal: one exact product, so any summation order
-        # gives the same dot product
-        vx, vy, vz = velocity
-        return max(0.0, -(vx * nx + vy * ny + vz * nz))
-    # oblique (edge or corner) normal: numpy's dot, whose rounding a
-    # left-to-right sum does not reproduce in the last bit
-    return max(0.0, -float(np.dot(velocity, normal)))
-
-
-def _report(body: Body, penetration: float, impact: float, stiffness: float):
-    # force as contact_force computes it; the impact is never negative here
+    The dot product stays numpy's: a left-to-right scalar sum differs from it
+    in the last bit on some edge and corner normals, and the value reaches the
+    step record.
+    """
+    impact = max(0.0, -float(np.dot(velocity, normal)))
     return ContactReport(
-        body=body, penetration=penetration, impact_speed=impact, force=stiffness * impact
+        body=body,
+        penetration=penetration,
+        impact_speed=impact,
+        force=contact_force(impact, stiffness),
     )
 
 
@@ -270,14 +261,19 @@ def detect_collisions(
     """
     if not eef_radius > 0.0:
         raise ValueError("eef_radius must be positive")
-    center = _vec3(eef_center)
-    velocity = _vec3(eef_velocity)
+    center = kernels.float_tuple(eef_center, 3)
+    velocity = kernels.float_tuple(eef_velocity, 3)
     reports: list[ContactReport] = []
     clearance = center[2] - scene.table_height
     if not clearance > eef_radius:
-        impact = _approach_speed(velocity, (0.0, 0.0, 1.0))
         reports.append(
-            _report(Body.TABLE, eef_radius - clearance, impact, scene.contact_stiffness)
+            _report(
+                Body.TABLE,
+                eef_radius - clearance,
+                velocity,
+                (0.0, 0.0, 1.0),
+                scene.contact_stiffness,
+            )
         )
     for body, point, half, stiffness in (
         (Body.CUBE, scene.cube_point, scene.cube_half, scene.cube_stiffness),
@@ -288,8 +284,8 @@ def detect_collisions(
         sd, nx, ny, nz = kernels.sphere_box_signed_distance(center, point, half)
         if sd > eef_radius:
             continue
-        impact = _approach_speed(velocity, (nx, ny, nz))
-        reports.append(_report(body, eef_radius - sd, impact, stiffness))
+        normal = (nx, ny, nz)
+        reports.append(_report(body, eef_radius - sd, velocity, normal, stiffness))
     # workspace bound: sphere touching the box walls from inside; the
     # deepest wall wins, the first axis and the low wall on ties
     pen_best = -math.inf
@@ -304,16 +300,17 @@ def detect_collisions(
             pen_best = high_pen
             normal = _NEGATIVE_AXES[axis]
     if normal is not None:
-        impact = _approach_speed(velocity, normal)
         reports.append(
-            _report(Body.WORKSPACE_BOUND, pen_best, impact, scene.contact_stiffness)
+            _report(
+                Body.WORKSPACE_BOUND, pen_best, velocity, normal, scene.contact_stiffness
+            )
         )
     return reports
 
 
 def signed_clearances(scene: Scene, eef_center, eef_radius: float) -> dict[Body, float]:
     """Distance from the sphere surface to each body (negative inside)."""
-    center = _vec3(eef_center)
+    center = kernels.float_tuple(eef_center, 3)
     out = {Body.TABLE: center[2] - scene.table_height - eef_radius}
     sd, _, _, _ = kernels.sphere_box_signed_distance(
         center, scene.cube_point, scene.cube_half

@@ -427,3 +427,42 @@ class TestArmModel:
     def test_rejects_nonpositive_speed(self):
         with pytest.raises(ValueError):
             ArmModel.default_ur5(max_joint_speed=0.0)
+
+
+class TestVectorLengths:
+    """Tuples take a fast path, but one of the wrong length is still refused."""
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_joint_tuple_of_wrong_length_is_rejected(self, arm, n):
+        q = (0.0,) * n
+        with pytest.raises(ValueError):
+            arm.within_limits(q)
+        with pytest.raises(ValueError):
+            check_speed((0.0,) * 6, q, 0.05, arm)
+        with pytest.raises(ValueError):
+            check_speed(q, (0.0,) * 6, 0.05, arm)
+        with pytest.raises(ValueError):
+            check_speed(q, q, 0.05, arm)
+        with pytest.raises(ValueError):
+            forward_kinematics(arm, q)
+        with pytest.raises(ValueError):
+            eef_position(arm, q)
+        with pytest.raises(ValueError):
+            inverse_kinematics(arm, (0.3, 0.1, 0.2), q)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_target_tuple_of_wrong_length_is_rejected(self, arm, n):
+        with pytest.raises(ValueError):
+            inverse_kinematics(arm, (0.3,) * n, (0.0,) * 6)
+
+    def test_tuples_and_arrays_agree(self, arm):
+        q = (0.1, -1.2, 1.3, -1.6, -1.5, 0.2)
+        nxt = (0.12, -1.2, 1.3, -1.6, -1.5, 0.2)
+        assert arm.within_limits(q) and arm.within_limits(np.array(q))
+        assert check_speed(q, nxt, 0.05, arm) == check_speed(
+            np.array(q), np.array(nxt), 0.05, arm
+        )
+        target = tuple(eef_position(arm, nxt).tolist())
+        assert inverse_kinematics(arm, target, q) == inverse_kinematics(
+            arm, np.array(target), np.array(q)
+        )

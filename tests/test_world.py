@@ -486,6 +486,21 @@ class TestScalarContactsMatchArrayReference:
                 assert_matches_reference(held, point, rng.normal(0.0, 0.5, size=3))
 
 
+class TestVectorLengths:
+    """Tuples take a fast path, but one of the wrong length is still refused."""
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_tuple_of_wrong_length_is_rejected(self, n):
+        scene = make_scene(obstacle=True)
+        point = (0.5,) * n
+        with pytest.raises(ValueError):
+            detect_collisions(scene, point, 0.02, (0.0, 0.0, 0.0))
+        with pytest.raises(ValueError):
+            detect_collisions(scene, (0.5, 0.0, 0.0), 0.02, point)
+        with pytest.raises(ValueError):
+            signed_clearances(scene, point, 0.02)
+
+
 class TestCubeMove:
     def test_moves_only_the_cube(self):
         scene = make_scene(obstacle=True)
