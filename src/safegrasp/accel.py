@@ -1,40 +1,7 @@
-"""Kernel compilation switch.
+"""Kernel mode flag, read by provenance records.
 
-The hot numeric kernels in :mod:`safegrasp.kernels` are compiled with numba
-by default.  Setting the environment variable ``SAFEGRASP_NUMBA=0`` (or
-``false``/``no``) before import selects the uncompiled pure-numpy fallbacks
-instead; the same happens automatically when numba is not installed.
+Every kernel in :mod:`safegrasp.kernels` has one implementation in plain
+Python, ``math`` and numpy; nothing is compiled, so the flag is always off.
 """
 
-from __future__ import annotations
-
-import os
-import warnings
-
-_FALSY = ("0", "false", "no", "off")
-
-
-def numba_requested() -> bool:
-    return os.environ.get("SAFEGRASP_NUMBA", "1").strip().lower() not in _FALSY
-
-
 NUMBA_ENABLED = False
-_njit = None
-if numba_requested():
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - depends on install
-        warnings.warn("numba is not available; falling back to pure-numpy kernels")
-
-
-def maybe_njit(fn=None, **options):
-    """Wrap with ``@njit(cache=True, **options)`` when compilation is enabled."""
-
-    def wrap(inner):
-        if NUMBA_ENABLED:
-            return _njit(cache=True, **options)(inner)
-        return inner
-
-    return wrap(fn) if fn is not None else wrap

@@ -6,7 +6,7 @@ Subcommands::
     safegrasp evaluate     roll out a policy (checkpoint/scripted/random), write metrics
     safegrasp assess       functional-safety assessment from rollouts or a log file
     safegrasp replay       audit a log: recompute rewards from the logged events
-    safegrasp bench        compare the compiled and fallback kernel paths
+    safegrasp bench        time each hot kernel, in microseconds per call
     safegrasp init-config  print the default configuration file
 
 Exit codes: 0 success, 1 audit/assertion failure, 2 usage or configuration
@@ -40,7 +40,7 @@ from .metrics import summarize
 from .rollout import rollout_episodes
 from .runlog import (
     EpisodeLogWriter,
-    load_episodes,
+    LogFormatError,
     read_log,
     records_to_episodes,
     replace_atomically,
@@ -138,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="recompute with this config's reward table instead of the log header",
     )
 
-    p_bench = sub.add_parser("bench", help="benchmark compiled vs fallback kernels")
+    p_bench = sub.add_parser("bench", help="time the hot numeric kernels")
     p_bench.add_argument("--repeats", type=int, default=200)
 
     p_init = sub.add_parser("init-config", help="print the default config file")
@@ -177,6 +177,20 @@ def _resolve_policy(kind: str, checkpoint, config: RunConfig, seed: int):
         return lambda obs: scripted(obs)
     random_policy = RandomPolicy(seed=seed)
     return lambda obs: random_policy(obs)
+
+
+def _read_step_log(path: Path) -> tuple[dict, list[dict]]:
+    """``read_log`` for the audit commands: a log that is missing, malformed
+    or holds no step record is a usage error."""
+    if not path.exists():
+        raise ConfigError(f"log file not found: {path}")
+    try:
+        header, records = read_log(path)
+    except LogFormatError as exc:
+        raise ConfigError(str(exc)) from None
+    if not records:
+        raise ConfigError(f"log file contains no step records: {path}")
+    return header, records
 
 
 def _out_dir(args, config: RunConfig) -> Path:
@@ -263,12 +277,8 @@ def cmd_assess(args) -> int:
     out_dir = _out_dir(args, config)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.log is not None:
-        if not args.log.exists():
-            raise ConfigError(f"log file not found: {args.log}")
-        episodes = load_episodes(args.log)
-        if not episodes:
-            raise ConfigError(f"log file contains no episodes: {args.log}")
-        report = build_report(inputs_from_episodes(episodes))
+        _, records = _read_step_log(args.log)
+        report = build_report(inputs_from_episodes(records_to_episodes(records)))
     else:
         policy = _resolve_policy(args.policy, args.checkpoint, config, config.seed)
         disturbance = (
@@ -313,19 +323,21 @@ def cmd_assess(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    if not args.log.exists():
-        raise ConfigError(f"log file not found: {args.log}")
-    header, records = read_log(args.log)
-    if not records:
-        raise ConfigError(f"log file contains no step records: {args.log}")
+    header, records = _read_step_log(args.log)
     if args.config is not None:
         reward_config = load_config(args.config).reward
     elif "reward" in header:
-        reward_config = RewardConfig.from_dict(header["reward"])
+        try:
+            reward_config = RewardConfig.from_dict(header["reward"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{args.log}: invalid reward header: {exc}") from None
     else:
         raise ConfigError("log has no reward header; supply --config")
     for index, record in enumerate(records):
-        events = TransitionEvents.from_dict(record["events"])
+        try:
+            events = TransitionEvents.from_dict(record["events"])
+        except ValueError as exc:
+            raise ConfigError(f"{args.log}: step record {index}: {exc}") from None
         expected = compute_reward(events, reward_config)
         logged = float(record["reward"])
         if expected != logged:
@@ -345,7 +357,6 @@ def cmd_replay(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .accel import NUMBA_ENABLED
     from . import kernels
 
     rng = np.random.default_rng(0)
@@ -360,8 +371,8 @@ def cmd_bench(args) -> int:
     half = (0.025, 0.025, 0.025)
 
     cases = {
-        "fk_frames": lambda fn: fn(arm.dh_rows, q),
-        "ik_dls": lambda fn: fn(
+        "fk_frames": lambda: kernels.fk_frames(arm.dh_rows, q),
+        "ik_dls": lambda: kernels.ik_dls(
             arm.dh_rows,
             arm.limit_rows,
             q,
@@ -370,26 +381,22 @@ def cmd_bench(args) -> int:
             arm.ik_tolerance,
             arm.ik_max_iterations,
         ),
-        "sphere_box_signed_distance": lambda fn: fn(point, center, half),
-        "quantile_huber_loss_grad": lambda fn: fn(preds, targets, taus),
+        "sphere_box_signed_distance": lambda: kernels.sphere_box_signed_distance(
+            point, center, half
+        ),
+        "quantile_huber_loss_grad": lambda: kernels.quantile_huber_loss_grad(
+            preds, targets, taus
+        ),
     }
 
-    def time_fn(fn, call, repeats):
-        call(fn)  # warm-up (and JIT compile)
-        start = time.perf_counter()
-        for _ in range(repeats):
-            call(fn)
-        return (time.perf_counter() - start) / repeats * 1e6
-
-    mode = "numba" if NUMBA_ENABLED else "numpy (SAFEGRASP_NUMBA=0 or numba missing)"
-    print(f"active kernel mode: {mode}")
-    print(f"{'kernel':<28} {'selected us':>12} {'fallback us':>12} {'speedup':>8}")
+    print(f"{'kernel':<28} {'us':>10}")
     for name, call in cases.items():
-        selected, fallback = kernels.BENCH_PAIRS[name]
-        t_sel = time_fn(selected, call, args.repeats)
-        t_fb = time_fn(fallback, call, args.repeats)
-        ratio = t_fb / t_sel if t_sel > 0 else float("inf")
-        print(f"{name:<28} {t_sel:>12.2f} {t_fb:>12.2f} {ratio:>7.1f}x")
+        call()  # warm-up
+        start = time.perf_counter()
+        for _ in range(args.repeats):
+            call()
+        elapsed_us = (time.perf_counter() - start) / args.repeats * 1e6
+        print(f"{name:<28} {elapsed_us:>10.2f}")
     return EXIT_OK
 
 

@@ -52,7 +52,6 @@ class ConfigError(ValueError):
 class RunConfig:
     seed: int = 0
     scenario: Scenario = Scenario.NORMAL
-    reward_mode: str = "sd-drl"
     out_dir: str = "runs"
     reward: RewardConfig = field(default_factory=RewardConfig)
     env: EnvConfig = field(default_factory=EnvConfig)
@@ -232,7 +231,6 @@ def load_config(path=None) -> RunConfig:
         mode = _as_reward_mode(reward_kwargs.pop("mode", reward_mode))
         return RunConfig(
             scenario=scenario,
-            reward_mode=mode.value,
             reward=RewardConfig(mode=mode, **reward_kwargs),
             env=EnvConfig(**env_kwargs),
             scene=SceneConfig(**scene_kwargs),
@@ -260,7 +258,6 @@ def apply_overrides(
         config.scenario = _as_scenario(scenario)
     if reward_mode is not None:
         mode = _as_reward_mode(reward_mode)
-        config.reward_mode = mode.value
         config.reward = RewardConfig(
             **{
                 **{

@@ -1,24 +1,16 @@
 """Hot numeric kernels.
 
-Each kernel is written once as a plain Python function and wrapped with
-``@njit`` when numba is enabled (see :mod:`safegrasp.accel`).  The FK kernel
-is the DH chain in scalar form and the IK kernel iterates on it: floats,
-tuples and lists with ``math`` functions, no numpy calls, which is also what
-numba's nopython mode compiles.  They take the arm's precomputed ``dh_rows``/``limit_rows``
-and tuples of floats (see :class:`safegrasp.kinematics.ArmModel`).
+The FK kernel is the DH chain in scalar form and the IK kernel iterates on
+it: floats, tuples and lists with ``math`` functions, no numpy calls.  They
+take the arm's precomputed ``dh_rows``/``limit_rows`` and tuples of floats
+(see :class:`safegrasp.kinematics.ArmModel`).  ``quantile_huber_loss_grad``
+is an exact sort/prefix-sum form (sorted target rows, a vectorised binary
+search for the region boundaries of each prediction, closed-form sums per
+region) that never builds the (critic, sample, quantile, atom) array; the
+tests cross-check it against the pairwise scalar loops.
 
-Across kernel modes, "identical results" means that both modes run the
-same IEEE operations in the same order, so they agree bit for bit as long as
-the compiled ``cos``/``sin`` round like the C library's.  The exception is
-``quantile_huber_loss_grad``: its compiled form is the pairwise scalar loops
-with ``fastmath``, and its numpy fallback is an exact sort/prefix-sum form
-(sorted target rows, a vectorised binary search for the region boundaries of
-each prediction, closed-form sums per region) that never builds the
-(critic, sample, quantile, atom) array.  The two agree to rounding level,
-and the tests cross-check the fallback against the scalar loops.
-
-``BENCH_PAIRS`` maps kernel names to ``(compiled_or_selected, fallback)``
-pairs for the ``safegrasp bench`` command.
+Each kernel has one implementation, so its results do not depend on what
+else is installed.
 """
 
 from __future__ import annotations
@@ -26,8 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .accel import NUMBA_ENABLED, maybe_njit
 
 
 def float_tuple(value, n: int) -> tuple:
@@ -47,7 +37,7 @@ def float_tuple(value, n: int) -> tuple:
 # forward kinematics: standard DH chain in scalar form
 # ---------------------------------------------------------------------------
 
-def _fk_frames(dh, q):
+def fk_frames(dh, q):
     """Compose the DH chain of a 6-joint serial arm, one scalar at a time.
 
     ``dh`` holds six ``(a, d, cos alpha, sin alpha, theta_offset)`` rows
@@ -101,14 +91,12 @@ def _fk_frames(dh, q):
     return rot, origins, zaxes
 
 
-fk_frames = maybe_njit(_fk_frames)
-
 
 # ---------------------------------------------------------------------------
 # inverse kinematics: damped least squares on position
 # ---------------------------------------------------------------------------
 
-def _ik_dls(dh, limits, q_seed, target, damping, tolerance, max_iterations):
+def ik_dls(dh, limits, q_seed, target, damping, tolerance, max_iterations):
     """Position-only damped-least-squares IK, iterates projected to limits.
 
     ``dh`` and ``limits`` are the arm's ``dh_rows`` and ``limit_rows``
@@ -208,14 +196,12 @@ def _ik_dls(dh, limits, q_seed, target, damping, tolerance, max_iterations):
     return best_q, best_p, best_res, iterations, best_clamped, converged
 
 
-ik_dls = maybe_njit(_ik_dls)
-
 
 # ---------------------------------------------------------------------------
 # sphere vs axis-aligned box signed distance
 # ---------------------------------------------------------------------------
 
-def _sphere_box_signed_distance(point, center, half):
+def sphere_box_signed_distance(point, center, half):
     """Signed distance from ``point`` to the box surface plus outward normal.
 
     ``point``, ``center`` and ``half`` (the half extents) are (x, y, z)
@@ -265,14 +251,12 @@ def _sphere_box_signed_distance(point, center, half):
     return inside, nx, ny, nz
 
 
-sphere_box_signed_distance = maybe_njit(_sphere_box_signed_distance)
-
 
 # ---------------------------------------------------------------------------
 # quantile Huber loss over pooled target atoms, with gradient
 # ---------------------------------------------------------------------------
 
-def _quantile_huber_loss_grad_loops(
+def quantile_huber_loss_grad(
     preds: np.ndarray, targets: np.ndarray, fractions: np.ndarray
 ):
     """Asymmetric Huber quantile loss (kappa=1) and d(loss)/d(preds).
@@ -280,42 +264,11 @@ def _quantile_huber_loss_grad_loops(
     ``preds`` has shape (n_critics, batch, n_quantiles), ``targets``
     (batch, n_atoms).  The loss is the mean over every
     (critic, sample, quantile, atom) pair of ``|tau_m - 1{u<0}| * huber(u)``
-    with ``u = target - prediction``.  The inner loop is branchless so the
-    compiler can vectorise it.
-    """
-    n_crit, batch, n_quant = preds.shape
-    n_atoms = targets.shape[1]
-    grad = np.zeros_like(preds)
-    scale = 1.0 / (n_crit * batch * n_quant * n_atoms)
-    loss = 0.0
-    for n in range(n_crit):
-        for b in range(batch):
-            for m in range(n_quant):
-                z = preds[n, b, m]
-                tau = fractions[m]
-                g = 0.0
-                for k in range(n_atoms):
-                    u = targets[b, k] - z
-                    neg = 1.0 if u < 0.0 else 0.0
-                    w = tau + neg * (1.0 - 2.0 * tau)
-                    au = abs(u)
-                    inside = 1.0 if au <= 1.0 else 0.0
-                    loss += w * (inside * 0.5 * u * u + (1.0 - inside) * (au - 0.5))
-                    g -= w * (inside * u + (1.0 - inside) * (1.0 - 2.0 * neg))
-                grad[n, b, m] = g * scale
-    return loss * scale, grad
+    with ``u = target - prediction``, computed without an array per pair.
 
-
-def _quantile_huber_loss_grad_numpy(
-    preds: np.ndarray, targets: np.ndarray, fractions: np.ndarray
-):
-    """Sort/prefix-sum fallback for :func:`quantile_huber_loss_grad`.
-
-    Same loss and gradient as the pairwise loops, without an array per
-    (critic, sample, quantile, atom) pair.  With each target row sorted,
-    the atoms facing a prediction ``z`` fall into four runs by
-    ``u = t - z``: ``u < -1``, ``-1 <= u < 0``, ``0 <= u <= 1`` and
-    ``u > 1``.  Per run, the sums of ``huber(u)`` and ``huber'(u)`` are
+    With each target row sorted, the atoms facing a prediction ``z`` fall
+    into four runs by ``u = t - z``: ``u < -1``, ``-1 <= u < 0``,
+    ``0 <= u <= 1`` and ``u > 1``.  Per run, the sums of ``huber(u)`` and ``huber'(u)`` are
     closed forms in the run's atom count and its sums of ``t`` and ``t^2``,
     read off prefix sums; the weight is ``1 - tau`` below ``z`` and ``tau``
     from ``z`` up.  The run boundaries are the atom counts below ``z - 1``,
@@ -323,7 +276,7 @@ def _quantile_huber_loss_grad_numpy(
     over every row at once.  Values are centred on their row's mean so the
     quadratic sums keep their precision when returns are large.  Cost is
     O(N B M log K + B K log K) for N critics, B samples, M quantiles and K
-    atoms, against O(N B M K) for the loops.
+    atoms, against O(N B M K) for pairwise loops.
     """
     n_crit, batch, n_quant = preds.shape
     n_atoms = targets.shape[1]
@@ -374,26 +327,3 @@ def _quantile_huber_loss_grad_numpy(
     grad = -((1.0 - fractions) * grad_below + fractions * grad_above) * scale
     return loss * scale, grad
 
-
-if NUMBA_ENABLED:
-    # fastmath only reassociates the loss reduction; differences against the
-    # numpy fallback stay at rounding level and are covered by tests
-    quantile_huber_loss_grad = maybe_njit(
-        _quantile_huber_loss_grad_loops, fastmath=True
-    )
-else:
-    quantile_huber_loss_grad = _quantile_huber_loss_grad_numpy
-
-
-BENCH_PAIRS = {
-    "fk_frames": (fk_frames, _fk_frames),
-    "ik_dls": (ik_dls, _ik_dls),
-    "sphere_box_signed_distance": (
-        sphere_box_signed_distance,
-        _sphere_box_signed_distance,
-    ),
-    "quantile_huber_loss_grad": (
-        quantile_huber_loss_grad,
-        _quantile_huber_loss_grad_numpy,
-    ),
-}

@@ -63,8 +63,16 @@ class EpisodeLogWriter:
         self.close()
 
 
+class LogFormatError(ValueError):
+    """A log line that is not a header or a step record; names file and line."""
+
+
 def read_log(path) -> tuple[dict, list[dict]]:
-    """Parse a JSONL log into ``(header, step_records)``."""
+    """Parse a JSONL log into ``(header, step_records)``.
+
+    Every line but the header must be a step record: a JSON object with an
+    ``events`` object and a numeric ``reward``.
+    """
     header: dict = {}
     records: list[dict] = []
     path = Path(path)
@@ -76,11 +84,17 @@ def read_log(path) -> tuple[dict, list[dict]]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from None
+                raise LogFormatError(f"{path}:{line_no}: invalid JSON: {exc}") from None
+            if type(record) is not dict:
+                raise LogFormatError(f"{path}:{line_no}: not a JSON object")
             if record.get("type") == "header":
                 header = record
-            else:
-                records.append(record)
+                continue
+            if type(record.get("events")) is not dict:
+                raise LogFormatError(f"{path}:{line_no}: step record has no 'events' object")
+            if type(record.get("reward")) not in (int, float):
+                raise LogFormatError(f"{path}:{line_no}: step record has no numeric 'reward'")
+            records.append(record)
     return header, records
 
 

@@ -2,12 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import safegrasp
 from safegrasp.cli import main
 from safegrasp.config import ConfigError, default_config_text, load_config
 from safegrasp.env import GraspEnv, RewardMode
@@ -252,8 +255,111 @@ class TestCli:
     def test_bench_runs(self, capsys):
         assert run_cli("bench", "--repeats", "2") == 0
         out = capsys.readouterr().out
-        assert "fk_frames" in out
-        assert "quantile_huber_loss_grad" in out
+        lines = out.splitlines()
+        for name in (
+            "fk_frames",
+            "ik_dls",
+            "sphere_box_signed_distance",
+            "quantile_huber_loss_grad",
+        ):
+            rows = [line for line in lines if line.split()[0] == name]
+            assert len(rows) == 1
+            # one timing column: the name and its microseconds
+            assert len(rows[0].split()) == 2
+        assert "fallback" not in out
+
+    def test_reward_mode_flag_sets_reward_config(self, tmp_path):
+        config_path = tmp_path / "run.ini"
+        config_path.write_text("[run]\nreward_mode = sd-drl\n[reward]\ncoll_cost = -9.0\n")
+        code = run_cli(
+            "evaluate", "--policy", "scripted", "--episodes", "1",
+            "--config", config_path, "--reward-mode", "drl", "--out", tmp_path,
+        )
+        assert code == 0
+        header, _ = read_log(next(tmp_path.glob("eval_*.jsonl")))
+        assert header["reward"]["mode"] == "drl"
+        assert header["reward"]["coll_cost"] == -9.0
+
+
+def run_python(*argv) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports safegrasp from this source tree."""
+    src = str(Path(safegrasp.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+
+
+def run_cli_process(*argv) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, as a shell user would."""
+    return run_python("-m", "safegrasp.cli", *argv)
+
+
+HEADER = '{"reward":{"mode":"sd-drl"},"seed":0,"type":"header"}'
+STEP = '{"episode":0,"events":{},"reward":-0.25,"step":1,"terminated":false}'
+MALFORMED_LOGS = {
+    "invalid_json": f"{HEADER}\n{STEP}\n{{not json\n",
+    "not_an_object": f"{HEADER}\n{STEP}\n[1, 2]\n",
+    "missing_events": HEADER + "\n" + STEP.replace('"events":{},', "") + "\n",
+    "missing_reward": HEADER + "\n" + STEP.replace('"reward":-0.25,', "") + "\n",
+    "empty": "",
+    "header_only": HEADER + "\n",
+}
+
+
+class TestMalformedLogs:
+    """A log the audit commands cannot read is a usage error (exit 2) with a
+    one-line message, not a traceback or an audit failure (exit 1)."""
+
+    @pytest.mark.parametrize("command", ["replay", "assess"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LOGS))
+    def test_exit_2_with_one_line(self, tmp_path, case, command):
+        log = tmp_path / f"{case}.jsonl"
+        log.write_text(MALFORMED_LOGS[case])
+        argv = [command, "--log", log]
+        if command == "assess":
+            argv += ["--out", tmp_path / "out"]
+        proc = run_cli_process(*argv)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert log.name in proc.stderr
+
+    def test_message_names_the_line(self, tmp_path):
+        log = tmp_path / "log.jsonl"
+        log.write_text(MALFORMED_LOGS["missing_events"])
+        with pytest.raises(runlog.LogFormatError, match=r"log\.jsonl:2: .*'events'"):
+            read_log(log)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (HEADER + "\n" + STEP.replace('"events":{}', '"events":{"typo":1}'), "step record 0"),
+            (HEADER.replace('"mode":"sd-drl"', '"typo":1') + "\n" + STEP, "invalid reward header"),
+        ],
+        ids=["unknown_event_field", "unknown_reward_field"],
+    )
+    def test_replay_unknown_fields_exit_2(self, tmp_path, text, message):
+        log = tmp_path / "log.jsonl"
+        log.write_text(text + "\n")
+        proc = run_cli_process("replay", "--log", log)
+        assert proc.returncode == 2
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_modules_import_without_warnings():
+    """Every safegrasp module imports cleanly with warnings made errors."""
+    code = (
+        "import importlib, pkgutil, safegrasp\n"
+        "for module in pkgutil.iter_modules(safegrasp.__path__):\n"
+        "    importlib.import_module('safegrasp.' + module.name)\n"
+    )
+    proc = run_python("-W", "error", "-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestTrainerSmoke:

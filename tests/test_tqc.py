@@ -113,14 +113,45 @@ class TestTruncatedTarget:
             assert all(means[i + 1] <= means[i] + 1e-12 for i in range(m - 1))
 
 
+def loops_quantile_huber_loss_grad(preds, targets, fractions):
+    """Reference quantile-Huber loss and gradient as pairwise scalar loops.
+
+    ``preds`` has shape (n_critics, batch, n_quantiles), ``targets``
+    (batch, n_atoms).  The loss is the mean over every
+    (critic, sample, quantile, atom) pair of ``|tau_m - 1{u<0}| * huber(u)``
+    with ``u = target - prediction``; the gradient is d(loss)/d(preds).
+    """
+    n_crit, batch, n_quant = preds.shape
+    n_atoms = targets.shape[1]
+    grad = np.zeros_like(preds)
+    scale = 1.0 / (n_crit * batch * n_quant * n_atoms)
+    loss = 0.0
+    for n in range(n_crit):
+        for b in range(batch):
+            for m in range(n_quant):
+                z = preds[n, b, m]
+                tau = fractions[m]
+                g = 0.0
+                for k in range(n_atoms):
+                    u = targets[b, k] - z
+                    neg = 1.0 if u < 0.0 else 0.0
+                    w = tau + neg * (1.0 - 2.0 * tau)
+                    au = abs(u)
+                    inside = 1.0 if au <= 1.0 else 0.0
+                    loss += w * (inside * 0.5 * u * u + (1.0 - inside) * (au - 0.5))
+                    g -= w * (inside * u + (1.0 - inside) * (1.0 - 2.0 * neg))
+                grad[n, b, m] = g * scale
+    return loss * scale, grad
+
+
 def assert_kernel_matches_loops(preds, targets, taus):
-    """Active kernel against the scalar loops, 1e-12 relative.
+    """The kernel against the scalar loops, 1e-12 relative.
 
     The loss is compared relative to itself and the gradient relative to
     its largest entry, since single entries can cancel to near zero.
     """
     loss, grad = kernels.quantile_huber_loss_grad(preds, targets, taus)
-    ref_loss, ref_grad = kernels._quantile_huber_loss_grad_loops(preds, targets, taus)
+    ref_loss, ref_grad = loops_quantile_huber_loss_grad(preds, targets, taus)
     assert grad.shape == ref_grad.shape == preds.shape
     assert ref_loss > 0.0
     assert abs(loss - ref_loss) <= 1e-12 * ref_loss
@@ -171,8 +202,7 @@ class TestQuantileHuberLoss:
             assert got == pytest.approx(total / (m * k), abs=1e-10)
 
     def test_kernel_variants_agree(self):
-        # the active kernel (numba loops or numpy fallback) against the
-        # scalar definition, run as plain uncompiled Python
+        # the sort/prefix-sum kernel against the pairwise scalar definition
         rng = np.random.default_rng(11)
         preds = rng.normal(size=(2, 16, 5))
         targets = rng.normal(size=(16, 8))
@@ -180,7 +210,7 @@ class TestQuantileHuberLoss:
 
 
 class TestQuantileHuberKernel:
-    """The active kernel against the pairwise loops it must reproduce."""
+    """The kernel against the pairwise loops it must reproduce."""
 
     def test_unsorted_targets(self):
         rng = np.random.default_rng(40)
