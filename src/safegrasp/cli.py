@@ -6,7 +6,7 @@ Subcommands::
     safegrasp evaluate     roll out a policy (checkpoint/scripted/random), write metrics
     safegrasp assess       functional-safety assessment from rollouts or a log file
     safegrasp replay       audit a log: recompute rewards from the logged events
-    safegrasp bench        time each hot kernel, in microseconds per call
+    safegrasp bench        time the hot kernels, the log audit and a learner update (us)
     safegrasp init-config  print the default configuration file
 
 Exit codes: 0 success, 1 audit/assertion failure, 2 usage or configuration
@@ -25,6 +25,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import sys
+import tempfile
 import time
 from datetime import datetime
 from pathlib import Path
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, apply_overrides, default_config_text, load_config
-from .env import RewardConfig, compute_reward, TransitionEvents
+from .env import ACTION_DIM, OBSERVATION_DIM, RewardConfig, TransitionEvents, compute_reward
 from .fsa import build_report, format_report_text, inputs_from_episodes, run_assessment
 from .kinematics import ArmModel
 from .metrics import summarize
@@ -45,7 +46,7 @@ from .runlog import (
     records_to_episodes,
     replace_atomically,
 )
-from .tqc import RandomPolicy, ScriptedGraspPolicy, TqcAgent
+from .tqc import RandomPolicy, ReplayBuffer, ScriptedGraspPolicy, TqcAgent
 from .training import Trainer
 from .world import DisturbanceSpec
 
@@ -356,6 +357,15 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
+def _audit_log(path: Path) -> None:
+    """The ``replay`` audit chain on one log, for timing."""
+    header, records = read_log(path)
+    reward_config = RewardConfig.from_dict(header["reward"])
+    for record in records:
+        compute_reward(TransitionEvents.from_dict(record["events"]), reward_config)
+    records_to_episodes(records)
+
+
 def cmd_bench(args) -> int:
     from . import kernels
 
@@ -370,33 +380,66 @@ def cmd_bench(args) -> int:
     center = (0.5, 0.0, -0.075)
     half = (0.025, 0.025, 0.025)
 
-    cases = {
-        "fk_frames": lambda: kernels.fk_frames(arm.dh_rows, q),
-        "ik_dls": lambda: kernels.ik_dls(
-            arm.dh_rows,
-            arm.limit_rows,
-            q,
-            target,
-            arm.ik_damping,
-            arm.ik_tolerance,
-            arm.ik_max_iterations,
-        ),
-        "sphere_box_signed_distance": lambda: kernels.sphere_box_signed_distance(
-            point, center, half
-        ),
-        "quantile_huber_loss_grad": lambda: kernels.quantile_huber_loss_grad(
-            preds, targets, taus
-        ),
-    }
+    config = RunConfig()
+    batch = config.tqc.batch_size
+    agent = TqcAgent(OBSERVATION_DIM, ACTION_DIM, config.tqc, seed=0)
+    buffer = ReplayBuffer(OBSERVATION_DIM, ACTION_DIM, batch)
+    for _ in range(batch):
+        buffer.add(
+            rng.normal(size=OBSERVATION_DIM),
+            rng.uniform(-1.0, 1.0, ACTION_DIM),
+            rng.normal(),
+            rng.normal(size=OBSERVATION_DIM),
+            False,
+        )
 
-    print(f"{'kernel':<28} {'us':>10}")
-    for name, call in cases.items():
-        call()  # warm-up
-        start = time.perf_counter()
-        for _ in range(args.repeats):
-            call()
-        elapsed_us = (time.perf_counter() - start) / args.repeats * 1e6
-        print(f"{name:<28} {elapsed_us:>10.2f}")
+    with tempfile.TemporaryDirectory() as tmp:
+        log_path = Path(tmp) / "scripted.jsonl"
+        with EpisodeLogWriter(log_path, header={"reward": config.reward.as_dict()}) as writer:
+            rollout_episodes(
+                config.build_env(),
+                _resolve_policy("scripted", None, config, config.seed),
+                episodes=4,
+                base_seed=config.seed,
+                log_writer=writer,
+            )
+        log_records = len(read_log(log_path)[1])
+
+        # name -> (call, units of work per call)
+        cases = {
+            "fk_frames": (lambda: kernels.fk_frames(arm.dh_rows, q), 1),
+            "ik_dls": (
+                lambda: kernels.ik_dls(
+                    arm.dh_rows,
+                    arm.limit_rows,
+                    q,
+                    target,
+                    arm.ik_damping,
+                    arm.ik_tolerance,
+                    arm.ik_max_iterations,
+                ),
+                1,
+            ),
+            "sphere_box_signed_distance": (
+                lambda: kernels.sphere_box_signed_distance(point, center, half),
+                1,
+            ),
+            "quantile_huber_loss_grad": (
+                lambda: kernels.quantile_huber_loss_grad(preds, targets, taus),
+                1,
+            ),
+            "replay audit (per record)": (lambda: _audit_log(log_path), log_records),
+            f"tqc.train_step (batch {batch})": (lambda: agent.train_step(buffer), 1),
+        }
+
+        print(f"{'case':<28} {'us':>10}")
+        for name, (call, units) in cases.items():
+            call()  # warm-up
+            start = time.perf_counter()
+            for _ in range(args.repeats):
+                call()
+            elapsed_us = (time.perf_counter() - start) / (args.repeats * units) * 1e6
+            print(f"{name:<28} {elapsed_us:>10.2f}")
     return EXIT_OK
 
 

@@ -116,22 +116,12 @@ def init_mlp_params(
     return ParameterSet(arrays)
 
 
-def _apply_layers(net: Mlp, params, x):
-    """Shared forward; works on Tensors and on raw arrays via ParameterSet."""
-    h = x
-    for i in range(net.n_layers):
-        h = h @ params[f"w{i}"] + params[f"b{i}"]
-        if i < net.n_layers - 1:
-            h = h.relu()
-        elif net.output_activation == "tanh":
-            h = h.tanh()
-    return h
-
-
 def forward(net: Mlp, params: ParameterSet, x: np.ndarray) -> np.ndarray:
-    """Deterministic forward pass on plain arrays.
+    """Deterministic forward pass on plain arrays, with no tape.
 
-    Accepts a single input vector or a batch; the output matches.
+    Accepts a single input vector or a batch; the output matches.  It runs
+    the same numpy operations as :func:`forward_tape`, so the outputs are
+    bit-equal.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -139,15 +129,28 @@ def forward(net: Mlp, params: ParameterSet, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input width {x.shape[-1]} does not match the network ({net.sizes[0]})"
         )
-    h = Tensor(np.atleast_2d(x))
-    tensors = {name: Tensor(arr) for name, arr in params.items()}
-    out = _apply_layers(net, tensors, h).data
-    return out[0] if single else out
+    h = np.atleast_2d(x)
+    last = net.n_layers - 1
+    for i in range(net.n_layers):
+        h = h @ params[f"w{i}"] + params[f"b{i}"]
+        if i < last:
+            h = np.maximum(h, 0.0)
+        elif net.output_activation == "tanh":
+            h = np.tanh(h)
+    return h[0] if single else h
 
 
 def forward_tape(net: Mlp, params: dict, x: Tensor) -> Tensor:
     """Forward pass through Tensors for gradient computation."""
-    return _apply_layers(net, params, x)
+    h = x
+    last = net.n_layers - 1
+    for i in range(net.n_layers):
+        h = h @ params[f"w{i}"] + params[f"b{i}"]
+        if i < last:
+            h = h.relu()
+        elif net.output_activation == "tanh":
+            h = h.tanh()
+    return h
 
 
 def gradients(net: Mlp, params: ParameterSet, x: np.ndarray, loss_fn) -> dict:

@@ -14,8 +14,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 
+# one encoder and one decoder serve every record: ``json.dumps`` with options
+# builds a new encoder per call, and ``json.loads`` re-checks its arguments
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_DECODER = json.JSONDecoder()
+
+
 def dumps_canonical(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 def replace_atomically(path, data: bytes) -> None:
@@ -71,10 +77,14 @@ def read_log(path) -> tuple[dict, list[dict]]:
     """Parse a JSONL log into ``(header, step_records)``.
 
     Every line but the header must be a step record: a JSON object with an
-    ``events`` object and a numeric ``reward``.
+    integer ``episode``, an ``events`` object and a numeric ``reward``.
+    Each line is decoded on its own, so a malformed line is refused even
+    where the lines around it would re-join into valid JSON.
     """
     header: dict = {}
     records: list[dict] = []
+    append = records.append
+    decode = _DECODER.decode
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -82,7 +92,7 @@ def read_log(path) -> tuple[dict, list[dict]]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record = decode(line)
             except json.JSONDecodeError as exc:
                 raise LogFormatError(f"{path}:{line_no}: invalid JSON: {exc}") from None
             if type(record) is not dict:
@@ -94,7 +104,9 @@ def read_log(path) -> tuple[dict, list[dict]]:
                 raise LogFormatError(f"{path}:{line_no}: step record has no 'events' object")
             if type(record.get("reward")) not in (int, float):
                 raise LogFormatError(f"{path}:{line_no}: step record has no numeric 'reward'")
-            records.append(record)
+            if type(record.get("episode")) is not int:
+                raise LogFormatError(f"{path}:{line_no}: step record has no integer 'episode'")
+            append(record)
     return header, records
 
 
@@ -143,49 +155,45 @@ class EpisodeRecord:
 
 
 def records_to_episodes(step_records: list[dict]) -> list[EpisodeRecord]:
-    """Aggregate per-step log records into per-episode records."""
+    """Aggregate per-step log records into per-episode records.
+
+    Consecutive records with the same ``episode`` form one episode.  The
+    counters are locals, and each episode's record is built once, when the
+    next episode (or the end of the list) is reached.
+    """
     episodes: list[EpisodeRecord] = []
-    current_id = None
-    acc = None
-
-    def flush():
-        if acc is not None and acc["steps"] > 0:
-            episodes.append(
-                EpisodeRecord(
-                    return_sum=acc["return"],
-                    steps=acc["steps"],
-                    success=acc["success"],
-                    violations=acc["violations"],
-                    terminated_by_failure=acc["failed"],
-                )
-            )
-
+    current_id = object()  # equal to no episode id
+    steps = 0
     for rec in step_records:
         ep = rec.get("episode")
         if ep != current_id:
-            flush()
+            if steps:
+                violations = ViolationCounts(collision, obstacle, speed, velocity, during)
+                episodes.append(EpisodeRecord(return_sum, steps, success, violations, failed))
             current_id = ep
-            acc = {
-                "return": 0.0,
-                "steps": 0,
-                "success": False,
-                "violations": ViolationCounts(),
-                "failed": False,
-            }
+            return_sum = 0.0
+            steps = collision = obstacle = speed = velocity = during = 0
+            success = failed = False
         events = rec.get("events", {})
-        acc["return"] += float(rec.get("reward", 0.0))
-        acc["steps"] += 1
-        v = acc["violations"]
-        v.collision += bool(events.get("collision_env"))
-        v.obstacle_collision += bool(events.get("collision_obstacle"))
-        v.speed += bool(events.get("speed_violation"))
-        v.velocity += bool(events.get("velocity_violation"))
-        v.velocity_during_collision += bool(events.get("collision_velocity_exceeded"))
+        return_sum += float(rec.get("reward", 0.0))
+        steps += 1
+        if events.get("collision_env"):
+            collision += 1
+        if events.get("collision_obstacle"):
+            obstacle += 1
+        if events.get("speed_violation"):
+            speed += 1
+        if events.get("velocity_violation"):
+            velocity += 1
+        if events.get("collision_velocity_exceeded"):
+            during += 1
         if events.get("lift_success"):
-            acc["success"] = True
-        if rec.get("terminated") and not events.get("lift_success"):
-            acc["failed"] = True
-    flush()
+            success = True
+        elif rec.get("terminated"):
+            failed = True
+    if steps:
+        violations = ViolationCounts(collision, obstacle, speed, velocity, during)
+        episodes.append(EpisodeRecord(return_sum, steps, success, violations, failed))
     return episodes
 
 

@@ -17,6 +17,8 @@ from safegrasp.env import GraspEnv, RewardMode
 from safegrasp import runlog
 from safegrasp.runlog import (
     EpisodeLogWriter,
+    EpisodeRecord,
+    ViolationCounts,
     load_episodes,
     read_log,
     records_to_episodes,
@@ -89,6 +91,54 @@ class TestConfig:
             load_config("/nonexistent/run.ini")
 
 
+def reference_records_to_episodes(step_records: list[dict]) -> list[EpisodeRecord]:
+    """Per-episode aggregation through an accumulator dict: the reference
+    that ``records_to_episodes`` must match."""
+    episodes: list[EpisodeRecord] = []
+    current_id = None
+    acc = None
+
+    def flush():
+        if acc is not None and acc["steps"] > 0:
+            episodes.append(
+                EpisodeRecord(
+                    return_sum=acc["return"],
+                    steps=acc["steps"],
+                    success=acc["success"],
+                    violations=acc["violations"],
+                    terminated_by_failure=acc["failed"],
+                )
+            )
+
+    for rec in step_records:
+        ep = rec.get("episode")
+        if ep != current_id:
+            flush()
+            current_id = ep
+            acc = {
+                "return": 0.0,
+                "steps": 0,
+                "success": False,
+                "violations": ViolationCounts(),
+                "failed": False,
+            }
+        events = rec.get("events", {})
+        acc["return"] += float(rec.get("reward", 0.0))
+        acc["steps"] += 1
+        v = acc["violations"]
+        v.collision += bool(events.get("collision_env"))
+        v.obstacle_collision += bool(events.get("collision_obstacle"))
+        v.speed += bool(events.get("speed_violation"))
+        v.velocity += bool(events.get("velocity_violation"))
+        v.velocity_during_collision += bool(events.get("collision_velocity_exceeded"))
+        if events.get("lift_success"):
+            acc["success"] = True
+        if rec.get("terminated") and not events.get("lift_success"):
+            acc["failed"] = True
+    flush()
+    return episodes
+
+
 class TestRunLog:
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -122,6 +172,58 @@ class TestRunLog:
         assert episodes[0].violations.collision == 1
         assert episodes[1].success
         assert not episodes[1].terminated_by_failure
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--policy", "scripted", "--seed", "3"),
+            ("--policy", "scripted", "--scenario", "obstacle", "--seed", "4",
+             "--disturb-surface", "0.075", "--disturb-object", "0.005"),
+            ("--policy", "random", "--seed", "5"),
+            ("--policy", "random", "--scenario", "obstacle", "--seed", "6"),
+        ],
+        ids=["scripted", "scripted-obstacle-disturbed", "random", "random-obstacle"],
+    )
+    def test_episode_aggregation_matches_reference_on_eval_logs(self, tmp_path, argv):
+        assert run_cli("evaluate", *argv, "--episodes", "6", "--out", tmp_path) == 0
+        _, records = read_log(next(tmp_path.glob("eval_*.jsonl")))
+        expected = reference_records_to_episodes(records)
+        assert len(expected) == 6
+        assert repr(records_to_episodes(records)) == repr(expected)
+
+    def test_episode_aggregation_matches_reference_on_edge_cases(self):
+        def step(episode, reward=-0.5, terminated=False, **events):
+            return {"episode": episode, "reward": reward, "terminated": terminated,
+                    "events": events}
+
+        cases = [
+            # ids A, B, A: a repeated id after another episode is a new episode
+            [step(7), step(7), step(3), step(7, terminated=True)],
+            # terminated without a lift is a failure
+            [step(0), step(0, terminated=True, collision_env=True)],
+            # lift on the terminal step is a success, not a failure
+            [step(0), step(0, reward=15.0, terminated=True, lift_success=True)],
+            # truthy values that are not bool count like True, falsy like False
+            [
+                step(1, collision_env=1, collision_obstacle="yes", speed_violation=2.5,
+                     velocity_violation=[0], collision_velocity_exceeded={"a": 1}),
+                step(1, collision_env=0, collision_obstacle="", speed_violation=0.0,
+                     velocity_violation=[], collision_velocity_exceeded=None,
+                     lift_success=1),
+                step(1, terminated=1, lift_success=0),
+            ],
+            # single-step episodes, and an integer reward
+            [
+                step(0, reward=-1, terminated=True),
+                step(1),
+                step(2, terminated=True, lift_success=True),
+            ],
+            [],
+        ]
+        for records in cases:
+            assert repr(records_to_episodes(records)) == repr(
+                reference_records_to_episodes(records)
+            )
 
     def test_env_logs_parse_back(self, tmp_path):
         path = tmp_path / "episode.jsonl"
@@ -266,6 +368,10 @@ class TestCli:
             assert len(rows) == 1
             # one timing column: the name and its microseconds
             assert len(rows[0].split()) == 2
+        for name in ("replay audit (per record)", "tqc.train_step (batch 256)"):
+            rows = [line for line in lines if line.startswith(name)]
+            assert len(rows) == 1
+            assert float(rows[0][len(name):]) > 0.0
         assert "fallback" not in out
 
     def test_reward_mode_flag_sets_reward_config(self, tmp_path):
@@ -302,9 +408,14 @@ HEADER = '{"reward":{"mode":"sd-drl"},"seed":0,"type":"header"}'
 STEP = '{"episode":0,"events":{},"reward":-0.25,"step":1,"terminated":false}'
 MALFORMED_LOGS = {
     "invalid_json": f"{HEADER}\n{STEP}\n{{not json\n",
+    "trailing_data": f"{HEADER}\n{STEP} {{}}\n",
     "not_an_object": f"{HEADER}\n{STEP}\n[1, 2]\n",
     "missing_events": HEADER + "\n" + STEP.replace('"events":{},', "") + "\n",
     "missing_reward": HEADER + "\n" + STEP.replace('"reward":-0.25,', "") + "\n",
+    "string_reward": HEADER + "\n" + STEP.replace('"reward":-0.25', '"reward":"-0.25"') + "\n",
+    "missing_episode": HEADER + "\n" + STEP.replace('"episode":0,', "") + "\n",
+    "non_int_episode": HEADER + "\n" + STEP.replace('"episode":0', '"episode":0.0') + "\n",
+    "utf8_bom": "\ufeff" + HEADER + "\n" + STEP + "\n",
     "empty": "",
     "header_only": HEADER + "\n",
 }
@@ -334,6 +445,29 @@ class TestMalformedLogs:
         log.write_text(MALFORMED_LOGS["missing_events"])
         with pytest.raises(runlog.LogFormatError, match=r"log\.jsonl:2: .*'events'"):
             read_log(log)
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            (
+                "invalid_json",
+                "3: invalid JSON: Expecting property name enclosed in double quotes: "
+                "line 1 column 2 (char 1)",
+            ),
+            ("trailing_data", "2: invalid JSON: Extra data: line 1 column 70 (char 69)"),
+            ("not_an_object", "3: not a JSON object"),
+            ("missing_events", "2: step record has no 'events' object"),
+            ("string_reward", "2: step record has no numeric 'reward'"),
+            ("missing_episode", "2: step record has no integer 'episode'"),
+            ("non_int_episode", "2: step record has no integer 'episode'"),
+        ],
+    )
+    def test_message_text(self, tmp_path, case, message):
+        log = tmp_path / "log.jsonl"
+        log.write_text(MALFORMED_LOGS[case])
+        with pytest.raises(runlog.LogFormatError) as info:
+            read_log(log)
+        assert str(info.value) == f"{log}:{message}"
 
     @pytest.mark.parametrize(
         "text,message",

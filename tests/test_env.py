@@ -1,6 +1,7 @@
 """Environment: reward engine, command shield, grasp logic, termination."""
 
 import copy
+import dataclasses
 import itertools
 import json
 
@@ -148,6 +149,21 @@ class TestComputeReward:
             RewardConfig(grip_rew=-1.0)
         with pytest.raises(ValueError):
             RewardConfig(force_failure_threshold=0.0)
+
+    def test_events_round_trip_through_a_dict(self):
+        original = events(distance_d=0.25, lift_success=True, collision_force=3.5)
+        restored = TransitionEvents.from_dict(dict(reversed(original.as_dict().items())))
+        assert restored == original
+        # fields in declaration order, whatever the order of the keys
+        assert list(restored.as_dict()) == [f.name for f in dataclasses.fields(original)]
+        assert TransitionEvents.from_dict({"ik_failure": True}) == events(ik_failure=True)
+        assert TransitionEvents.from_dict({}) == TransitionEvents()
+
+    def test_unknown_event_fields_named_in_sorted_order(self):
+        data = {"zeta": 1, "distance_d": 0.1, "alpha": True}
+        with pytest.raises(ValueError) as info:
+            TransitionEvents.from_dict(data)
+        assert str(info.value) == "unknown event fields: ['alpha', 'zeta']"
 
 
 class TestReset:

@@ -11,6 +11,7 @@ from safegrasp.nn import (
     ParameterSet,
     adam_update,
     forward,
+    forward_tape,
     gradients,
     init_mlp_params,
     load_checkpoint,
@@ -170,6 +171,34 @@ class TestForward:
         params = init_mlp_params(net, np.random.default_rng(7))
         x = np.random.default_rng(8).normal(size=(6, 3))
         assert forward(net, params, x).tobytes() == forward(net, params, x).tobytes()
+
+    @pytest.mark.parametrize(
+        "sizes,activation,ensemble,x_shape",
+        [
+            ((5, 16, 16, 4), "identity", None, (5,)),
+            ((5, 16, 16, 4), "identity", None, (7, 5)),
+            ((5, 16, 16, 4), "tanh", None, (5,)),
+            ((5, 16, 16, 4), "tanh", None, (7, 5)),
+            ((6, 16, 16, 25), "identity", 2, (7, 6)),
+            ((6, 16, 16, 25), "identity", 2, (6,)),
+        ],
+        ids=["1d", "batch", "tanh-1d", "tanh-batch", "ensemble", "ensemble-1d"],
+    )
+    def test_matches_tape_bit_for_bit(self, sizes, activation, ensemble, x_shape):
+        net = Mlp(sizes, output_activation=activation)
+        rng = np.random.default_rng(11)
+        params = init_mlp_params(net, rng, ensemble=ensemble)
+        # unit-scale outputs, so tanh is not flat and relu kinks are crossed
+        for i in range(net.n_layers):
+            params[f"b{i}"] = rng.normal(size=params[f"b{i}"].shape)
+        params[f"w{net.n_layers - 1}"] = params[f"w{net.n_layers - 1}"] * 100.0
+        x = rng.normal(size=x_shape)
+        tensors = {name: Tensor(arr) for name, arr in params.items()}
+        taped = forward_tape(net, tensors, Tensor(np.atleast_2d(x))).data
+        expected = taped[0] if x.ndim == 1 else taped
+        out = forward(net, params, x)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
 
     def test_shape_mismatch_raises(self):
         net = Mlp((3, 4, 2))
