@@ -38,7 +38,7 @@ from .env import ACTION_DIM, OBSERVATION_DIM, RewardConfig, TransitionEvents, co
 from .fsa import build_report, format_report_text, inputs_from_episodes, run_assessment
 from .kinematics import ArmModel
 from .metrics import summarize
-from .rollout import rollout_episodes
+from .rollout import EVAL_SEED_STREAM, log_header, rollout_episodes
 from .runlog import (
     EpisodeLogWriter,
     LogFormatError,
@@ -241,23 +241,14 @@ def cmd_evaluate(args) -> int:
     log_path = out_dir / f"eval_{_timestamp()}_s{config.seed}.jsonl"
     writer = EpisodeLogWriter(
         log_path,
-        header={
-            "seed": config.seed,
-            "scenario": config.scenario.value,
-            "reward": config.reward.as_dict(),
-            "policy": args.policy,
-            "disturbance": {
-                "surface_height_delta": disturbance.surface_height_delta,
-                "object_size_delta": disturbance.object_size_delta,
-            },
-        },
+        header=log_header(config, config.scenario.value, args.policy, disturbance),
     )
     records = rollout_episodes(
         env,
         policy,
         episodes=args.episodes,
         base_seed=config.seed,
-        stream=1,
+        stream=EVAL_SEED_STREAM,
         scenario=config.scenario,
         disturbance=disturbance,
         log_writer=writer,
@@ -296,12 +287,9 @@ def cmd_assess(args) -> int:
             env = config.build_env()
             with EpisodeLogWriter(
                 out_dir / f"assess_{scenario}_{_timestamp()}_s{config.seed}.jsonl",
-                header={
-                    "seed": config.seed,
-                    "scenario": scenario,
-                    "reward": config.reward.as_dict(),
-                    "policy": args.policy,
-                },
+                header=log_header(
+                    config, scenario, args.policy, disturbance or DisturbanceSpec()
+                ),
             ) as writer:
                 _, records = run_assessment(
                     env,

@@ -224,9 +224,6 @@ class Action(tuple):
             ),
         )
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self)
-
     def __getnewargs__(self):  # copy and pickle through ``__new__``'s signature
         return self[:3], self[3]
 
@@ -618,10 +615,6 @@ class GraspEnv:
     @property
     def joints(self) -> np.ndarray:
         return np.array(self._q)
-
-    @property
-    def episode_index(self) -> int:
-        return self._episode_index
 
     @property
     def done(self) -> bool:

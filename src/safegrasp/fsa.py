@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rollout
+from .rollout import ASSESSMENT_SEED_STREAM  # rollout seed stream of assessments
 from .runlog import EpisodeRecord
 
 PFD_FLOOR = 1.0e-12  # reported when the observed behaviour is perfectly safe
@@ -186,9 +188,6 @@ def format_report_text(report: FsaReport) -> str:
     return "\n".join(lines)
 
 
-ASSESSMENT_SEED_STREAM = 2  # rollout seed stream reserved for assessments
-
-
 def run_assessment(
     env,
     policy,
@@ -205,9 +204,7 @@ def run_assessment(
     ``seed`` so the protocol is reproducible.  Each step record also goes to
     ``log_writer`` when one is given; it is left open for its owner to close.
     """
-    from .rollout import rollout_episodes
-
-    episode_records = rollout_episodes(
+    episode_records = rollout.rollout_episodes(
         env,
         policy,
         episodes=episodes,

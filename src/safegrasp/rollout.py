@@ -1,10 +1,16 @@
-"""Shared episode rollout driving: seeding, stepping, aggregation."""
+"""The one episode driver: seeding, stepping, aggregation."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .runlog import EpisodeRecord, records_to_episodes
+
+# purpose streams of ``derive_seed``: each use of a run seed draws its own
+TRAIN_SEED_STREAM = 0
+EVAL_SEED_STREAM = 1
+ASSESSMENT_SEED_STREAM = 2
+WARMUP_SEED_STREAM = 3
 
 
 def derive_seed(base_seed: int, stream: int, index: int) -> int:
@@ -13,18 +19,22 @@ def derive_seed(base_seed: int, stream: int, index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint32)[0])
 
 
-def run_episode(env, policy, seed: int, scenario, disturbance=None):
-    """One full episode; returns ``(return_sum, steps, last_result)``."""
+def episode_steps(env, policy, seed: int, scenario, disturbance=None):
+    """Reset ``env`` and yield ``(obs, action, result)`` for each step.
+
+    ``policy`` maps an observation to an action and is called only when the
+    next step is requested, so a caller may update whatever it reads between
+    steps, or stop consuming early.  The generator ends after the step that
+    terminates or truncates the episode.
+    """
     obs = env.reset(seed=seed, scenario=scenario, disturbance=disturbance)
-    total = 0.0
-    steps = 0
     while True:
-        result = env.step(policy(obs))
-        obs = result.observation
-        total += result.reward
-        steps += 1
+        action = policy(obs)
+        result = env.step(action)
+        yield obs, action, result
         if result.terminated or result.truncated:
-            return total, steps, result
+            return
+        obs = result.observation
 
 
 def rollout_episodes(
@@ -44,16 +54,30 @@ def rollout_episodes(
     env.set_log_writer(RecordSink(sink, forward=log_writer))
     try:
         for index in range(episodes):
-            run_episode(
-                env,
-                policy,
-                seed=derive_seed(base_seed, stream, index),
-                scenario=scenario,
-                disturbance=disturbance,
-            )
+            seed = derive_seed(base_seed, stream, index)
+            for _ in episode_steps(env, policy, seed, scenario, disturbance):
+                pass
     finally:
         env.set_log_writer(None)
     return records_to_episodes(sink)
+
+
+def log_header(config, scenario: str, policy=None, disturbance=None) -> dict:
+    """Header of a step log: what ``replay`` and ``assess --log`` need to
+    audit it, plus the policy and disturbance when the caller names them."""
+    header = {
+        "seed": config.seed,
+        "scenario": scenario,
+        "reward": config.reward.as_dict(),
+    }
+    if policy is not None:
+        header["policy"] = policy
+    if disturbance is not None:
+        header["disturbance"] = {
+            "surface_height_delta": disturbance.surface_height_delta,
+            "object_size_delta": disturbance.object_size_delta,
+        }
+    return header
 
 
 class RecordSink:

@@ -76,8 +76,9 @@ class LogFormatError(ValueError):
 def read_log(path) -> tuple[dict, list[dict]]:
     """Parse a JSONL log into ``(header, step_records)``.
 
-    Every line but the header must be a step record: a JSON object with an
-    integer ``episode``, an ``events`` object and a numeric ``reward``.
+    A header, if any, is the first record.  Every other line must be a step
+    record: a JSON object with an integer ``episode``, an ``events`` object
+    and a numeric ``reward``.
     Each line is decoded on its own, so a malformed line is refused even
     where the lines around it would re-join into valid JSON.
     """
@@ -98,6 +99,8 @@ def read_log(path) -> tuple[dict, list[dict]]:
             if type(record) is not dict:
                 raise LogFormatError(f"{path}:{line_no}: not a JSON object")
             if record.get("type") == "header":
+                if records or header:
+                    raise LogFormatError(f"{path}:{line_no}: header after the first record")
                 header = record
                 continue
             if type(record.get("events")) is not dict:

@@ -4,7 +4,8 @@ One learner owns the agent; rollouts come either from the learner thread
 itself (``workers=1``, fully deterministic) or from worker threads that act
 on read-only parameter snapshots refreshed between episodes and feed
 transitions to the learner over a queue (``workers>1``, throughput over
-bit-reproducibility).
+bit-reproducibility).  Both drive ``rollout.episode_steps`` and hand each
+transition to the same learner half, ``_learn`` and ``_end_episode``.
 
 Run outputs, all under the run directory:
 
@@ -26,7 +27,16 @@ import numpy as np
 
 from .config import RunConfig
 from .metrics import summarize
-from .rollout import RecordSink, derive_seed, rollout_episodes
+from .rollout import (
+    EVAL_SEED_STREAM,
+    TRAIN_SEED_STREAM,
+    WARMUP_SEED_STREAM,
+    RecordSink,
+    derive_seed,
+    episode_steps,
+    log_header,
+    rollout_episodes,
+)
 from .runlog import (
     EpisodeLogWriter,
     dumps_canonical,
@@ -36,15 +46,10 @@ from .runlog import (
 from .tqc import ReplayBuffer, TqcAgent
 from .env import ACTION_DIM, OBSERVATION_DIM
 
-TRAIN_SEED_STREAM = 0
-EVAL_SEED_STREAM = 1
-WARMUP_SEED_STREAM = 3
-
 DIAGNOSTICS_EVERY = 100  # updates per diagnostics record
 
 
-def _episode_summary(index: int, records) -> dict:
-    rec = records[-1]
+def _episode_summary(index: int, rec) -> dict:
     return {
         "episode": index,
         "steps": rec.steps,
@@ -89,18 +94,12 @@ class Trainer:
             derive_seed(config.seed, WARMUP_SEED_STREAM, 0)
         )
         self.eval_history: list[dict] = []
+        self._steps = 0  # transitions the learner has consumed
+        self._episodes = 0  # training episodes summarised
         self._diag_fh = None
         self._train_fh = None
 
     # -- helpers ---------------------------------------------------------
-
-    def _log_header(self) -> dict:
-        cfg = self.config
-        return {
-            "seed": cfg.seed,
-            "scenario": cfg.scenario.value,
-            "reward": cfg.reward.as_dict(),
-        }
 
     def _write_diag(self, diag: dict) -> None:
         if diag["update"] % DIAGNOSTICS_EVERY != 0:
@@ -113,7 +112,7 @@ class Trainer:
         cfg = self.config
         env = cfg.build_env()
         log_path = self.out_dir / "eval" / f"eval_{block:04d}.jsonl"
-        writer = EpisodeLogWriter(log_path, header=self._log_header())
+        writer = EpisodeLogWriter(log_path, header=log_header(cfg, cfg.scenario.value))
         policy = self.agent.actor_snapshot()
         records = rollout_episodes(
             env,
@@ -130,17 +129,6 @@ class Trainer:
         self.eval_history.append(summary)
         return summary
 
-    def _maybe_checkpoint(self, step: int) -> None:
-        if (
-            self.checkpoint_every_steps
-            and step % self.checkpoint_every_steps == 0
-            and step < self.total_steps
-        ):
-            self.agent.save(
-                self.out_dir / f"checkpoint_{step:08d}.ckpt",
-                extra_meta={"env_steps": step},
-            )
-
     # -- main entry --------------------------------------------------------
 
     def run(self) -> dict:
@@ -150,9 +138,9 @@ class Trainer:
         self._train_fh = (self.out_dir / "train_episodes.jsonl").open("w")
         try:
             if self.workers == 1:
-                episodes = self._run_serial()
+                self._run_serial()
             else:
-                episodes = self._run_threaded()
+                self._run_threaded()
         finally:
             self._diag_fh.close()
             self._train_fh.close()
@@ -166,7 +154,7 @@ class Trainer:
             "scenario": self.config.scenario.value,
             "reward_mode": self.config.reward.mode.value,
             "total_steps": self.total_steps,
-            "episodes": episodes,
+            "episodes": self._episodes,
             "updates": self.agent.updates,
             "final_eval": final_eval,
             "eval_history": self.eval_history,
@@ -177,54 +165,66 @@ class Trainer:
         )
         return summary
 
+    # -- learner half, shared by both paths ------------------------------------
+
+    def _learn(self, obs, action, result) -> bool:
+        """Store one transition and update on cadence; True at ``total_steps``."""
+        tqc = self.config.tqc
+        self.buffer.add(
+            obs.vector,
+            action,
+            result.reward,
+            result.observation.vector,
+            result.terminated,
+        )
+        self._steps += 1
+        step = self._steps
+        if step >= tqc.warmup_steps and step % tqc.train_freq == 0:
+            diag = self.agent.train_step(self.buffer)
+            if diag:
+                self._write_diag(diag)
+        every = self.checkpoint_every_steps
+        if every and step % every == 0 and step < self.total_steps:
+            self.agent.save(
+                self.out_dir / f"checkpoint_{step:08d}.ckpt",
+                extra_meta={"env_steps": step},
+            )
+        return step >= self.total_steps
+
+    def _end_episode(self, records: list[dict]) -> None:
+        """Summarise the consumed step records; evaluate on cadence."""
+        (episode,) = records_to_episodes(records)
+        summary = _episode_summary(self._episodes, episode)
+        self._train_fh.write(dumps_canonical(summary) + "\n")
+        self._episodes += 1
+        if self._episodes % self.eval_every_episodes == 0:
+            self._evaluate(block=self._episodes // self.eval_every_episodes)
+
     # -- serial path --------------------------------------------------------
 
-    def _run_serial(self) -> int:
+    def _run_serial(self) -> None:
         cfg = self.config
         tqc = cfg.tqc
         env = cfg.build_env()
-        step = 0
-        episode = 0
-        while step < self.total_steps:
-            obs = env.reset(
-                seed=derive_seed(cfg.seed, TRAIN_SEED_STREAM, episode),
-                scenario=cfg.scenario,
-            )
-            ep_records: list[dict] = []
-            env.set_log_writer(RecordSink(ep_records))
-            while True:
-                if step < tqc.warmup_steps:
-                    action = self._warmup_rng.uniform(-1.0, 1.0, ACTION_DIM)
-                else:
-                    action = self.agent.select_action(obs.vector, stochastic=True)
-                result = env.step(action)
-                self.buffer.add(
-                    obs.vector,
-                    action,
-                    result.reward,
-                    result.observation.vector,
-                    result.terminated,
-                )
-                obs = result.observation
-                step += 1
-                if step >= tqc.warmup_steps and step % tqc.train_freq == 0:
-                    diag = self.agent.train_step(self.buffer)
-                    if diag:
-                        self._write_diag(diag)
-                self._maybe_checkpoint(step)
-                if result.terminated or result.truncated or step >= self.total_steps:
+        records: list[dict] = []
+        env.set_log_writer(RecordSink(records))
+
+        def policy(obs):
+            if self._steps < tqc.warmup_steps:
+                return self._warmup_rng.uniform(-1.0, 1.0, ACTION_DIM)
+            return self.agent.select_action(obs.vector, stochastic=True)
+
+        while self._steps < self.total_steps:
+            seed = derive_seed(cfg.seed, TRAIN_SEED_STREAM, self._episodes)
+            for obs, action, result in episode_steps(env, policy, seed, cfg.scenario):
+                if self._learn(obs, action, result):
                     break
-            env.set_log_writer(None)
-            summary = _episode_summary(episode, records_to_episodes(ep_records))
-            self._train_fh.write(dumps_canonical(summary) + "\n")
-            episode += 1
-            if episode % self.eval_every_episodes == 0:
-                self._evaluate(block=episode // self.eval_every_episodes)
-        return episode
+            self._end_episode(records)
+            records.clear()
 
     # -- threaded path ---------------------------------------------------------
 
-    def _run_threaded(self) -> int:
+    def _run_threaded(self) -> None:
         cfg = self.config
         tqc = cfg.tqc
         feed: queue.Queue = queue.Queue(maxsize=self.workers * 2)
@@ -232,49 +232,41 @@ class Trainer:
         snapshot_lock = threading.Lock()
         shared = {"snapshot": self.agent.actor_snapshot(), "warmup_done": False}
 
+        def send(item) -> None:
+            while not stop.is_set():
+                try:
+                    feed.put(item, timeout=0.2)
+                    return
+                except queue.Full:
+                    continue
+
         def worker(worker_id: int) -> None:
             env = cfg.build_env()
             rng = np.random.default_rng(
                 derive_seed(cfg.seed, WARMUP_SEED_STREAM, worker_id + 1)
             )
+
+            def policy(obs):
+                if warmed:
+                    return snapshot.select_action(obs.vector, stochastic=True, rng=rng)
+                return rng.uniform(-1.0, 1.0, ACTION_DIM)
+
             episode = 0
-            while not stop.is_set():
-                with snapshot_lock:
-                    policy = shared["snapshot"]
-                    warmed = shared["warmup_done"]
-                obs = env.reset(
-                    seed=derive_seed(cfg.seed, TRAIN_SEED_STREAM, worker_id * 1_000_000 + episode),
-                    scenario=cfg.scenario,
-                )
-                transitions = []
-                records: list[dict] = []
-                env.set_log_writer(RecordSink(records))
-                while True:
-                    if warmed:
-                        action = policy.select_action(obs.vector, stochastic=True, rng=rng)
-                    else:
-                        action = rng.uniform(-1.0, 1.0, ACTION_DIM)
-                    result = env.step(action)
-                    transitions.append(
-                        (
-                            obs.vector,
-                            action,
-                            result.reward,
-                            result.observation.vector,
-                            result.terminated,
-                        )
-                    )
-                    obs = result.observation
-                    if result.terminated or result.truncated:
-                        break
-                env.set_log_writer(None)
-                episode += 1
+            try:
                 while not stop.is_set():
-                    try:
-                        feed.put((transitions, records), timeout=0.2)
-                        break
-                    except queue.Full:
-                        continue
+                    with snapshot_lock:
+                        snapshot = shared["snapshot"]
+                        warmed = shared["warmup_done"]
+                    seed = derive_seed(
+                        cfg.seed, TRAIN_SEED_STREAM, worker_id * 1_000_000 + episode
+                    )
+                    records: list[dict] = []
+                    env.set_log_writer(RecordSink(records))
+                    steps = list(episode_steps(env, policy, seed, cfg.scenario))
+                    episode += 1
+                    send((steps, records))
+            except Exception as exc:  # the learner re-raises it
+                send(exc)
 
         threads = [
             threading.Thread(target=worker, args=(i,), daemon=True)
@@ -282,38 +274,20 @@ class Trainer:
         ]
         for t in threads:
             t.start()
-
-        step = 0
-        episode = 0
         try:
-            while step < self.total_steps:
-                transitions, records = feed.get()
-                for obs_v, action, reward, next_obs_v, terminated in transitions:
-                    self.buffer.add(obs_v, action, reward, next_obs_v, terminated)
-                    step += 1
-                    if step >= tqc.warmup_steps and step % tqc.train_freq == 0:
-                        diag = self.agent.train_step(self.buffer)
-                        if diag:
-                            self._write_diag(diag)
-                    self._maybe_checkpoint(step)
-                    if step >= self.total_steps:
+            while self._steps < self.total_steps:
+                item = feed.get()
+                if isinstance(item, Exception):
+                    raise item
+                steps, records = item
+                for consumed, (obs, action, result) in enumerate(steps, start=1):
+                    if self._learn(obs, action, result):
                         break
-                summary = _episode_summary(episode, records_to_episodes(records))
-                self._train_fh.write(dumps_canonical(summary) + "\n")
-                episode += 1
                 with snapshot_lock:
                     shared["snapshot"] = self.agent.actor_snapshot()
-                    shared["warmup_done"] = step >= tqc.warmup_steps
-                if episode % self.eval_every_episodes == 0:
-                    self._evaluate(block=episode // self.eval_every_episodes)
+                    shared["warmup_done"] = self._steps >= tqc.warmup_steps
+                self._end_episode(records[:consumed])
         finally:
-            stop.set()
-            # drain so blocked workers can observe the stop flag
-            while True:
-                try:
-                    feed.get_nowait()
-                except queue.Empty:
-                    break
+            stop.set()  # workers see it within one put timeout
             for t in threads:
                 t.join(timeout=5.0)
-        return episode

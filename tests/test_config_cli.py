@@ -340,6 +340,20 @@ class TestCli:
         report_log = json.loads((out_log / "fsa_report.json").read_text())
         assert report_log == report_roll
 
+    def test_assess_log_header_names_its_disturbance(self, tmp_path):
+        for extra, expected in (([], (0.075, 0.005)), (["--no-disturb"], (0.0, 0.0))):
+            out = tmp_path / f"assess{len(extra)}"
+            code = run_cli(
+                "assess", "--policy", "scripted", "--episodes", "1",
+                "--scenarios", "normal", "--seed", "23", "--out", out, *extra,
+            )
+            assert code == 0
+            header, _ = read_log(next(out.glob("assess_*.jsonl")))
+            disturbance = header["disturbance"]
+            assert (
+                disturbance["surface_height_delta"], disturbance["object_size_delta"]
+            ) == expected
+
     def test_assess_empty_log_exit_2(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -387,7 +401,7 @@ class TestCli:
         assert header["reward"]["coll_cost"] == -9.0
 
 
-def run_python(*argv) -> subprocess.CompletedProcess:
+def run_python(*argv, timeout=120) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports safegrasp from this source tree."""
     src = str(Path(safegrasp.__file__).resolve().parents[1])
     return subprocess.run(
@@ -395,7 +409,7 @@ def run_python(*argv) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -418,6 +432,8 @@ MALFORMED_LOGS = {
     "utf8_bom": "\ufeff" + HEADER + "\n" + STEP + "\n",
     "empty": "",
     "header_only": HEADER + "\n",
+    "second_header": f"{HEADER}\n{HEADER}\n{STEP}\n",
+    "late_header": f"{HEADER}\n{STEP}\n{HEADER}\n",
 }
 
 
@@ -460,6 +476,8 @@ class TestMalformedLogs:
             ("string_reward", "2: step record has no numeric 'reward'"),
             ("missing_episode", "2: step record has no integer 'episode'"),
             ("non_int_episode", "2: step record has no integer 'episode'"),
+            ("second_header", "2: header after the first record"),
+            ("late_header", "3: header after the first record"),
         ],
     )
     def test_message_text(self, tmp_path, case, message):
@@ -537,6 +555,56 @@ class TestTrainerSmoke:
         )
         assert code == 0
         assert (out / "checkpoint.ckpt").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_episode_steps_sum_to_total_steps(self, tmp_path, workers):
+        """Each episode summary counts only the transitions the learner used."""
+        config_path = tmp_path / "tiny.ini"
+        config_path.write_text(
+            "[tqc]\nbatch_size = 32\nhidden_sizes = 16 16\nwarmup_steps = 50\n"
+            "replay_capacity = 5000\n"
+        )
+        out = tmp_path / "run"
+        code = run_cli(
+            "train", "--config", config_path, "--steps", "250",
+            "--eval-every", "100", "--eval-episodes", "1",
+            "--workers", str(workers), "--seed", "2", "--out", out,
+        )
+        assert code == 0
+        lines = (out / "train_episodes.jsonl").read_text().splitlines()
+        steps = [json.loads(line)["steps"] for line in lines]
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert sum(steps) == metrics["total_steps"] == 250
+        assert len(steps) == metrics["episodes"]
+
+    def test_worker_exception_reaches_the_learner(self):
+        """A rollout worker that raises stops the run with its exception; in a
+        subprocess, so that a hang fails the test instead of the suite."""
+        code = (
+            "import tempfile, threading\n"
+            "from safegrasp.config import RunConfig\n"
+            "from safegrasp.env import GraspEnv\n"
+            "from safegrasp.training import Trainer\n"
+            "real_step = GraspEnv.step\n"
+            "def step(self, action):\n"
+            "    if threading.current_thread() is not threading.main_thread():\n"
+            "        raise RuntimeError('worker step failed')\n"
+            "    return real_step(self, action)\n"
+            "GraspEnv.step = step\n"
+            "with tempfile.TemporaryDirectory() as tmp:\n"
+            "    try:\n"
+            "        Trainer(RunConfig(seed=1), tmp, total_steps=200, workers=2).run()\n"
+            "    except RuntimeError as exc:\n"
+            "        print('raised:', exc)\n"
+            "    alive = [t for t in threading.enumerate() if t is not threading.main_thread()]\n"
+            "    print('threads left:', len(alive))\n"
+        )
+        proc = run_python("-c", code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "raised: worker step failed",
+            "threads left: 0",
+        ]
 
 
 def fail_metrics_replace(monkeypatch):

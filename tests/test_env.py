@@ -23,8 +23,8 @@ from safegrasp.env import (
     compute_reward,
 )
 from safegrasp.kinematics import ArmModel
-from safegrasp.rollout import rollout_episodes
-from safegrasp.tqc import ScriptedGraspPolicy
+from safegrasp.rollout import episode_steps, rollout_episodes
+from safegrasp.tqc import RandomPolicy, ScriptedGraspPolicy
 from safegrasp.world import DisturbanceSpec
 
 from conftest import drive_to
@@ -625,3 +625,30 @@ class TestStepRecordTypes:
                     f"{path} is {type(value)}"
                 )
         assert any(r["events"]["lift_success"] is True for r in writer.records)
+
+
+class TestEpisodeSteps:
+    def test_yields_every_step_until_the_episode_ends(self):
+        env = GraspEnv()
+        steps = list(episode_steps(env, RandomPolicy(seed=4), seed=3, scenario="normal"))
+        *body, (_, _, last) = steps
+        assert last.terminated or last.truncated
+        assert not any(result.terminated or result.truncated for _, _, result in body)
+        for (_, _, previous), (obs, _, _) in zip(steps, steps[1:]):
+            assert obs is previous.observation
+
+    def test_policy_runs_only_for_requested_steps(self):
+        env = GraspEnv()
+        seen = []
+
+        def policy(obs):
+            seen.append(obs)
+            return np.zeros(4)
+
+        steps = episode_steps(env, policy, seed=3, scenario="normal")
+        first = next(steps)
+        second = next(steps)
+        steps.close()
+        assert len(seen) == 2
+        assert seen[0] is first[0] and seen[1] is second[0]
+        assert second[0] is first[2].observation
