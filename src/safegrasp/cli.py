@@ -154,7 +154,6 @@ def _load_run_config(args) -> RunConfig:
         seed=args.seed,
         scenario=getattr(args, "scenario", None),
         reward_mode=getattr(args, "reward_mode", None),
-        out_dir=None,
     )
 
 
@@ -168,16 +167,15 @@ def _resolve_policy(kind: str, checkpoint, config: RunConfig, seed: int):
         snapshot = agent.actor_snapshot()
         return lambda obs: snapshot.select_action(obs.vector, stochastic=False)
     if kind == "scripted":
-        scripted = ScriptedGraspPolicy(
+        return ScriptedGraspPolicy(
             action_scale=config.env.action_scale,
             dt=config.env.dt,
             grasp_radius=config.env.grasp_radius,
             obstacle_half_extents=config.scene.obstacle_half_extents,
             eef_radius=config.scene.eef_radius,
+            speed_limit=config.reward.collision_velocity_threshold,
         )
-        return lambda obs: scripted(obs)
-    random_policy = RandomPolicy(seed=seed)
-    return lambda obs: random_policy(obs)
+    return RandomPolicy(seed=seed)
 
 
 def _read_step_log(path: Path) -> tuple[dict, list[dict]]:

@@ -28,6 +28,8 @@ from .kinematics import (
     inverse_kinematics,
 )
 from .world import (
+    DEFAULT_CONTACT_STIFFNESS,
+    DEFAULT_CUBE_STIFFNESS,
     Body,
     DisturbanceSpec,
     Scene,
@@ -160,18 +162,18 @@ class SceneConfig:
     """Nominal scene geometry and reset sampling regions."""
 
     table_height: float = -0.1
-    workspace_min: tuple = (0.10, -0.38, -0.18)
-    workspace_max: tuple = (0.78, 0.38, 0.45)
+    workspace_min: tuple[float, float, float] = (0.10, -0.38, -0.18)
+    workspace_max: tuple[float, float, float] = (0.78, 0.38, 0.45)
     cube_half_extent: float = 0.025
-    cube_region_min: tuple = (0.45, -0.15)
-    cube_region_max: tuple = (0.62, 0.15)
-    obstacle_half_extents: tuple = (0.025, 0.20, 0.025)
-    obstacle_region_min: tuple = (0.34, -0.05)
-    obstacle_region_max: tuple = (0.40, 0.05)
-    contact_stiffness: float = 400.0
-    cube_stiffness: float = 40.0
+    cube_region_min: tuple[float, float] = (0.45, -0.15)
+    cube_region_max: tuple[float, float] = (0.62, 0.15)
+    obstacle_half_extents: tuple[float, float, float] = (0.025, 0.20, 0.025)
+    obstacle_region_min: tuple[float, float] = (0.34, -0.05)
+    obstacle_region_max: tuple[float, float] = (0.40, 0.05)
+    contact_stiffness: float = DEFAULT_CONTACT_STIFFNESS
+    cube_stiffness: float = DEFAULT_CUBE_STIFFNESS
     eef_radius: float = 0.02
-    home_position: tuple = (0.30, 0.0, 0.15)
+    home_position: tuple[float, float, float] = (0.30, 0.0, 0.15)
 
     def __post_init__(self):
         if not self.cube_half_extent > 0.0:

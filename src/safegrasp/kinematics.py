@@ -30,11 +30,6 @@ UR5_DH = (
     (0.0, 0.0823, 0.0, 0.0),
 )
 
-DEFAULT_MAX_JOINT_SPEED = 2.97  # rad/s, per-joint command rejection threshold
-DEFAULT_IK_DAMPING = 0.05
-DEFAULT_IK_TOLERANCE = 1.0e-4
-DEFAULT_IK_MAX_ITERATIONS = 200
-
 
 class IkStatus(Enum):
     CONVERGED = "converged"
@@ -55,10 +50,10 @@ class ArmModel:
 
     dh: np.ndarray  # (6, 4) rows of a, d, alpha, theta_offset
     joint_limits: np.ndarray  # (6, 2) min/max in rad
-    max_joint_speed: float = DEFAULT_MAX_JOINT_SPEED
-    ik_damping: float = DEFAULT_IK_DAMPING
-    ik_tolerance: float = DEFAULT_IK_TOLERANCE
-    ik_max_iterations: int = DEFAULT_IK_MAX_ITERATIONS
+    max_joint_speed: float = 2.97  # rad/s, per-joint command rejection threshold
+    ik_damping: float = 0.05
+    ik_tolerance: float = 1.0e-4
+    ik_max_iterations: int = 200
     dh_rows: tuple = field(init=False, repr=False, compare=False)
     limit_rows: tuple = field(init=False, repr=False, compare=False)
 
@@ -81,6 +76,8 @@ class ArmModel:
             raise ValueError("max_joint_speed must be positive")
         if not self.ik_damping > 0.0:
             raise ValueError("ik_damping must be positive")
+        if not self.ik_tolerance > 0.0:
+            raise ValueError("ik_tolerance must be positive")
         if self.ik_max_iterations < 1:
             raise ValueError("ik_max_iterations must be >= 1")
         object.__setattr__(self, "dh", dh)

@@ -9,12 +9,13 @@ atoms with an asymmetric Huber quantile loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import kernels
 from .autodiff import Tensor, concat, custom_unary
+from .env import EnvConfig, RewardConfig, SceneConfig
 from .nn import AdamState, Mlp, ParameterSet, adam_update, forward, forward_tape, init_mlp_params
 from .nn import load_checkpoint, save_checkpoint
 
@@ -36,7 +37,7 @@ class TqcConfig:
     entropy_target: float | None = None  # default: -action_dim
     replay_capacity: int = 1_000_000
     warmup_steps: int = 1000
-    hidden_sizes: tuple = (64, 64)
+    hidden_sizes: tuple[int, ...] = (64, 64)
     train_freq: int = 1  # environment steps per gradient update
 
     def __post_init__(self):
@@ -48,6 +49,8 @@ class TqcConfig:
             raise ValueError("discount must lie in (0, 1)")
         if not 0.0 < self.target_smoothing <= 1.0:
             raise ValueError("target_smoothing must lie in (0, 1]")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be positive")
         if self.batch_size < 1 or self.replay_capacity < 1:
             raise ValueError("batch_size and replay_capacity must be >= 1")
         if self.train_freq < 1:
@@ -384,20 +387,7 @@ class TqcAgent:
             "obs_dim": self.obs_dim,
             "act_dim": self.act_dim,
             "updates": self.updates,
-            "config": {
-                "n_critics": self.config.n_critics,
-                "quantiles_per_critic": self.config.quantiles_per_critic,
-                "dropped_per_critic": self.config.dropped_per_critic,
-                "discount": self.config.discount,
-                "target_smoothing": self.config.target_smoothing,
-                "learning_rate": self.config.learning_rate,
-                "batch_size": self.config.batch_size,
-                "entropy_target": self.entropy_target,
-                "replay_capacity": self.config.replay_capacity,
-                "warmup_steps": self.config.warmup_steps,
-                "hidden_sizes": list(self.config.hidden_sizes),
-                "train_freq": self.config.train_freq,
-            },
+            "config": {**asdict(self.config), "entropy_target": self.entropy_target},
         }
         if extra_meta:
             meta.update(extra_meta)
@@ -406,8 +396,7 @@ class TqcAgent:
     @classmethod
     def load(cls, path, seed: int = 0) -> "TqcAgent":
         arrays, meta = load_checkpoint(path)
-        config = TqcConfig(**{**meta["config"], "hidden_sizes": tuple(meta["config"]["hidden_sizes"])})
-        agent = cls(meta["obs_dim"], meta["act_dim"], config, seed=seed)
+        agent = cls(meta["obs_dim"], meta["act_dim"], TqcConfig(**meta["config"]), seed=seed)
         for name in agent.actor_params.names():
             agent.actor_params[name] = arrays[f"actor/{name}"]
         for name in agent.critic_params.names():
@@ -425,21 +414,23 @@ class TqcAgent:
 class ScriptedGraspPolicy:
     """Deterministic reach-descend-grasp-lift controller.
 
-    Moves are capped below the safety-rated reduced speed so a clean run
-    produces no velocity violations; with an obstacle present the controller
-    climbs over it before traversing.
+    Moves are capped below the safety-rated reduced speed ``speed_limit``
+    (m/s) so a clean run produces no velocity violations; with an obstacle
+    present the controller climbs over it before traversing.  The defaults
+    are those of the env, scene and reward configurations.
     """
 
     def __init__(
         self,
-        action_scale: float = 0.02,
-        dt: float = 0.05,
-        grasp_radius: float = 0.01,
-        obstacle_half_extents=(0.025, 0.20, 0.025),
-        eef_radius: float = 0.02,
+        action_scale: float = EnvConfig.action_scale,
+        dt: float = EnvConfig.dt,
+        grasp_radius: float = EnvConfig.grasp_radius,
+        obstacle_half_extents=SceneConfig.obstacle_half_extents,
+        eef_radius: float = SceneConfig.eef_radius,
+        speed_limit: float = RewardConfig.collision_velocity_threshold,
     ):
         self.action_scale = action_scale
-        self.step_cap = 0.96 * 0.25 * dt  # stay under the reduced-speed limit
+        self.step_cap = 0.96 * speed_limit * dt  # stay under the reduced-speed limit
         self.grasp_radius = grasp_radius
         self.obstacle_half = np.asarray(obstacle_half_extents, dtype=np.float64)
         self.eef_radius = eef_radius

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .metrics import summarize
 from .rollout import (
     EVAL_SEED_STREAM,
@@ -77,6 +77,11 @@ class Trainer:
             raise ValueError("evaluation cadence values must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if config.tqc.replay_capacity < config.tqc.batch_size:
+            raise ConfigError(
+                f"replay_capacity ({config.tqc.replay_capacity}) must be at least "
+                f"batch_size ({config.tqc.batch_size}), or no update can run"
+            )
         self.config = config
         self.out_dir = Path(out_dir)
         self.total_steps = int(total_steps)

@@ -26,7 +26,6 @@ from . import kernels
 
 DEFAULT_CONTACT_STIFFNESS = 400.0  # N*s/m, chosen so 0.25 m/s -> 100 N
 DEFAULT_CUBE_STIFFNESS = 40.0  # N*s/m, light object: contact cannot reach 100 N
-DEFAULT_EEF_RADIUS = 0.02
 
 
 class Body(Enum):

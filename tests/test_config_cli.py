@@ -1,10 +1,11 @@
 """Configuration loading, log IO, and the command-line surface."""
 
+import configparser
 import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ import pytest
 
 import safegrasp
 from safegrasp.cli import main
-from safegrasp.config import ConfigError, default_config_text, load_config
-from safegrasp.env import GraspEnv, RewardMode
+from safegrasp.config import ConfigError, RunConfig, default_config_text, load_config
+from safegrasp.env import EnvConfig, GraspEnv, RewardConfig, RewardMode, SceneConfig
+from safegrasp.kinematics import ArmModel
 from safegrasp import runlog
 from safegrasp.runlog import (
     EpisodeLogWriter,
@@ -23,6 +25,7 @@ from safegrasp.runlog import (
     read_log,
     records_to_episodes,
 )
+from safegrasp.tqc import TqcConfig
 from safegrasp.training import Trainer
 
 
@@ -38,11 +41,85 @@ class TestConfig:
         path = tmp_path / "default.ini"
         path.write_text(default_config_text())
         config = load_config(path)
-        base = load_config(None)
-        assert config.reward == base.reward
-        assert config.env == base.env
-        assert config.tqc == base.tqc
-        assert np.allclose(config.arm.dh, base.arm.dh)
+        base = RunConfig()
+        for f in fields(RunConfig):
+            if f.name != "arm":
+                assert getattr(config, f.name) == getattr(base, f.name), f.name
+        for f in fields(ArmModel):
+            if f.compare:
+                assert np.array_equal(
+                    getattr(config.arm, f.name), getattr(base.arm, f.name)
+                ), f.name
+
+    def test_default_text_names_every_field(self):
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        parser.read_string(default_config_text())
+        sections = {
+            "run": RunConfig,
+            "reward": RewardConfig,
+            "env": EnvConfig,
+            "scene": SceneConfig,
+            "tqc": TqcConfig,
+            "kinematics": ArmModel,
+        }
+        # fields set elsewhere: the config objects of [run] are the other
+        # sections, the reward mode is [run] reward_mode, the DH table and
+        # the joint limits are the per-joint rows
+        elsewhere = {
+            ("run", "reward"): ("reward", None),
+            ("run", "env"): ("env", None),
+            ("run", "scene"): ("scene", None),
+            ("run", "tqc"): ("tqc", None),
+            ("run", "arm"): ("kinematics", None),
+            ("reward", "mode"): ("run", "reward_mode"),
+            ("kinematics", "dh"): ("kinematics", "joint6"),
+            ("kinematics", "joint_limits"): ("kinematics", "joint6"),
+        }
+        for section, cls in sections.items():
+            for f in fields(cls):
+                if not f.init:
+                    continue
+                where, key = elsewhere.get((section, f.name), (section, f.name))
+                if (where, key) == ("tqc", "entropy_target"):
+                    # unset by default, so named in a comment only
+                    assert "; entropy_target is unset by default" in default_config_text()
+                elif key is None:
+                    assert parser.has_section(where), where
+                else:
+                    assert parser.has_option(where, key), f"{cls.__name__}.{f.name}"
+
+    def test_reward_mode_is_a_run_key_only(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[reward]\nmode = drl\n")
+        code = run_cli(
+            "evaluate", "--policy", "random", "--episodes", "1",
+            "--config", path, "--out", tmp_path / "out",
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[reward]\ncoll_cost = nan\n",
+            "[reward]\ngrip_rew = inf\n",
+            "[tqc]\nlearning_rate = nan\n",
+            "[kinematics]\nik_tolerance = nan\n",
+            "[scene]\nworkspace_min = 0.1 nan 0.2\n",
+        ],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(path)
+        code = run_cli(
+            "evaluate", "--policy", "random", "--episodes", "2",
+            "--config", path, "--out", tmp_path / "out",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_file_overrides(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -399,6 +476,37 @@ class TestCli:
         header, _ = read_log(next(tmp_path.glob("eval_*.jsonl")))
         assert header["reward"]["mode"] == "drl"
         assert header["reward"]["coll_cost"] == -9.0
+
+    def test_replay_smaller_than_batch_exit_2(self, tmp_path):
+        # no batch could ever be drawn, so training would run 0 updates
+        config_path = tmp_path / "run.ini"
+        config_path.write_text("[tqc]\nreplay_capacity = 50\nbatch_size = 64\n")
+        code = run_cli(
+            "train", "--config", config_path, "--steps", "100",
+            "--out", tmp_path / "out",
+        )
+        assert code == 2
+
+    def test_negative_ik_tolerance_exit_2(self, tmp_path):
+        config_path = tmp_path / "run.ini"
+        config_path.write_text("[kinematics]\nik_tolerance = -1\n")
+        code = run_cli(
+            "evaluate", "--policy", "random", "--episodes", "1",
+            "--config", config_path, "--out", tmp_path / "out",
+        )
+        assert code == 2
+
+    def test_scripted_policy_follows_configured_speed_limit(self, tmp_path):
+        config_path = tmp_path / "run.ini"
+        config_path.write_text("[reward]\ncollision_velocity_threshold = 0.1\n")
+        code = run_cli(
+            "evaluate", "--policy", "scripted", "--scenario", "obstacle",
+            "--episodes", "4", "--config", config_path, "--out", tmp_path,
+        )
+        assert code == 0
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert metrics["average_violations"]["velocity"] == 0.0
+        assert metrics["safety_driven_success_rate"] == 1.0
 
 
 def run_python(*argv, timeout=120) -> subprocess.CompletedProcess:
