@@ -163,7 +163,10 @@ def _resolve_policy(kind: str, checkpoint, config: RunConfig, seed: int):
             raise ConfigError("--checkpoint is required with --policy checkpoint")
         if not Path(checkpoint).exists():
             raise ConfigError(f"checkpoint not found: {checkpoint}")
-        agent = TqcAgent.load(checkpoint, seed=seed)
+        try:
+            agent = TqcAgent.load(checkpoint, seed=seed)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot load checkpoint {checkpoint}: {exc}") from None
         snapshot = agent.actor_snapshot()
         return lambda obs: snapshot.select_action(obs.vector, stochastic=False)
     if kind == "scripted":

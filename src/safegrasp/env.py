@@ -113,10 +113,10 @@ class RewardConfig:
             "gripper_cost",
             "ik_cost",
         ):
-            if getattr(self, name) > 0.0:
+            if not getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be <= 0")
         for name in ("grip_rew", "grip_prop_rew"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("collision_velocity_threshold", "force_failure_threshold"):
             if not getattr(self, name) > 0.0:
@@ -176,6 +176,9 @@ class SceneConfig:
     home_position: tuple[float, float, float] = (0.30, 0.0, 0.15)
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.all(np.isfinite(getattr(self, f.name))):
+                raise ValueError(f"{f.name} must be finite")
         if not self.cube_half_extent > 0.0:
             raise ValueError("cube_half_extent must be positive")
         if not self.eef_radius > 0.0:
@@ -432,18 +435,19 @@ class GraspEnv:
         obstacle_center = None
         obstacle_half = None
         if scenario is Scenario.STATIC_OBSTACLE:
-            obstacle_half = np.asarray(cfg.obstacle_half_extents, dtype=np.float64)
-            oxy = rng.uniform(cfg.obstacle_region_min, cfg.obstacle_region_max)
-            obstacle_center = np.array(
-                [oxy[0], oxy[1], cfg.table_height + obstacle_half[2]]
-            )
+            obstacle_half = cfg.obstacle_half_extents
+            ox, oy = rng.uniform(cfg.obstacle_region_min, cfg.obstacle_region_max).tolist()
+            obstacle_center = (ox, oy, cfg.table_height + obstacle_half[2])
         for _ in range(100):
-            cxy = rng.uniform(cfg.cube_region_min, cfg.cube_region_max)
-            cube_center = np.array([cxy[0], cxy[1], cfg.table_height + half])
+            cx, cy = rng.uniform(cfg.cube_region_min, cfg.cube_region_max).tolist()
+            cube_center = (cx, cy, cfg.table_height + half)
             if obstacle_center is None:
                 break
-            gap = np.abs(cube_center - obstacle_center) - (half + obstacle_half)
-            if np.any(gap > 0.0):
+            # clear of the obstacle when the boxes are apart along some axis
+            if any(
+                abs(c - o) - (half + oh) > 0.0
+                for c, o, oh in zip(cube_center, obstacle_center, obstacle_half)
+            ):
                 break
         else:
             raise ValueError(
@@ -452,10 +456,10 @@ class GraspEnv:
             )
         return Scene(
             nominal_table_height=cfg.table_height,
-            workspace_min=np.asarray(cfg.workspace_min),
-            workspace_max=np.asarray(cfg.workspace_max),
+            workspace_min=cfg.workspace_min,
+            workspace_max=cfg.workspace_max,
             cube_center=cube_center,
-            nominal_cube_half_extents=np.full(3, half),
+            nominal_cube_half_extents=(half, half, half),
             obstacle_center=obstacle_center,
             obstacle_half_extents=obstacle_half,
             contact_stiffness=cfg.contact_stiffness,
@@ -554,7 +558,7 @@ class GraspEnv:
             gripper_closing=closing,
             gripper_was_open=self._aperture > 0.5,
             already_grasped=was_grasped,
-            cube_center=scene.cube_point,
+            cube_center=scene.cube_center,
             cube_rest_height=scene.cube_rest_height(),
             grasp_radius=cfg.grasp_radius,
             lift_height=cfg.lift_height,
@@ -563,13 +567,13 @@ class GraspEnv:
             if not was_grasped:
                 scene = scene.with_cube_center(eef)
         elif was_grasped:  # released: the cube drops back onto the surface
-            cx, cy, _ = scene.cube_point
+            cx, cy, _ = scene.cube_center
             scene = scene.with_cube_center((cx, cy, scene.cube_rest_height()))
         self._aperture = 0.0 if closing else 1.0
         self._scene = scene
 
         # 6-7: score and terminate
-        cx, cy, cz = scene.cube_point
+        cx, cy, cz = scene.cube_center
         ex, ey, ez = eef
         events = TransitionEvents(
             # numpy's norm, not a scalar one: the distance reaches the record
@@ -625,14 +629,14 @@ class GraspEnv:
     def _observation(self) -> Observation:
         scene = self._scene
         ex, ey, ez = eef = self._eef
-        cx, cy, cz = cube = scene.cube_point
+        cx, cy, cz = cube = scene.cube_center
         return Observation(
             eef_position=np.array(eef),
             eef_velocity=np.array(self._eef_velocity),
             gripper_aperture=self._aperture,
             cube_position=np.array(cube),
             cube_relative=np.array((cx - ex, cy - ey, cz - ez)),
-            obstacle_position=np.array(scene.obstacle_point or (0.0, 0.0, 0.0)),
+            obstacle_position=np.array(scene.obstacle_center or (0.0, 0.0, 0.0)),
             grasped=self._grasped,
         )
 
@@ -646,5 +650,5 @@ class GraspEnv:
             "truncated": result.truncated,
             "events": result.events.as_dict(),
             "eef": list(self._eef),
-            "cube": list(self._scene.cube_point),
+            "cube": list(self._scene.cube_center),
         }

@@ -5,16 +5,17 @@ layer convention is ``w{i}`` of shape (fan_in, fan_out) and ``b{i}`` of shape
 (1, fan_out).  Arrays may carry an extra leading ensemble axis (used by the
 critic ensemble); every routine here broadcasts over it transparently.
 
-Checkpoints are a small binary container (magic, shape table, row-major
-float64 payload) with a JSON sidecar for hyperparameters.  Each file is
-written to a temporary name and moved into place, so an interrupted save
-leaves the previous file, never a partial one.
+A checkpoint is one binary file: magic, a JSON header naming each array's
+shape and carrying the hyperparameters, then the row-major float64
+payload.  It is written to a temporary name and moved into place, so an
+interrupted save leaves the previous file, never a partial one, and the
+metadata cannot come apart from the arrays it describes.
 """
 
 from __future__ import annotations
 
 import json
-import struct
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,17 +24,14 @@ import numpy as np
 from .autodiff import Tensor
 from .runlog import replace_atomically
 
-CHECKPOINT_MAGIC = b"SGNET001"
-
-_ACTIVATIONS = ("identity", "tanh")
+CHECKPOINT_MAGIC = b"SGNET002"
 
 
 @dataclass(frozen=True)
 class Mlp:
-    """Layer widths plus the output activation; hidden layers are rectified."""
+    """Layer widths; hidden layers are rectified, the output is linear."""
 
     sizes: tuple
-    output_activation: str = "identity"
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
@@ -41,8 +39,6 @@ class Mlp:
             raise ValueError("an Mlp needs input, at least one hidden, and output widths")
         if any(s < 1 for s in sizes):
             raise ValueError("all widths must be >= 1")
-        if self.output_activation not in _ACTIVATIONS:
-            raise ValueError(f"output_activation must be one of {_ACTIVATIONS}")
         object.__setattr__(self, "sizes", sizes)
 
     @property
@@ -135,8 +131,6 @@ def forward(net: Mlp, params: ParameterSet, x: np.ndarray) -> np.ndarray:
         h = h @ params[f"w{i}"] + params[f"b{i}"]
         if i < last:
             h = np.maximum(h, 0.0)
-        elif net.output_activation == "tanh":
-            h = np.tanh(h)
     return h[0] if single else h
 
 
@@ -148,8 +142,6 @@ def forward_tape(net: Mlp, params: dict, x: Tensor) -> Tensor:
         h = h @ params[f"w{i}"] + params[f"b{i}"]
         if i < last:
             h = h.relu()
-        elif net.output_activation == "tanh":
-            h = h.tanh()
     return h
 
 
@@ -218,65 +210,53 @@ def adam_update(
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, arrays: dict, meta: dict | None = None) -> None:
-    """Write arrays to the flat binary layout plus a JSON sidecar."""
-    path = Path(path)
-    entries = []
-    payload = []
-    for name, arr in arrays.items():
-        # asarray keeps 0-d arrays 0-d; tobytes() always emits C order
-        arr = np.asarray(arr, dtype=np.float64)
-        name_bytes = str(name).encode("utf-8")
-        entry = struct.pack("<H", len(name_bytes)) + name_bytes
-        entry += struct.pack("<B", arr.ndim)
-        entry += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        entries.append(entry)
-        payload.append(arr.tobytes())
-    blob = CHECKPOINT_MAGIC + struct.pack("<I", len(entries))
-    blob += b"".join(entries) + b"".join(payload)
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
-    text = json.dumps(meta or {}, indent=2, sort_keys=True) + "\n"
-    replace_atomically(path, blob)
-    replace_atomically(sidecar, text.encode("utf-8"))
+    """Write arrays and metadata to one file, replaced whole."""
+    arrays = {str(name): np.asarray(arr, dtype=np.float64) for name, arr in arrays.items()}
+    header = {
+        "arrays": [[name, list(arr.shape)] for name, arr in arrays.items()],
+        "meta": meta or {},
+    }
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    # tobytes() always emits C order, and 0-d arrays stay 0-d
+    payload = b"".join(arr.tobytes() for arr in arrays.values())
+    replace_atomically(
+        Path(path), CHECKPOINT_MAGIC + len(text).to_bytes(8, "little") + text + payload
+    )
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns ``(arrays, meta)``.
 
     Raises ``ValueError`` unless the file is exactly one header plus the
-    payload it declares: bad magic, a truncated file and trailing bytes
-    are all rejected.
+    payload it declares: bad magic, a malformed header, a truncated file
+    and trailing bytes are all rejected.
     """
     path = Path(path)
     blob = path.read_bytes()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint file (bad magic)")
-    offset = len(CHECKPOINT_MAGIC)
-    shapes = []
+    start = len(CHECKPOINT_MAGIC) + 8
+    end = start + int.from_bytes(blob[start - 8 : start], "little")
+    if len(blob) < end:  # end >= start: a file cut in the length field fails too
+        raise ValueError(f"{path} is truncated (in the header)")
     try:
-        (count,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            (ndim,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-            offset += 4 * ndim
-            shapes.append((name, shape, int(np.prod(shape, dtype=np.int64))))
-    except struct.error as exc:
-        raise ValueError(f"{path} is truncated (in the shape table)") from exc
-    expected = offset + 8 * sum(size for _, _, size in shapes)
+        header = json.loads(blob[start:end])
+        meta = header["meta"]
+        shapes = [(str(name), tuple(int(n) for n in shape)) for name, shape in header["arrays"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path} has a malformed header") from exc
+    if not isinstance(meta, dict) or any(n < 0 for _, shape in shapes for n in shape):
+        raise ValueError(f"{path} has a malformed header")
+    sizes = [math.prod(shape) for _, shape in shapes]
+    expected = end + 8 * sum(sizes)
     if len(blob) < expected:
         raise ValueError(f"{path} is truncated: {len(blob)} bytes, expected {expected}")
     if len(blob) > expected:
         raise ValueError(f"{path} has {len(blob) - expected} trailing bytes")
     arrays = {}
-    for name, shape, size in shapes:
+    offset = end
+    for (name, shape), size in zip(shapes, sizes):
         arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
         offset += size * 8
         arrays[name] = arr.copy()
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
-    meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
     return arrays, meta

@@ -55,6 +55,8 @@ class TqcConfig:
             raise ValueError("batch_size and replay_capacity must be >= 1")
         if self.train_freq < 1:
             raise ValueError("train_freq must be >= 1")
+        if self.entropy_target is not None and not np.isfinite(self.entropy_target):
+            raise ValueError("entropy_target must be finite")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
 
 
@@ -89,29 +91,31 @@ def quantile_huber_loss(
 
 def truncated_target(
     atoms: np.ndarray,
-    reward: float,
-    terminated: bool,
+    reward: float | np.ndarray,
+    terminated: bool | np.ndarray,
     discount: float,
     dropped_per_critic: int,
-    entropy_term: float = 0.0,
+    entropy_term: float | np.ndarray = 0.0,
 ) -> np.ndarray:
     """Sort pooled atoms, drop the d largest per critic, build TD targets.
 
-    ``atoms`` has shape (n_critics, quantiles_per_critic); the result is the
-    k*N smallest pooled atoms (k = M - d) mapped through
+    ``atoms`` has shape (..., n_critics, quantiles_per_critic), any leading
+    axes being batch axes; ``reward``, ``terminated`` and ``entropy_term``
+    broadcast against the result.  Per sample, the result is the k*N
+    smallest pooled atoms (k = M - d) mapped through
     ``reward + (1 - terminated) * discount * (atom - entropy_term)``.
     """
     atoms = np.asarray(atoms, dtype=np.float64)
-    if atoms.ndim != 2:
-        raise ValueError("atoms must have shape (n_critics, quantiles_per_critic)")
-    n_critics, n_quantiles = atoms.shape
+    if atoms.ndim < 2:
+        raise ValueError("atoms must have shape (..., n_critics, quantiles_per_critic)")
+    n_critics, n_quantiles = atoms.shape[-2:]
     if not 0 <= dropped_per_critic < n_quantiles:
         raise ValueError("dropped_per_critic must satisfy 0 <= d < M")
     if not 0.0 < discount <= 1.0:
         raise ValueError("discount must lie in (0, 1]")
     keep = (n_quantiles - dropped_per_critic) * n_critics
-    pooled = np.sort(atoms.reshape(-1))[:keep]
-    cont = 0.0 if terminated else discount
+    pooled = np.sort(atoms.reshape(*atoms.shape[:-2], -1), axis=-1)[..., :keep]
+    cont = (1.0 - terminated) * discount
     return reward + cont * (pooled - entropy_term)
 
 
@@ -276,14 +280,14 @@ class TqcAgent:
         cfg = self.config
         next_act, next_logp = self.sample_with_logprob(next_obs, self._train_rng)
         z_next = self.critic_quantiles(self.target_params, next_obs, next_act)
-        batch = z_next.shape[1]
-        pooled = np.sort(
-            np.swapaxes(z_next, 0, 1).reshape(batch, -1), axis=1
+        return truncated_target(
+            np.swapaxes(z_next, 0, 1),
+            rew[:, None],
+            term[:, None],
+            cfg.discount,
+            cfg.dropped_per_critic,
+            entropy_term=self.alpha * next_logp[:, None],
         )
-        keep = (cfg.quantiles_per_critic - cfg.dropped_per_critic) * cfg.n_critics
-        kept = pooled[:, :keep]
-        cont = (1.0 - term)[:, None] * cfg.discount
-        return rew[:, None] + cont * (kept - self.alpha * next_logp[:, None])
 
     def _critic_update(self, obs, act, targets) -> float:
         tensors = {

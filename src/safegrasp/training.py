@@ -13,7 +13,7 @@ Run outputs, all under the run directory:
 * ``eval/eval_NNNN.jsonl``  -- full per-step logs of each evaluation block
 * ``diagnostics.jsonl``     -- learner diagnostics stream
 * ``metrics.json``          -- deterministic final summary (no timestamps)
-* ``checkpoint.ckpt``       -- final agent checkpoint (+ ``.meta.json``)
+* ``checkpoint.ckpt``       -- final agent checkpoint, metadata included
 """
 
 from __future__ import annotations

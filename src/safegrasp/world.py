@@ -36,30 +36,6 @@ class Body(Enum):
 
 
 @dataclass(frozen=True)
-class Box:
-    """Axis-aligned box given by center and half extents."""
-
-    center: np.ndarray
-    half_extents: np.ndarray
-
-    def __post_init__(self):
-        center = np.asarray(self.center, dtype=np.float64).reshape(3)
-        half = np.asarray(self.half_extents, dtype=np.float64).reshape(3)
-        if not np.all(half > 0.0):
-            raise ValueError("box half extents must be positive")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "half_extents", half)
-
-    @property
-    def min_corner(self) -> np.ndarray:
-        return self.center - self.half_extents
-
-    @property
-    def max_corner(self) -> np.ndarray:
-        return self.center + self.half_extents
-
-
-@dataclass(frozen=True)
 class ContactReport:
     body: Body
     penetration: float  # m, >= 0; zero for a touching contact
@@ -85,81 +61,62 @@ class DisturbanceSpec:
         return DisturbanceSpec(-self.surface_height_delta, -self.object_size_delta)
 
 
+# the Scene fields that hold 3-vectors
+_POINT_FIELDS = (
+    "workspace_min", "workspace_max", "cube_center",
+    "nominal_cube_half_extents", "obstacle_center", "obstacle_half_extents",
+)
+
+
 @dataclass(frozen=True)
 class Scene:
     """Immutable scene value.
 
     Geometry is stored as nominal values plus accumulated disturbance
     offsets, so applying a disturbance followed by its negation restores the
-    original scene exactly, field by field.
+    original scene exactly, field by field.  Every 3-vector is stored once,
+    as an ``(x, y, z)`` tuple of Python floats: the constructor converts any
+    3-vector it is given, and the scalar contact tests and the step record
+    read the tuples as they are.
     """
 
     nominal_table_height: float
-    workspace_min: np.ndarray
-    workspace_max: np.ndarray
-    cube_center: np.ndarray
-    nominal_cube_half_extents: np.ndarray
-    obstacle_center: np.ndarray | None = None
-    obstacle_half_extents: np.ndarray | None = None
+    workspace_min: tuple
+    workspace_max: tuple
+    cube_center: tuple
+    nominal_cube_half_extents: tuple
+    obstacle_center: tuple | None = None
+    obstacle_half_extents: tuple | None = None
     surface_offset: float = 0.0
     cube_size_offset: float = 0.0
     contact_stiffness: float = DEFAULT_CONTACT_STIFFNESS
     cube_stiffness: float = DEFAULT_CUBE_STIFFNESS
-    # float forms of the geometry above, derived once per scene for the
-    # scalar contact tests: (x, y, z) tuples of Python floats, and the
-    # obstacle's pair None when there is no obstacle
+    # the disturbed surface height and cube size, derived once per scene
     table_height: float = field(init=False, repr=False, compare=False)
-    cube_point: tuple = field(init=False, repr=False, compare=False)
-    cube_half: tuple = field(init=False, repr=False, compare=False)
-    cube_rest_z: float = field(init=False, repr=False, compare=False)
-    obstacle_point: tuple | None = field(init=False, repr=False, compare=False)
-    obstacle_half: tuple | None = field(init=False, repr=False, compare=False)
-    workspace_low: tuple = field(init=False, repr=False, compare=False)
-    workspace_high: tuple = field(init=False, repr=False, compare=False)
+    cube_half_extents: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ws_min = np.asarray(self.workspace_min, dtype=np.float64).reshape(3)
-        ws_max = np.asarray(self.workspace_max, dtype=np.float64).reshape(3)
-        if not np.all(ws_min < ws_max):
-            raise ValueError("workspace bounds must satisfy min < max")
-        cube_center = np.asarray(self.cube_center, dtype=np.float64).reshape(3)
-        cube_half = np.asarray(
-            self.nominal_cube_half_extents, dtype=np.float64
-        ).reshape(3)
-        if not np.all(cube_half > 0.0):
-            raise ValueError("cube half extents must be positive")
-        if not self.contact_stiffness > 0.0 or not self.cube_stiffness > 0.0:
-            raise ValueError("contact stiffnesses must be positive")
-        object.__setattr__(self, "workspace_min", ws_min)
-        object.__setattr__(self, "workspace_max", ws_max)
-        object.__setattr__(self, "cube_center", cube_center)
-        object.__setattr__(self, "nominal_cube_half_extents", cube_half)
         if (self.obstacle_center is None) != (self.obstacle_half_extents is None):
             raise ValueError("obstacle center and half extents must come together")
-        if self.obstacle_center is not None:
-            oc = np.asarray(self.obstacle_center, dtype=np.float64).reshape(3)
-            oh = np.asarray(self.obstacle_half_extents, dtype=np.float64).reshape(3)
-            if not np.all(oh > 0.0):
-                raise ValueError("obstacle half extents must be positive")
-            object.__setattr__(self, "obstacle_center", oc)
-            object.__setattr__(self, "obstacle_half_extents", oh)
-        table_height = float(self.nominal_table_height + self.surface_offset)
-        cube_half = tuple(self.cube_half_extents.tolist())
-        derived = {
-            "table_height": table_height,
-            "cube_point": tuple(cube_center.tolist()),
-            "cube_half": cube_half,
-            "cube_rest_z": table_height + cube_half[2],
-            "obstacle_point": None,
-            "obstacle_half": None,
-            "workspace_low": tuple(ws_min.tolist()),
-            "workspace_high": tuple(ws_max.tolist()),
-        }
-        if self.obstacle_center is not None:
-            derived["obstacle_point"] = tuple(self.obstacle_center.tolist())
-            derived["obstacle_half"] = tuple(self.obstacle_half_extents.tolist())
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        for name in _POINT_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                point = tuple(np.asarray(value, dtype=np.float64).reshape(3).tolist())
+                object.__setattr__(self, name, point)
+        if not all(lo < hi for lo, hi in zip(self.workspace_min, self.workspace_max)):
+            raise ValueError("workspace bounds must satisfy min < max")
+        if not all(h > 0.0 for h in self.nominal_cube_half_extents):
+            raise ValueError("cube half extents must be positive")
+        if self.obstacle_present and not all(h > 0.0 for h in self.obstacle_half_extents):
+            raise ValueError("obstacle half extents must be positive")
+        if not self.contact_stiffness > 0.0 or not self.cube_stiffness > 0.0:
+            raise ValueError("contact stiffnesses must be positive")
+        object.__setattr__(
+            self, "table_height", float(self.nominal_table_height + self.surface_offset)
+        )
+        grow = 0.5 * float(self.cube_size_offset)
+        half = tuple(h + grow for h in self.nominal_cube_half_extents)
+        object.__setattr__(self, "cube_half_extents", half)
 
     def validate_containment(self) -> "Scene":
         """Check the resting geometry fits the workspace.
@@ -167,11 +124,13 @@ class Scene:
         This is a reset/disturbance-time invariant: a cube carried by the
         tool point may travel anywhere the tool does.
         """
-        for box in filter(None, (self.cube, self.obstacle)):
-            if np.any(box.min_corner < self.workspace_min) or np.any(
-                box.max_corner > self.workspace_max
-            ):
-                raise ValueError("scene object escapes the workspace bounds")
+        boxes = [(self.cube_center, self.cube_half_extents)]
+        if self.obstacle_present:
+            boxes.append((self.obstacle_center, self.obstacle_half_extents))
+        for center, half in boxes:
+            for c, h, lo, hi in zip(center, half, self.workspace_min, self.workspace_max):
+                if c - h < lo or c + h > hi:
+                    raise ValueError("scene object escapes the workspace bounds")
         if not (
             self.workspace_min[2] <= self.table_height <= self.workspace_max[2]
         ):
@@ -179,26 +138,12 @@ class Scene:
         return self
 
     @property
-    def cube_half_extents(self) -> np.ndarray:
-        return self.nominal_cube_half_extents + 0.5 * self.cube_size_offset
-
-    @property
-    def cube(self) -> Box:
-        return Box(center=self.cube_center, half_extents=self.cube_half_extents)
-
-    @property
-    def obstacle(self) -> Box | None:
-        if self.obstacle_center is None:
-            return None
-        return Box(center=self.obstacle_center, half_extents=self.obstacle_half_extents)
-
-    @property
     def obstacle_present(self) -> bool:
         return self.obstacle_center is not None
 
     def cube_rest_height(self) -> float:
         """Cube center z when the cube rests on the table."""
-        return self.cube_rest_z
+        return self.table_height + self.cube_half_extents[2]
 
     def with_cube_center(self, center) -> "Scene":
         """This scene with the cube moved to ``center``, a 3-vector.
@@ -206,13 +151,8 @@ class Scene:
         Only the cube moves, so nothing else is re-validated: the copy shares
         every other field, and a carried cube may go anywhere the tool does.
         """
-        cube_center = np.array(center, dtype=np.float64).reshape(3)
         moved = object.__new__(Scene)
-        moved.__dict__.update(
-            self.__dict__,
-            cube_center=cube_center,
-            cube_point=tuple(cube_center.tolist()),
-        )
+        moved.__dict__.update(self.__dict__, cube_center=kernels.float_tuple(center, 3))
         return moved
 
 
@@ -275,8 +215,8 @@ def detect_collisions(
             )
         )
     for body, point, half, stiffness in (
-        (Body.CUBE, scene.cube_point, scene.cube_half, scene.cube_stiffness),
-        (Body.OBSTACLE, scene.obstacle_point, scene.obstacle_half, scene.contact_stiffness),
+        (Body.CUBE, scene.cube_center, scene.cube_half_extents, scene.cube_stiffness),
+        (Body.OBSTACLE, scene.obstacle_center, scene.obstacle_half_extents, scene.contact_stiffness),
     ):
         if point is None:
             continue
@@ -290,11 +230,11 @@ def detect_collisions(
     pen_best = -math.inf
     normal = None
     for axis in range(3):
-        low_pen = scene.workspace_low[axis] - (center[axis] - eef_radius)
+        low_pen = scene.workspace_min[axis] - (center[axis] - eef_radius)
         if low_pen >= 0.0 and low_pen > pen_best:
             pen_best = low_pen
             normal = _AXES[axis]
-        high_pen = (center[axis] + eef_radius) - scene.workspace_high[axis]
+        high_pen = (center[axis] + eef_radius) - scene.workspace_max[axis]
         if high_pen >= 0.0 and high_pen > pen_best:
             pen_best = high_pen
             normal = _NEGATIVE_AXES[axis]
@@ -312,12 +252,12 @@ def signed_clearances(scene: Scene, eef_center, eef_radius: float) -> dict[Body,
     center = kernels.float_tuple(eef_center, 3)
     out = {Body.TABLE: center[2] - scene.table_height - eef_radius}
     sd, _, _, _ = kernels.sphere_box_signed_distance(
-        center, scene.cube_point, scene.cube_half
+        center, scene.cube_center, scene.cube_half_extents
     )
     out[Body.CUBE] = sd - eef_radius
-    if scene.obstacle_point is not None:
+    if scene.obstacle_present:
         sd, _, _, _ = kernels.sphere_box_signed_distance(
-            center, scene.obstacle_point, scene.obstacle_half
+            center, scene.obstacle_center, scene.obstacle_half_extents
         )
         out[Body.OBSTACLE] = sd - eef_radius
     return out
@@ -334,6 +274,6 @@ def apply_disturbance(scene: Scene, spec: DisturbanceSpec) -> Scene:
         surface_offset=scene.surface_offset + spec.surface_height_delta,
         cube_size_offset=scene.cube_size_offset + spec.object_size_delta,
     )
-    new_center = disturbed.cube_center.copy()
-    new_center[2] = disturbed.cube_rest_height()
-    return disturbed.with_cube_center(new_center).validate_containment()
+    cx, cy, _ = disturbed.cube_center
+    rest = disturbed.cube_rest_height()
+    return disturbed.with_cube_center((cx, cy, rest)).validate_containment()

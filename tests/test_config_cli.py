@@ -25,7 +25,7 @@ from safegrasp.runlog import (
     read_log,
     records_to_episodes,
 )
-from safegrasp.tqc import TqcConfig
+from safegrasp.tqc import TqcAgent, TqcConfig
 from safegrasp.training import Trainer
 
 
@@ -120,6 +120,23 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "cls,kwargs",
+        [
+            (RewardConfig, {"coll_cost": float("nan")}),
+            (RewardConfig, {"grip_rew": float("nan")}),
+            (SceneConfig, {"table_height": float("nan")}),
+            (SceneConfig, {"workspace_min": (float("nan"), 0.0, 0.0)}),
+            (TqcConfig, {"entropy_target": float("nan")}),
+        ],
+        ids=["coll_cost", "grip_rew", "table_height", "workspace_min", "entropy_target"],
+    )
+    def test_dataclass_built_directly_refuses_nan(self, cls, kwargs):
+        # the INI parser refuses non-finite numbers; so must the classes
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            cls(**kwargs)
 
     def test_file_overrides(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -609,6 +626,35 @@ class TestMalformedLogs:
         proc = run_cli_process("replay", "--log", log)
         assert proc.returncode == 2
         assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+class TestBadCheckpoint:
+    """An unreadable checkpoint is a usage error (exit 2) with a one-line
+    message, not a traceback with the audit-failure code 1."""
+
+    @staticmethod
+    def write_case(tmp_path, case) -> Path:
+        path = tmp_path / f"{case}.ckpt"
+        if case == "junk":
+            path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
+        else:
+            agent = TqcAgent(17, 4, TqcConfig(hidden_sizes=(8, 8)), seed=0)
+            agent.save(path)
+            path.write_bytes(path.read_bytes()[:-9])
+        return path
+
+    @pytest.mark.parametrize("command", ["evaluate", "assess"])
+    @pytest.mark.parametrize("case", ["junk", "truncated"])
+    def test_exit_2_with_one_line(self, tmp_path, case, command):
+        path = self.write_case(tmp_path, case)
+        proc = run_cli_process(
+            command, "--checkpoint", path, "--episodes", "1", "--out", tmp_path / "out"
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot load checkpoint")
+        assert len(proc.stderr.splitlines()) == 1
+        assert ("bad magic" if case == "junk" else "truncated") in proc.stderr
 
 
 def test_modules_import_without_warnings():

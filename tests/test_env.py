@@ -362,7 +362,7 @@ class TestActionParsing:
         writer = _ListWriter()
         env.set_log_writer(writer)
         env.step(np.array([0.3, -0.2, 0.1, -1.0]))
-        before = (env.joints, env.scene.cube_center.copy(), env.done)
+        before = (env.joints, env.scene.cube_center, env.done)
         action = np.array([0.5, 0.5, 0.5, -1.0])
         action[index] = np.nan
         with pytest.raises(ValueError, match="NaN"):
@@ -370,7 +370,7 @@ class TestActionParsing:
         # nothing was logged or moved; the episode goes on
         assert len(writer.records) == 1
         assert np.array_equal(env.joints, before[0])
-        assert np.array_equal(env.scene.cube_center, before[1])
+        assert env.scene.cube_center == before[1]
         assert env.done == before[2]
         env.step(np.zeros(4))
         assert [r["step"] for r in writer.records] == [1, 2]
@@ -473,7 +473,7 @@ class TestGraspLogic:
         # fingers already commanded shut enclose the cube on arrival
         obs = env.reset(seed=15)
         env.step(np.array([0.0, 0.0, 0.0, 1.0]))  # close far away (one miss)
-        obs, _ = drive_to(env, obs, env.scene.cube_center + [0, 0, 0.06],
+        obs, _ = drive_to(env, obs, np.add(env.scene.cube_center, [0, 0, 0.06]),
                           gripper=1.0, speed=0.5)
         obs, result = drive_to(env, obs, env.scene.cube_center,
                                gripper=1.0, speed=0.2)

@@ -1,11 +1,14 @@
 """Autodiff substrate, dense nets, Adam, and checkpoint IO."""
 
+import json
+
 import numpy as np
 import pytest
 
 from safegrasp import runlog
 from safegrasp.autodiff import Tensor, concat
 from safegrasp.nn import (
+    CHECKPOINT_MAGIC,
     AdamState,
     Mlp,
     ParameterSet,
@@ -154,7 +157,7 @@ class TestForward:
         assert np.allclose(forward(net, params, x), expected, atol=1e-14)
 
     def test_two_layer_matches_independent_evaluator(self):
-        net = Mlp((4, 8, 8, 3), output_activation="tanh")
+        net = Mlp((4, 8, 8, 3))
         rng = np.random.default_rng(6)
         params = init_mlp_params(net, rng)
         x = rng.normal(size=(5, 4))
@@ -163,7 +166,7 @@ class TestForward:
         h = x
         for i in range(2):
             h = np.maximum(h @ params[f"w{i}"] + params[f"b{i}"], 0.0)
-        expected = np.tanh(h @ params["w2"] + params["b2"])
+        expected = h @ params["w2"] + params["b2"]
         assert np.allclose(forward(net, params, x), expected, atol=1e-14)
 
     def test_repeat_calls_bitwise_identical(self):
@@ -173,22 +176,20 @@ class TestForward:
         assert forward(net, params, x).tobytes() == forward(net, params, x).tobytes()
 
     @pytest.mark.parametrize(
-        "sizes,activation,ensemble,x_shape",
+        "sizes,ensemble,x_shape",
         [
-            ((5, 16, 16, 4), "identity", None, (5,)),
-            ((5, 16, 16, 4), "identity", None, (7, 5)),
-            ((5, 16, 16, 4), "tanh", None, (5,)),
-            ((5, 16, 16, 4), "tanh", None, (7, 5)),
-            ((6, 16, 16, 25), "identity", 2, (7, 6)),
-            ((6, 16, 16, 25), "identity", 2, (6,)),
+            ((5, 16, 16, 4), None, (5,)),
+            ((5, 16, 16, 4), None, (7, 5)),
+            ((6, 16, 16, 25), 2, (7, 6)),
+            ((6, 16, 16, 25), 2, (6,)),
         ],
-        ids=["1d", "batch", "tanh-1d", "tanh-batch", "ensemble", "ensemble-1d"],
+        ids=["1d", "batch", "ensemble", "ensemble-1d"],
     )
-    def test_matches_tape_bit_for_bit(self, sizes, activation, ensemble, x_shape):
-        net = Mlp(sizes, output_activation=activation)
+    def test_matches_tape_bit_for_bit(self, sizes, ensemble, x_shape):
+        net = Mlp(sizes)
         rng = np.random.default_rng(11)
         params = init_mlp_params(net, rng, ensemble=ensemble)
-        # unit-scale outputs, so tanh is not flat and relu kinks are crossed
+        # unit-scale outputs, so relu kinks are crossed
         for i in range(net.n_layers):
             params[f"b{i}"] = rng.normal(size=params[f"b{i}"].shape)
         params[f"w{net.n_layers - 1}"] = params[f"w{net.n_layers - 1}"] * 100.0
@@ -211,8 +212,6 @@ class TestForward:
             Mlp((3, 2))  # no hidden layer
         with pytest.raises(ValueError):
             Mlp((3, 0, 2))
-        with pytest.raises(ValueError):
-            Mlp((3, 4, 2), output_activation="sigmoid")
 
 
 class TestGradients:
@@ -247,15 +246,14 @@ class TestGradients:
     def test_matches_central_finite_differences_50_trials(self):
         rng = np.random.default_rng(12)
         worst = 0.0
-        for trial in range(50):
+        for _ in range(50):
             sizes = (
                 int(rng.integers(2, 5)),
                 int(rng.integers(3, 9)),
                 int(rng.integers(3, 9)),
                 int(rng.integers(1, 4)),
             )
-            activation = "tanh" if trial % 2 else "identity"
-            net = Mlp(sizes, output_activation=activation)
+            net = Mlp(sizes)
             params = init_mlp_params(net, rng)
             x = draw_kink_clear_input(net, params, rng, batch=3)
             target = rng.normal(size=(3, sizes[-1]))
@@ -339,9 +337,39 @@ class TestCheckpoint:
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
-        path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
-        with pytest.raises(ValueError):
+        # junk, and a binary of the earlier format with a JSON sidecar
+        for magic in (b"NOTACKPT", b"SGNET001"):
+            path.write_bytes(magic + b"\x00" * 16)
+            with pytest.raises(ValueError, match="bad magic"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"{not json", b"[]", b'{"arrays": []}', b'{"meta": {}}',
+         b'{"arrays": [["w", [-1]]], "meta": {}}', b'{"arrays": [], "meta": []}',
+         b'{"arrays": [["w"]], "meta": {}}', b"\xff\xfe"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + len(header).to_bytes(8, "little") + header)
+        with pytest.raises(ValueError, match="malformed header"):
             load_checkpoint(path)
+
+    def test_layout_is_magic_length_header_payload(self, tmp_path):
+        arrays = {"w0": np.arange(6.0).reshape(2, 3), "log_alpha": np.array(0.5)}
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(path, arrays, {"updates": 3, "obs_dim": 2})
+        blob = path.read_bytes()
+        assert blob[:8] == CHECKPOINT_MAGIC == b"SGNET002"
+        end = 16 + int.from_bytes(blob[8:16], "little")
+        assert json.loads(blob[16:end]) == {
+            "arrays": [["w0", [2, 3]], ["log_alpha", []]],
+            "meta": {"updates": 3, "obs_dim": 2},
+        }
+        assert blob[end:] == arrays["w0"].tobytes() + arrays["log_alpha"].tobytes()
+        # the bytes follow from the contents alone, not from key order
+        save_checkpoint(path, arrays, {"obs_dim": 2, "updates": 3})
+        assert path.read_bytes() == blob
 
     @staticmethod
     def saved_blob(tmp_path) -> bytes:
@@ -374,10 +402,7 @@ class TestCheckpoint:
         arrays, meta = load_checkpoint(path)
         assert np.array_equal(arrays["w"], np.ones((2, 2)))
         assert meta == {"round": 2}
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "agent.ckpt",
-            "agent.ckpt.meta.json",
-        ]
+        assert [p.name for p in tmp_path.iterdir()] == ["agent.ckpt"]
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "agent.ckpt"
@@ -394,7 +419,4 @@ class TestCheckpoint:
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert load_checkpoint(path)[1] == {"round": 1}
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "agent.ckpt",
-            "agent.ckpt.meta.json",
-        ]
+        assert [p.name for p in tmp_path.iterdir()] == ["agent.ckpt"]

@@ -100,6 +100,24 @@ class TestTruncatedTarget:
             assert out.shape == ((m - d) * n,)
             assert np.allclose(out, expected, atol=1e-12)
 
+    def test_batched_call_matches_per_sample_calls_bit_for_bit(self):
+        # the learner's form: leading batch axis, per-sample reward,
+        # termination and entropy term broadcast over the kept atoms
+        rng = np.random.default_rng(8)
+        atoms = rng.normal(size=(64, 3, 7)) * 10.0
+        reward = rng.normal(size=64)
+        terminated = (rng.random(64) < 0.3).astype(np.float64)
+        entropy = rng.normal(scale=0.3, size=64)
+        out = truncated_target(
+            atoms, reward[:, None], terminated[:, None], 0.97, 2, entropy[:, None]
+        )
+        assert out.shape == (64, 15)
+        for b in range(64):
+            single = truncated_target(
+                atoms[b], reward[b], bool(terminated[b]), 0.97, 2, entropy[b]
+            )
+            assert out[b].tobytes() == single.tobytes()
+
     def test_monotonicity_in_dropped_atoms(self):
         rng = np.random.default_rng(7)
         for _ in range(200):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from safegrasp.env import GraspEnv, Scenario
 from safegrasp.world import (
     Body,
-    Box,
     ContactReport,
     DisturbanceSpec,
     Scene,
@@ -206,6 +205,28 @@ class TestSceneInvariants:
         moved = scene.with_cube_center(np.array([0.77, 0.37, 0.44]))
         assert moved.cube_center[0] == 0.77
 
+    @pytest.mark.parametrize(
+        "form",
+        [tuple, np.asarray, lambda v: np.asarray(v, dtype=np.float32)],
+        ids=["int-tuples", "int-arrays", "float32-arrays"],
+    )
+    def test_every_vector_is_stored_as_a_tuple_of_floats(self, form):
+        vectors = {
+            "workspace_min": (-4, -4, -4),
+            "workspace_max": (4, 4, 4),
+            "cube_center": (2, 0, 0),
+            "nominal_cube_half_extents": (1, 1, 1),
+            "obstacle_center": (-2, 0, 0),
+            "obstacle_half_extents": (1, 2, 1),
+        }
+        scene = Scene(nominal_table_height=0, **{k: form(v) for k, v in vectors.items()})
+        vectors["cube_half_extents"] = vectors["nominal_cube_half_extents"]
+        for name, expected in vectors.items():
+            value = getattr(scene, name)
+            assert type(value) is tuple and value == expected, name
+            assert all(type(v) is float for v in value), name
+        assert type(scene.table_height) is float
+
     def test_obstacle_fields_come_together(self):
         with pytest.raises(ValueError):
             make_scene(obstacle_center=np.array([0.3, 0.0, -0.075]))
@@ -249,8 +270,9 @@ class TestSceneInvariants:
 
 
 # ---------------------------------------------------------------------------
-# array-based reference: the contact tests on Box objects and numpy 3-vectors
-# that the scalar ones in safegrasp.world replaced
+# array-based reference: the contact tests on numpy 3-vectors, one
+# (center, half extents) pair per box, that the scalar ones in
+# safegrasp.world replaced
 # ---------------------------------------------------------------------------
 
 def reference_sphere_box(point, center, half):
@@ -286,10 +308,16 @@ def reference_detect_collisions(scene, eef_center, eef_radius, eef_velocity):
             normal = np.array([0.0, 0.0, 1.0])
             penetration = eef_radius - clearance
         elif body in (Body.CUBE, Body.OBSTACLE):
-            box = scene.cube if body is Body.CUBE else scene.obstacle
-            if box is None:
+            box_center, half = (
+                (scene.cube_center, scene.cube_half_extents)
+                if body is Body.CUBE
+                else (scene.obstacle_center, scene.obstacle_half_extents)
+            )
+            if box_center is None:
                 continue
-            sd, normal = reference_sphere_box(center, box.center, box.half_extents)
+            sd, normal = reference_sphere_box(
+                center, np.asarray(box_center), np.asarray(half)
+            )
             if sd > eef_radius:
                 continue
             penetration = eef_radius - float(sd)
@@ -352,21 +380,21 @@ def env_scenes():
 
 def points_near(scene, rng, n):
     """Points spread over the workcell with most of them close to a surface."""
-    lo = scene.workspace_min - 0.03
-    hi = scene.workspace_max + 0.03
+    lo = np.asarray(scene.workspace_min) - 0.03
+    hi = np.asarray(scene.workspace_max) + 0.03
     parts = [rng.uniform(lo, hi, size=(n // 4, 3))]
     boxes = [(scene.cube_center, scene.cube_half_extents)]
     if scene.obstacle_present:
         boxes.append((scene.obstacle_center, scene.obstacle_half_extents))
     for center, half in boxes:
-        parts.append(center + rng.uniform(-1, 1, size=(n // 4, 3)) * (half + 0.03))
+        parts.append(center + rng.uniform(-1, 1, size=(n // 4, 3)) * (np.asarray(half) + 0.03))
     table = rng.uniform(lo, hi, size=(n // 8, 3))
     table[:, 2] = scene.table_height + rng.uniform(-0.01, 0.03, size=n // 8)
     parts.append(table)
     walls = rng.uniform(lo, hi, size=(n - sum(len(p) for p in parts), 3))
     axis = rng.integers(0, 3, size=len(walls))
     side = rng.integers(0, 2, size=len(walls)).astype(bool)
-    edge = np.where(side, scene.workspace_max[axis], scene.workspace_min[axis])
+    edge = np.where(side, np.asarray(scene.workspace_max)[axis], np.asarray(scene.workspace_min)[axis])
     walls[np.arange(len(walls)), axis] = edge + rng.uniform(-0.03, 0.03, size=len(walls))
     parts.append(walls)
     return np.concatenate(parts)
@@ -467,7 +495,7 @@ class TestScalarContactsMatchArrayReference:
     def test_workspace_walls_edges_and_corners(self):
         scene = make_scene()
         rng = np.random.default_rng(5)
-        lo, hi = scene.workspace_min, scene.workspace_max
+        lo, hi = np.asarray(scene.workspace_min), np.asarray(scene.workspace_max)
         for _ in range(2000):
             center = rng.uniform(lo + 0.05, hi - 0.05)
             for axis in rng.choice(3, size=rng.integers(1, 4), replace=False):
@@ -505,21 +533,20 @@ class TestCubeMove:
     def test_moves_only_the_cube(self):
         scene = make_scene(obstacle=True)
         moved = scene.with_cube_center((0.77, 0.37, 0.44))
-        assert np.array_equal(moved.cube_center, [0.77, 0.37, 0.44])
-        assert moved.cube_point == (0.77, 0.37, 0.44)
-        assert moved.cube_center.dtype == np.float64
+        assert moved.cube_center == (0.77, 0.37, 0.44)
+        assert type(moved.cube_center) is tuple
         # every other field is the original's own value, not re-derived
         for name, value in vars(scene).items():
-            if name not in ("cube_center", "cube_point"):
+            if name != "cube_center":
                 assert vars(moved)[name] is value, name
-        assert scene.cube_point == tuple(scene.cube_center.tolist())
 
     def test_does_not_alias_the_argument(self):
         scene = make_scene()
         center = np.array([0.5, 0.1, 0.2])
         moved = scene.with_cube_center(center)
         center[0] = 0.0
-        assert moved.cube_center[0] == 0.5 and moved.cube_point[0] == 0.5
+        assert moved.cube_center == (0.5, 0.1, 0.2)
+        assert all(type(v) is float for v in moved.cube_center)
 
     @pytest.mark.parametrize(
         "center", [(0.5, 0.1), np.zeros(4), np.zeros((2, 3)), [[0.5, 0.1, 0.2, 0.3]]]
