@@ -13,6 +13,7 @@ budget truncates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
@@ -113,14 +114,14 @@ class RewardConfig:
             "gripper_cost",
             "ik_cost",
         ):
-            if not getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be <= 0")
+            if not -math.inf < getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be finite and <= 0")
         for name in ("grip_rew", "grip_prop_rew"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         for name in ("collision_velocity_threshold", "force_failure_threshold"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     def as_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -146,15 +147,13 @@ class EnvConfig:
     proximity_threshold: float = 0.10  # m, "near a body" for the speed counter
 
     def __post_init__(self):
-        if not (
-            self.action_scale > 0.0
-            and self.dt > 0.0
-            and self.max_steps >= 1
-            and self.grasp_radius > 0.0
-            and self.lift_height > 0.0
-            and self.proximity_threshold > 0.0
+        for name in (
+            "action_scale", "dt", "grasp_radius", "lift_height", "proximity_threshold"
         ):
-            raise ValueError("invalid environment configuration")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not self.max_steps >= 1:
+            raise ValueError("max_steps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -340,7 +339,8 @@ def check_grasp(
     grasp_attempt_failed = False
     now_grasped = bool(already_grasped)
     if gripper_closing and not already_grasped:
-        distance = float(np.linalg.norm(np.subtract(cube_center, eef_position)))
+        offset = np.subtract(cube_center, eef_position)
+        distance = math.sqrt(offset.dot(offset))
         if distance <= grasp_radius:
             grasp_success = True
             now_grasped = True
@@ -483,6 +483,7 @@ class GraspEnv:
         self._scenario = scenario
         # env state as Python floats: joints, tool point, tool velocity
         self._q = self._resolve_home()
+        self._frames = None  # fk_frames' (origins, zaxes) of _q, when known
         self._eef = tuple(eef_position(self.arm, self._q).tolist())
         self._eef_velocity = (0.0, 0.0, 0.0)
         self._aperture = 1.0
@@ -508,7 +509,7 @@ class GraspEnv:
         # 1-3: command shield -- IK then joint-speed check; rejected commands
         # leave the joint vector untouched
         target = (px + dx * scale, py + dy * scale, pz + dz * scale)
-        ik = inverse_kinematics(self.arm, target, self._q)
+        ik = inverse_kinematics(self.arm, target, self._q, self._frames)
         velocity = (0.0, 0.0, 0.0)
         if ik.status is not IkStatus.CONVERGED:
             ik_failure = True
@@ -516,6 +517,7 @@ class GraspEnv:
             speed_violation = True
         else:
             self._q = ik.joint_values
+            self._frames = ik.frames
             nx, ny, nz = self._eef = ik.tool_point
             velocity = ((nx - px) / cfg.dt, (ny - py) / cfg.dt, (nz - pz) / cfg.dt)
         self._eef_velocity = velocity
@@ -547,7 +549,8 @@ class GraspEnv:
 
         # near-body overspeed counter (no contact required)
         velocity_violation = False
-        if float(np.linalg.norm(velocity)) > threshold:
+        speed = np.array(velocity)
+        if math.sqrt(speed.dot(speed)) > threshold:
             clearances = signed_clearances(scene, eef, radius)
             velocity_violation = min(clearances.values()) <= cfg.proximity_threshold
 
@@ -571,13 +574,14 @@ class GraspEnv:
             scene = scene.with_cube_center((cx, cy, scene.cube_rest_height()))
         self._aperture = 0.0 if closing else 1.0
         self._scene = scene
+        observation = self._observation()
 
         # 6-7: score and terminate
-        cx, cy, cz = scene.cube_center
-        ex, ey, ez = eef
+        # numpy's dot, not a scalar sum: the distance reaches the record, and
+        # np.linalg.norm rounds exactly so
+        relative = observation.cube_relative
         events = TransitionEvents(
-            # numpy's norm, not a scalar one: the distance reaches the record
-            distance_d=float(np.linalg.norm((cx - ex, cy - ey, cz - ez))),
+            distance_d=math.sqrt(relative.dot(relative)),
             grasp_success=grasp_success,
             lift_success=lift_success,
             grasp_attempt_failed=grasp_attempt_failed,
@@ -602,7 +606,7 @@ class GraspEnv:
         self._done = terminated or truncated
 
         result = StepResult(
-            observation=self._observation(),
+            observation=observation,
             reward=reward,
             terminated=terminated,
             truncated=truncated,
@@ -630,13 +634,21 @@ class GraspEnv:
         scene = self._scene
         ex, ey, ez = eef = self._eef
         cx, cy, cz = cube = scene.cube_center
+        # one array for the 15 vector entries; the fields are slices of it
+        values = np.array(
+            eef
+            + self._eef_velocity
+            + cube
+            + (cx - ex, cy - ey, cz - ez)
+            + (scene.obstacle_center or (0.0, 0.0, 0.0))
+        )
         return Observation(
-            eef_position=np.array(eef),
-            eef_velocity=np.array(self._eef_velocity),
+            eef_position=values[0:3],
+            eef_velocity=values[3:6],
             gripper_aperture=self._aperture,
-            cube_position=np.array(cube),
-            cube_relative=np.array((cx - ex, cy - ey, cz - ez)),
-            obstacle_position=np.array(scene.obstacle_center or (0.0, 0.0, 0.0)),
+            cube_position=values[6:9],
+            cube_relative=values[9:12],
+            obstacle_position=values[12:15],
             grasped=self._grasped,
         )
 

@@ -96,20 +96,27 @@ def fk_frames(dh, q):
 # inverse kinematics: damped least squares on position
 # ---------------------------------------------------------------------------
 
-def ik_dls(dh, limits, q_seed, target, damping, tolerance, max_iterations):
+def ik_dls(
+    dh, limits, q_seed, target, damping, tolerance, max_iterations, seed_frames=None
+):
     """Position-only damped-least-squares IK, iterates projected to limits.
 
     ``dh`` and ``limits`` are the arm's ``dh_rows`` and ``limit_rows``
     (six ``(lower, upper)`` pairs); ``q_seed`` and ``target`` are tuples of
-    six and three floats.  Returns ``(q_best, p_best, best_residual,
-    iterations, clamped, converged)`` where ``q_best`` is a list of six
-    floats, ``p_best`` the tool origin ``fk_frames`` gave for it, and
-    ``clamped`` is 1 when the best iterate had a joint pinned at a limit.
+    six and three floats.  ``seed_frames`` is the ``(origins, zaxes)`` pair
+    ``fk_frames`` gives for ``q_seed``, when the caller has it: iteration 0
+    then reads it instead of calling ``fk_frames`` again.  Returns
+    ``(q_best, p_best, best_residual, iterations, clamped, converged,
+    best_frames)`` where ``q_best`` is a list of six floats, ``p_best`` the
+    tool origin ``fk_frames`` gave for it, ``clamped`` is 1 when the best
+    iterate had a joint pinned at a limit, and ``best_frames`` the best
+    iterate's ``(origins, zaxes)``.
     """
     tx, ty, tz = target
     q = list(q_seed)
     best_q = q.copy()
     best_p = (math.nan, math.nan, math.nan)
+    best_frames = None
     best_res = 1.0e300
     best_clamped = 0
     lam2 = damping * damping
@@ -117,7 +124,10 @@ def ik_dls(dh, limits, q_seed, target, damping, tolerance, max_iterations):
     converged = 0
     columns = [(0.0, 0.0, 0.0)] * 6
     for it in range(max_iterations + 1):
-        _, origins, zaxes = fk_frames(dh, q)
+        if it == 0 and seed_frames is not None:
+            origins, zaxes = seed_frames
+        else:
+            _, origins, zaxes = fk_frames(dh, q)
         px, py, pz = origins[6]
         ex = tx - px
         ey = ty - py
@@ -131,6 +141,7 @@ def ik_dls(dh, limits, q_seed, target, damping, tolerance, max_iterations):
             best_res = res
             best_q = q.copy()
             best_p = (px, py, pz)
+            best_frames = (origins, zaxes)
             best_clamped = clamped
         iterations = it
         if res <= tolerance:
@@ -193,7 +204,7 @@ def ik_dls(dh, limits, q_seed, target, damping, tolerance, max_iterations):
             elif qj > upper:
                 qj = upper
             q[j] = qj
-    return best_q, best_p, best_res, iterations, best_clamped, converged
+    return best_q, best_p, best_res, iterations, best_clamped, converged, best_frames
 
 
 

@@ -139,6 +139,8 @@ class IkResult(NamedTuple):
     iterations: int
     # tool origin of the solution as the solver's FK evaluated it
     tool_point: tuple | None = None
+    # (origins, zaxes) of the solution as the solver's FK evaluated them
+    frames: tuple | None = None
 
     @property
     def converged(self) -> bool:
@@ -223,7 +225,7 @@ def eef_position(model: ArmModel, q: np.ndarray) -> np.ndarray:
     return np.array(origins[6])
 
 
-def inverse_kinematics(model: ArmModel, target, seed) -> IkResult:
+def inverse_kinematics(model: ArmModel, target, seed, seed_frames=None) -> IkResult:
     """Damped-least-squares IK for the target position.
 
     ``target`` is a :class:`Pose` or the tool position itself (a 3-vector;
@@ -232,6 +234,10 @@ def inverse_kinematics(model: ArmModel, target, seed) -> IkResult:
     the solver drives the 3-dim position error with the geometric position
     Jacobian.  A failure to converge is reported as ``UNREACHABLE``, or
     ``LIMIT_VIOLATION`` when the best iterate was pinned at a joint limit.
+
+    ``seed_frames``, when given, is the ``(origins, zaxes)`` pair of
+    ``seed``, such as the ``frames`` of the converged result the seed came
+    from; the solver then starts from it instead of repeating that FK.
     """
     seed_values = kernels.float_tuple(seed, 6)
     if not _within(model.limit_rows, seed_values):
@@ -239,7 +245,7 @@ def inverse_kinematics(model: ArmModel, target, seed) -> IkResult:
     if isinstance(target, Pose):
         target = target.position
     target = kernels.float_tuple(target, 3)
-    q_best, p_best, residual, iterations, clamped, converged = kernels.ik_dls(
+    q_best, p_best, residual, iterations, clamped, converged, frames = kernels.ik_dls(
         model.dh_rows,
         model.limit_rows,
         seed_values,
@@ -247,10 +253,16 @@ def inverse_kinematics(model: ArmModel, target, seed) -> IkResult:
         model.ik_damping,
         model.ik_tolerance,
         model.ik_max_iterations,
+        seed_frames,
     )
     if converged:
         return IkResult(
-            IkStatus.CONVERGED, tuple(q_best), float(residual), int(iterations), p_best
+            IkStatus.CONVERGED,
+            tuple(q_best),
+            float(residual),
+            int(iterations),
+            p_best,
+            frames,
         )
     status = IkStatus.LIMIT_VIOLATION if clamped else IkStatus.UNREACHABLE
     return IkResult(status, None, float(residual), int(iterations))
@@ -262,9 +274,12 @@ def check_speed(
     """Per-joint rate check against the arm's speed limit."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    pairs = zip(kernels.float_tuple(prev, 6), kernels.float_tuple(next_q, 6))
-    steps = [abs(b - a) for a, b in pairs]
-    # max() skips a NaN that is not first; a NaN command must fail the check
-    max_step = math.nan if math.isnan(sum(steps)) else max(steps)
+    max_step = 0.0
+    for a, b in zip(kernels.float_tuple(prev, 6), kernels.float_tuple(next_q, 6)):
+        step = abs(b - a)
+        # a NaN step sticks, since no comparison with it is true: a NaN
+        # command must fail the check
+        if step > max_step or step != step:
+            max_step = step
     max_rate = max_step / dt
     return SpeedCheck(max_rate <= model.max_joint_speed, max_rate)

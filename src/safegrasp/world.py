@@ -151,8 +151,9 @@ class Scene:
         Only the cube moves, so nothing else is re-validated: the copy shares
         every other field, and a carried cube may go anywhere the tool does.
         """
+        x, y, z = kernels.float_tuple(center, 3)
         moved = object.__new__(Scene)
-        moved.__dict__.update(self.__dict__, cube_center=kernels.float_tuple(center, 3))
+        moved.__dict__.update(self.__dict__, cube_center=(float(x), float(y), float(z)))
         return moved
 
 

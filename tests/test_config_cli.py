@@ -138,6 +138,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             cls(**kwargs)
 
+    @pytest.mark.parametrize(
+        "cls,kwargs",
+        [
+            (RewardConfig, {"coll_cost": float("-inf")}),
+            (RewardConfig, {"grip_prop_rew": float("inf")}),
+            (RewardConfig, {"force_failure_threshold": float("inf")}),
+            (EnvConfig, {"action_scale": float("inf")}),
+            (EnvConfig, {"proximity_threshold": float("inf")}),
+        ],
+        ids=["coll_cost", "grip_prop_rew", "force_failure_threshold", "action_scale",
+             "proximity_threshold"],
+    )
+    def test_dataclass_built_directly_refuses_infinity(self, cls, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cls(**kwargs)
+
     def test_file_overrides(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text(

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from safegrasp import env as env_module
+from safegrasp import kernels
 from safegrasp.env import (
     Action,
     EnvConfig,
@@ -23,7 +25,7 @@ from safegrasp.env import (
     compute_reward,
 )
 from safegrasp.kinematics import ArmModel
-from safegrasp.rollout import episode_steps, rollout_episodes
+from safegrasp.rollout import RecordSink, episode_steps, rollout_episodes
 from safegrasp.tqc import RandomPolicy, ScriptedGraspPolicy
 from safegrasp.world import DisturbanceSpec
 
@@ -652,3 +654,64 @@ class TestEpisodeSteps:
         assert len(seen) == 2
         assert seen[0] is first[0] and seen[1] is second[0]
         assert second[0] is first[2].observation
+
+
+class TestSeedFrameReuse:
+    """Each accepted command's FK is computed once, inside its IK call."""
+
+    @staticmethod
+    def random_episode(env):
+        return list(episode_steps(env, RandomPolicy(seed=4), seed=3, scenario="normal"))
+
+    def test_fk_calls_are_ik_iterations_plus_two(self, monkeypatch):
+        env = GraspEnv()
+        env.reset(seed=0)  # solves the home joints, with FK calls of their own
+        fk_calls = 0
+        iterations = []
+        fk_frames = kernels.fk_frames
+        inverse_kinematics = env_module.inverse_kinematics
+
+        def counted_fk(*args):
+            nonlocal fk_calls
+            fk_calls += 1
+            return fk_frames(*args)
+
+        def counted_ik(*args):
+            result = inverse_kinematics(*args)
+            iterations.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(kernels, "fk_frames", counted_fk)
+        monkeypatch.setattr(env_module, "inverse_kinematics", counted_ik)
+        steps = self.random_episode(env)
+        first_events = steps[0][2].events
+        assert not (first_events.ik_failure or first_events.speed_violation)
+        assert len(iterations) == len(steps) > 50
+        # one at reset through eef_position, one for the first step's seed;
+        # every later IK call starts from the frames of the accepted command
+        assert fk_calls == sum(iterations) + 2
+
+    @pytest.mark.parametrize("keep_frames", [True, False], ids=["pass-through", "no-frames"])
+    def test_records_do_not_depend_on_how_ik_is_bound(self, monkeypatch, keep_frames):
+        # a slow arm, so that rejected commands sit between accepted ones
+        arm = ArmModel.default_ur5(max_joint_speed=1.0)
+
+        def records():
+            env = GraspEnv(arm=arm)
+            sink = []
+            env.set_log_writer(RecordSink(sink))
+            self.random_episode(env)
+            return sink
+
+        plain = records()
+        inverse_kinematics = env_module.inverse_kinematics
+
+        def rebound(model, target, seed, seed_frames=None):
+            # the frames travel in the result, so a wrapper passes them on;
+            # without them the solver computes the seed's FK itself
+            frames = seed_frames if keep_frames else None
+            return inverse_kinematics(model, target, seed, frames)
+
+        monkeypatch.setattr(env_module, "inverse_kinematics", rebound)
+        assert records() == plain
+        assert sum(r["events"]["speed_violation"] for r in plain) > 10

@@ -284,6 +284,41 @@ class TestInverseKinematics:
                 assert result.tool_position is None
         assert IkStatus.CONVERGED in seen and len(seen) > 1
 
+    def test_frames_are_fk_of_solution(self, arm):
+        # the env seeds its next IK call with these frames instead of the FK
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            seed = rng.uniform(-np.pi, np.pi, 6)
+            target = eef_position(arm, seed) + rng.uniform(-0.3, 0.3, 3)
+            result = inverse_kinematics(arm, target, seed=seed)
+            if result.converged:
+                _, origins, zaxes = kernels.fk_frames(arm.dh_rows, result.joint_values)
+                assert result.frames == (origins, zaxes)
+            else:
+                assert result.frames is None
+
+
+def ik_dls_pairs():
+    """The 1000 (arm, seed, target) cases of ``test_ik_dls_matches_on_1000_pairs``."""
+    rng = np.random.default_rng(99)
+    arm = ArmModel.default_ur5(ik_max_iterations=60)
+    tight = ArmModel(
+        dh=arm.dh, joint_limits=np.tile((-1.0, 1.0), (6, 1)), ik_max_iterations=60
+    )
+    reach = float(np.sum(np.abs(arm.dh[:, :2])))
+    cases = []
+    for _ in range(600):  # reachable targets, free seeds
+        target = forward_kinematics(arm, rng.uniform(-np.pi, np.pi, 6)).position
+        cases.append((arm, rng.uniform(-np.pi, np.pi, 6), target))
+    for _ in range(100):  # beyond the sum of all link offsets
+        direction = rng.normal(size=3)
+        target = 1.5 * reach * direction / np.linalg.norm(direction)
+        cases.append((arm, rng.uniform(-np.pi, np.pi, 6), target))
+    for _ in range(300):  # targets mostly outside the tight limits' reach
+        target = forward_kinematics(tight, rng.uniform(-3.0, 3.0, 6)).position
+        cases.append((tight, rng.uniform(-1.0, 1.0, 6), target))
+    return cases
+
 
 class TestKernelsAgainstMatrixReference:
     """Scalar kernels against the 4x4-matrix reference, to rounding level."""
@@ -337,7 +372,7 @@ class TestKernelsAgainstMatrixReference:
         statuses = set()
         for model, seed, target in cases:
             args = (model.ik_damping, model.ik_tolerance, model.ik_max_iterations)
-            q, p, res, iters, clamped, converged = kernels.ik_dls(
+            q, p, res, iters, clamped, converged, _ = kernels.ik_dls(
                 model.dh_rows,
                 model.limit_rows,
                 tuple(seed.tolist()),
@@ -354,6 +389,31 @@ class TestKernelsAgainstMatrixReference:
             assert kernels.fk_frames(model.dh_rows, tuple(q))[1][6] == p
             if converged:
                 assert np.abs(np.array(q) - ref_q).max() <= 1e-9
+                statuses.add(IkStatus.CONVERGED)
+            else:
+                statuses.add(IkStatus.LIMIT_VIOLATION if clamped else IkStatus.UNREACHABLE)
+        assert statuses == set(IkStatus)
+
+    def test_ik_dls_seed_frames_change_no_output(self):
+        statuses = set()
+        for model, seed, target in ik_dls_pairs():
+            args = (
+                model.dh_rows,
+                model.limit_rows,
+                tuple(seed.tolist()),
+                tuple(target.tolist()),
+                model.ik_damping,
+                model.ik_tolerance,
+                model.ik_max_iterations,
+            )
+            _, origins, zaxes = kernels.fk_frames(model.dh_rows, args[2])
+            reused = kernels.ik_dls(*args, (origins, zaxes))
+            # every output, the best iterate's frames included, bit for bit
+            assert reused == kernels.ik_dls(*args)
+            q, p, _, _, clamped, converged, frames = reused
+            assert frames == kernels.fk_frames(model.dh_rows, tuple(q))[1:]
+            assert frames[0][6] == p
+            if converged:
                 statuses.add(IkStatus.CONVERGED)
             else:
                 statuses.add(IkStatus.LIMIT_VIOLATION if clamped else IkStatus.UNREACHABLE)

@@ -548,6 +548,11 @@ class TestCubeMove:
         assert moved.cube_center == (0.5, 0.1, 0.2)
         assert all(type(v) is float for v in moved.cube_center)
 
+    def test_stores_floats_from_a_tuple_of_ints(self):
+        moved = make_scene().with_cube_center((1, 0, 0))
+        assert moved.cube_center == (1.0, 0.0, 0.0)
+        assert all(type(v) is float for v in moved.cube_center)
+
     @pytest.mark.parametrize(
         "center", [(0.5, 0.1), np.zeros(4), np.zeros((2, 3)), [[0.5, 0.1, 0.2, 0.3]]]
     )
