@@ -99,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument(
         "--eval-episodes", type=int, default=10, help="episodes per evaluation block"
     )
-    p_train.add_argument("--workers", type=int, default=1, help="rollout workers")
     p_train.add_argument(
         "--checkpoint-every", type=int, default=None, help="steps between checkpoints"
     )
@@ -181,7 +180,7 @@ def _resolve_policy(kind: str, checkpoint, config: RunConfig, seed: int):
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot load checkpoint {checkpoint}: {exc}") from None
         snapshot = agent.actor_snapshot()
-        return lambda obs: snapshot.select_action(obs.vector, stochastic=False)
+        return lambda obs: snapshot.select_action(obs.vector)
     if kind == "scripted":
         return ScriptedGraspPolicy(
             action_scale=config.env.action_scale,
@@ -227,7 +226,6 @@ def cmd_train(args) -> int:
         total_steps=args.steps,
         eval_every_episodes=args.eval_every,
         eval_episodes=args.eval_episodes,
-        workers=args.workers,
         checkpoint_every_steps=args.checkpoint_every,
     )
     summary = trainer.run()
@@ -351,12 +349,54 @@ def cmd_replay(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_AUDIT
+    defect = _structure_defect(records)
+    if defect is not None:
+        print(f"audit failure at {defect}", file=sys.stderr)
+        return EXIT_AUDIT
     episodes = records_to_episodes(records)
     print(
         f"audit ok: {len(records)} step records, {len(episodes)} episodes, "
-        "rewards reproducible from events"
+        "rewards reproducible from events, episodes complete"
     )
     return EXIT_OK
+
+
+def _structure_defect(records: list[dict]) -> str | None:
+    """Where and what the first structural defect of a step log is, or None.
+
+    Each episode's records are contiguous, its steps run 1, 2, 3, ... and
+    its last record, and only that one, is terminated or truncated.
+    """
+
+    def at(index: int, message: str) -> str:
+        record = records[index]
+        where = f"episode {record['episode']}, step {record.get('step')}"
+        return f"record {index} ({where}): {message}"
+
+    def ends(record: dict) -> bool:
+        return bool(record.get("terminated") or record.get("truncated"))
+
+    seen = set()
+    expected = 0
+    for index, record in enumerate(records):
+        episode = record["episode"]
+        if index == 0 or episode != records[index - 1]["episode"]:
+            if index and not ends(records[index - 1]):
+                return at(index - 1, "episode ends without terminated or truncated")
+            if episode in seen:
+                return at(index, "episode resumes after another episode")
+            seen.add(episode)
+            expected = 1
+        elif ends(records[index - 1]):
+            return at(index, "record after the episode's last step")
+        else:
+            expected += 1
+        step = record.get("step")
+        if type(step) is not int or step != expected:
+            return at(index, f"expected step {expected}")
+    if records and not ends(records[-1]):
+        return at(len(records) - 1, "episode ends without terminated or truncated")
+    return None
 
 
 def _audit_log(path: Path) -> None:
@@ -365,6 +405,7 @@ def _audit_log(path: Path) -> None:
     reward_config = RewardConfig.from_dict(header["reward"])
     for record in records:
         compute_reward(TransitionEvents.from_dict(record["events"]), reward_config)
+    _structure_defect(records)
     records_to_episodes(records)
 
 

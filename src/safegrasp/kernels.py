@@ -106,16 +106,15 @@ def ik_dls(
     six and three floats.  ``seed_frames`` is the ``(origins, zaxes)`` pair
     ``fk_frames`` gives for ``q_seed``, when the caller has it: iteration 0
     then reads it instead of calling ``fk_frames`` again.  Returns
-    ``(q_best, p_best, best_residual, iterations, clamped, converged,
-    best_frames)`` where ``q_best`` is a list of six floats, ``p_best`` the
-    tool origin ``fk_frames`` gave for it, ``clamped`` is 1 when the best
+    ``(q_best, best_residual, iterations, clamped, converged, best_frames)``
+    where ``q_best`` is a list of six floats, ``clamped`` is 1 when the best
     iterate had a joint pinned at a limit, and ``best_frames`` the best
-    iterate's ``(origins, zaxes)``.
+    iterate's ``(origins, zaxes)`` as ``fk_frames`` gave them, so its tool
+    origin is ``best_frames[0][6]``.
     """
     tx, ty, tz = target
     q = list(q_seed)
     best_q = q.copy()
-    best_p = (math.nan, math.nan, math.nan)
     best_frames = None
     best_res = 1.0e300
     best_clamped = 0
@@ -140,7 +139,6 @@ def ik_dls(
         if res < best_res:
             best_res = res
             best_q = q.copy()
-            best_p = (px, py, pz)
             best_frames = (origins, zaxes)
             best_clamped = clamped
         iterations = it
@@ -204,7 +202,7 @@ def ik_dls(
             elif qj > upper:
                 qj = upper
             q[j] = qj
-    return best_q, best_p, best_res, iterations, best_clamped, converged, best_frames
+    return best_q, best_res, iterations, best_clamped, converged, best_frames
 
 
 

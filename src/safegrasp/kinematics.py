@@ -137,8 +137,6 @@ class IkResult(NamedTuple):
     joint_values: tuple | None  # six joint angles; None unless converged
     residual: float
     iterations: int
-    # tool origin of the solution as the solver's FK evaluated it
-    tool_point: tuple | None = None
     # (origins, zaxes) of the solution as the solver's FK evaluated them
     frames: tuple | None = None
 
@@ -149,6 +147,11 @@ class IkResult(NamedTuple):
     @property
     def solution(self) -> np.ndarray | None:
         return None if self.joint_values is None else np.array(self.joint_values)
+
+    @property
+    def tool_point(self) -> tuple | None:
+        """Tool origin of the solution, ``frames``' last origin."""
+        return None if self.frames is None else self.frames[0][6]
 
     @property
     def tool_position(self) -> np.ndarray | None:
@@ -245,7 +248,7 @@ def inverse_kinematics(model: ArmModel, target, seed, seed_frames=None) -> IkRes
     if isinstance(target, Pose):
         target = target.position
     target = kernels.float_tuple(target, 3)
-    q_best, p_best, residual, iterations, clamped, converged, frames = kernels.ik_dls(
+    q_best, residual, iterations, clamped, converged, frames = kernels.ik_dls(
         model.dh_rows,
         model.limit_rows,
         seed_values,
@@ -261,7 +264,6 @@ def inverse_kinematics(model: ArmModel, target, seed, seed_frames=None) -> IkRes
             tuple(q_best),
             float(residual),
             int(iterations),
-            p_best,
             frames,
         )
     status = IkStatus.LIMIT_VIOLATION if clamped else IkStatus.UNREACHABLE

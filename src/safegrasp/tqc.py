@@ -128,25 +128,19 @@ def policy_moments(net: Mlp, params, obs: np.ndarray, act_dim: int):
 
 
 class ActorSnapshot:
-    """Frozen actor parameters; enough to act, nothing else."""
+    """Frozen actor parameters; enough to act deterministically, nothing else."""
 
     def __init__(self, net: Mlp, params: dict, act_dim: int):
         self._net = net
         self._params = params
         self._act_dim = act_dim
 
-    def select_action(
-        self, obs: np.ndarray, stochastic: bool = True, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        mean, log_std = policy_moments(
+    def select_action(self, obs: np.ndarray) -> np.ndarray:
+        """tanh(mean) of the frozen policy."""
+        mean, _ = policy_moments(
             self._net, self._params, np.asarray(obs, dtype=np.float64), self._act_dim
         )
-        if not stochastic:
-            return np.tanh(mean)
-        if rng is None:
-            raise ValueError("stochastic snapshot actions need an explicit rng")
-        noise = rng.standard_normal(mean.shape)
-        return np.tanh(mean + np.exp(log_std) * noise)
+        return np.tanh(mean)
 
 
 class ReplayBuffer:
@@ -260,7 +254,7 @@ class TqcAgent:
         return action, logp
 
     def actor_snapshot(self) -> "ActorSnapshot":
-        """Read-only policy copy for use by rollout workers."""
+        """Read-only copy of the current policy, for evaluation."""
         return ActorSnapshot(
             self.actor_net,
             {name: arr.copy() for name, arr in self.actor_params.items()},

@@ -418,9 +418,24 @@ class TestCriterion09Determinism:
                 ]
             )
             assert code == 0
-            outputs.append((out / "metrics.json").read_bytes())
-        assert outputs[0] == outputs[1]
-        ok("criterion 9: two 5k-step runs produced byte-identical metrics summaries")
+            outputs.append(
+                {
+                    path.relative_to(out).as_posix(): path.read_bytes()
+                    for path in out.rglob("*")
+                    if path.is_file()
+                }
+            )
+        names = sorted(outputs[0])
+        required = {"checkpoint.ckpt", "diagnostics.jsonl", "metrics.json", "train_episodes.jsonl"}
+        assert required <= set(names)
+        assert any(name.startswith("eval/eval_") for name in names)
+        assert sorted(outputs[1]) == names
+        assert [name for name in names if outputs[0][name] != outputs[1][name]] == []
+        ok(
+            "criterion 9: two 5k-step runs produced byte-identical run directories "
+            f"({len(names)} files: checkpoint, episode and diagnostics streams, "
+            "eval logs, metrics)"
+        )
 
 
 RUN_TRAINING = os.environ.get("SAFEGRASP_RUN_TRAINING_ACCEPTANCE", "") == "1"

@@ -372,7 +372,7 @@ class TestKernelsAgainstMatrixReference:
         statuses = set()
         for model, seed, target in cases:
             args = (model.ik_damping, model.ik_tolerance, model.ik_max_iterations)
-            q, p, res, iters, clamped, converged, _ = kernels.ik_dls(
+            q, res, iters, clamped, converged, frames = kernels.ik_dls(
                 model.dh_rows,
                 model.limit_rows,
                 tuple(seed.tolist()),
@@ -384,6 +384,7 @@ class TestKernelsAgainstMatrixReference:
             )
             assert (converged, clamped, iters) == (ref_converged, ref_clamped, ref_iters)
             assert abs(res - ref_res) <= 1e-12
+            p = frames[0][6]
             assert np.abs(np.array(p) - ref_p).max() <= 1e-9
             # the returned tool origin is the FK of the returned joints, exactly
             assert kernels.fk_frames(model.dh_rows, tuple(q))[1][6] == p
@@ -410,9 +411,8 @@ class TestKernelsAgainstMatrixReference:
             reused = kernels.ik_dls(*args, (origins, zaxes))
             # every output, the best iterate's frames included, bit for bit
             assert reused == kernels.ik_dls(*args)
-            q, p, _, _, clamped, converged, frames = reused
+            q, _, _, clamped, converged, frames = reused
             assert frames == kernels.fk_frames(model.dh_rows, tuple(q))[1:]
-            assert frames[0][6] == p
             if converged:
                 statuses.add(IkStatus.CONVERGED)
             else:

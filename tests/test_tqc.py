@@ -351,7 +351,7 @@ class TestSelectAction:
         obs = np.linspace(-0.5, 0.5, 5)
         assert np.array_equal(
             agent.select_action(obs, stochastic=False),
-            snap.select_action(obs, stochastic=False),
+            snap.select_action(obs),
         )
 
 
