@@ -6,7 +6,6 @@ Subcommands::
     safegrasp evaluate     roll out a policy (checkpoint/scripted/random), write metrics
     safegrasp assess       functional-safety assessment from rollouts or a log file
     safegrasp replay       audit a log: recompute rewards from the logged events
-    safegrasp bench        time the hot kernels, the log audit and a learner update (us)
     safegrasp init-config  print the default configuration file
 
 Exit codes: 0 success, 1 audit/assertion failure, 2 usage or configuration
@@ -36,30 +35,30 @@ else:
     _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD is -1 in glibc's malloc.h
 
 import argparse
+import functools
 import json
+import math
 import sys
-import tempfile
-import time
 from datetime import datetime
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import ConfigError, RunConfig, apply_overrides, default_config_text, load_config
-from .env import ACTION_DIM, OBSERVATION_DIM, RewardConfig, TransitionEvents, compute_reward
-from .fsa import build_report, format_report_text, inputs_from_episodes, run_assessment
-from .kinematics import ArmModel
+from .env import RewardConfig, TransitionEvents, compute_reward
+from .fsa import build_report, format_report_text, inputs_from_episodes
 from .metrics import summarize
-from .rollout import EVAL_SEED_STREAM, log_header, rollout_episodes
+from .rollout import (
+    ASSESSMENT_SEED_STREAM, EVAL_SEED_STREAM, derive_seed, log_header, rollout_episodes,
+)
 from .runlog import (
     EpisodeLogWriter,
     LogFormatError,
     read_log,
     records_to_episodes,
     replace_atomically,
+    write_json_atomically,
 )
-from .tqc import RandomPolicy, ReplayBuffer, ScriptedGraspPolicy, TqcAgent
+from .tqc import RandomPolicy, ScriptedGraspPolicy, TqcAgent
 from .training import Trainer
 from .world import DisturbanceSpec
 
@@ -67,6 +66,9 @@ EXIT_OK = 0
 EXIT_AUDIT = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+SCENARIOS = ("normal", "obstacle")
+DISTURBANCE_KEYS = {"surface_height_delta", "object_size_delta"}
 
 
 def _timestamp() -> str:
@@ -77,9 +79,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="config file (INI)")
     parser.add_argument("--seed", type=int, default=None, help="run seed override")
     parser.add_argument(
-        "--scenario", choices=("normal", "obstacle"), default=None, help="task scenario"
-    )
-    parser.add_argument(
         "--reward-mode", choices=("drl", "sd-drl"), default=None, help="reward engine mode"
     )
     parser.add_argument("--out", type=Path, default=None, help="output directory")
@@ -89,8 +88,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="safegrasp", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"safegrasp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviated flags: --scenario would pass silently for --scenarios
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_train = sub.add_parser("train", help="train an agent")
+    p_train = add_parser("train", help="train an agent")
     _add_common(p_train)
     p_train.add_argument("--steps", type=int, default=200_000, help="environment steps")
     p_train.add_argument(
@@ -103,8 +104,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--checkpoint-every", type=int, default=None, help="steps between checkpoints"
     )
 
-    p_eval = sub.add_parser("evaluate", help="roll out a policy and write metrics")
+    p_eval = add_parser("evaluate", help="roll out a policy and write metrics")
     _add_common(p_eval)
+    # assess takes --scenarios instead, and ignores [run] scenario
+    for p in (p_train, p_eval):
+        p.add_argument("--scenario", choices=SCENARIOS, default=None, help="task scenario")
     p_eval.add_argument("--checkpoint", type=Path, default=None, help="agent checkpoint")
     p_eval.add_argument(
         "--policy",
@@ -120,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--disturb-object", type=float, default=0.0, help="object size delta (m)"
     )
 
-    p_assess = sub.add_parser("assess", help="functional-safety assessment")
+    p_assess = add_parser("assess", help="functional-safety assessment")
     _add_common(p_assess)
     p_assess.add_argument("--checkpoint", type=Path, default=None)
     p_assess.add_argument(
@@ -133,16 +137,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_assess.add_argument("--disturb-surface", type=float, default=0.075)
     p_assess.add_argument("--disturb-object", type=float, default=0.005)
     p_assess.add_argument(
-        "--no-disturb", action="store_true", help="disable the disturbance injection"
-    )
-    p_assess.add_argument(
         "--scenarios",
-        choices=("normal", "obstacle", "both"),
+        choices=(*SCENARIOS, "both"),
         default="both",
         help="scenario set for the assessment rollouts",
     )
 
-    p_replay = sub.add_parser("replay", help="audit a recorded log")
+    p_replay = add_parser("replay", help="audit a recorded log")
     p_replay.add_argument("--log", type=Path, required=True)
     p_replay.add_argument(
         "--config",
@@ -151,15 +152,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="recompute with this config's reward table instead of the log header",
     )
 
-    p_bench = sub.add_parser("bench", help="time the hot numeric kernels")
-    p_bench.add_argument("--repeats", type=int, default=200)
-
-    p_init = sub.add_parser("init-config", help="print the default config file")
+    p_init = add_parser("init-config", help="print the default config file")
     p_init.add_argument("--out", type=Path, default=None, help="write to a file instead")
     return parser
 
 
 def _load_run_config(args) -> RunConfig:
+    # every count flag of train, evaluate and assess is at least 1
+    for name in ("steps", "eval_every", "eval_episodes", "checkpoint_every", "episodes"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
     config = load_config(args.config)
     return apply_overrides(
         config,
@@ -191,6 +194,23 @@ def _resolve_policy(kind: str, checkpoint, config: RunConfig, seed: int):
             speed_limit=config.reward.collision_velocity_threshold,
         )
     return RandomPolicy(seed=seed)
+
+
+def _disturbance(args, config: RunConfig, scenarios, stream: int, episodes: int):
+    """``--disturb-surface`` and ``--disturb-object`` as a spec, refused
+    unless both are finite and every episode's scene stays in the workspace.
+    The scenes are built by resetting a spare env, so the rollout env's
+    episode numbers do not move."""
+    env = config.build_env()
+    try:
+        disturbance = DisturbanceSpec(args.disturb_surface, args.disturb_object)
+        for scenario in scenarios:
+            for index in range(episodes):
+                seed = derive_seed(config.seed, stream, index)
+                env.reset(seed=seed, scenario=scenario, disturbance=disturbance)
+    except ValueError as exc:
+        raise ConfigError(f"--disturb-surface/--disturb-object: {exc}") from None
+    return disturbance
 
 
 def _read_step_log(path: Path) -> tuple[dict, list[dict]]:
@@ -246,7 +266,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _load_run_config(args)
     policy = _resolve_policy(args.policy, args.checkpoint, config, config.seed)
-    disturbance = DisturbanceSpec(args.disturb_surface, args.disturb_object)
+    disturbance = _disturbance(args, config, [config.scenario], EVAL_SEED_STREAM, args.episodes)
     out_dir = _out_dir(args, config)
     out_dir.mkdir(parents=True, exist_ok=True)
     env = config.build_env()
@@ -267,10 +287,7 @@ def cmd_evaluate(args) -> int:
     )
     writer.close()
     summary = summarize(records)
-    replace_atomically(
-        out_dir / "metrics.json",
-        (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-    )
+    write_json_atomically(out_dir / "metrics.json", summary)
     print(f"log: {log_path}")
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
@@ -279,52 +296,42 @@ def cmd_evaluate(args) -> int:
 def cmd_assess(args) -> int:
     config = _load_run_config(args)
     out_dir = _out_dir(args, config)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.log is not None:
         _, records = _read_step_log(args.log)
-        report = build_report(inputs_from_episodes(records_to_episodes(records)))
+        episodes = records_to_episodes(records)
     else:
         policy = _resolve_policy(args.policy, args.checkpoint, config, config.seed)
-        disturbance = (
-            None
-            if args.no_disturb
-            else DisturbanceSpec(args.disturb_surface, args.disturb_object)
-        )
-        scenarios = (
-            ["normal", "obstacle"] if args.scenarios == "both" else [args.scenarios]
-        )
+        scenarios = SCENARIOS if args.scenarios == "both" else (args.scenarios,)
         per_scenario = max(1, args.episodes // len(scenarios))
-        all_records = []
+        disturbance = _disturbance(args, config, scenarios, ASSESSMENT_SEED_STREAM, per_scenario)
+        episodes = []
         for scenario in scenarios:
-            env = config.build_env()
             with EpisodeLogWriter(
                 out_dir / f"assess_{scenario}_{_timestamp()}_s{config.seed}.jsonl",
-                header=log_header(
-                    config, scenario, args.policy, disturbance or DisturbanceSpec()
-                ),
+                header=log_header(config, scenario, args.policy, disturbance),
             ) as writer:
-                _, records = run_assessment(
-                    env,
+                episodes += rollout_episodes(
+                    config.build_env(),
                     policy,
                     episodes=per_scenario,
-                    seed=config.seed,
+                    base_seed=config.seed,
+                    stream=ASSESSMENT_SEED_STREAM,
                     scenario=scenario,
                     disturbance=disturbance,
                     log_writer=writer,
                 )
-            all_records.extend(records)
-        report = build_report(inputs_from_episodes(all_records))
-    (out_dir / "fsa_report.json").write_text(
-        json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    report = build_report(inputs_from_episodes(episodes))
     text = format_report_text(report)
-    (out_dir / "fsa_report.txt").write_text(text + "\n")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_json_atomically(out_dir / "fsa_report.json", report.as_dict())
+    replace_atomically(out_dir / "fsa_report.txt", (text + "\n").encode("utf-8"))
     print(text)
     return EXIT_OK
 
 
 def cmd_replay(args) -> int:
     header, records = _read_step_log(args.log)
+    _check_header(args.log, header)
     if args.config is not None:
         reward_config = load_config(args.config).reward
     elif "reward" in header:
@@ -359,6 +366,27 @@ def cmd_replay(args) -> int:
         "rewards reproducible from events, episodes complete"
     )
     return EXIT_OK
+
+
+def _check_header(path: Path, header: dict) -> None:
+    """Refuse (exit 2) a log header without an integer ``seed`` and a known
+    ``scenario``, or with a ``policy`` that is not a string or a
+    ``disturbance`` that is not two finite numbers."""
+    disturbance = header.get("disturbance", dict.fromkeys(DISTURBANCE_KEYS, 0.0))
+    checks = (
+        (type(header.get("seed")) is int, "'seed' must be an integer"),
+        (header.get("scenario") in SCENARIOS, f"'scenario' must be one of {SCENARIOS}"),
+        (type(header.get("policy", "")) is str, "'policy' must be a string"),
+        (
+            type(disturbance) is dict
+            and set(disturbance) == DISTURBANCE_KEYS
+            and all(type(v) in (int, float) and math.isfinite(v) for v in disturbance.values()),
+            f"'disturbance' must map {sorted(DISTURBANCE_KEYS)} to finite numbers",
+        ),
+    )
+    for ok, message in checks:
+        if not ok:
+            raise ConfigError(f"{path}: log header: {message}")
 
 
 def _structure_defect(records: list[dict]) -> str | None:
@@ -399,93 +427,6 @@ def _structure_defect(records: list[dict]) -> str | None:
     return None
 
 
-def _audit_log(path: Path) -> None:
-    """The ``replay`` audit chain on one log, for timing."""
-    header, records = read_log(path)
-    reward_config = RewardConfig.from_dict(header["reward"])
-    for record in records:
-        compute_reward(TransitionEvents.from_dict(record["events"]), reward_config)
-    _structure_defect(records)
-    records_to_episodes(records)
-
-
-def cmd_bench(args) -> int:
-    from . import kernels
-
-    rng = np.random.default_rng(0)
-    arm = ArmModel.default_ur5()
-    q = tuple(rng.uniform(-1.5, 1.5, 6).tolist())
-    target = (0.45, 0.1, 0.1)
-    preds = rng.normal(size=(2, 128, 25))
-    targets = rng.normal(size=(128, 46))
-    taus = (2.0 * np.arange(1, 26) - 1.0) / 50.0
-    point = (0.5, 0.0, -0.06)
-    center = (0.5, 0.0, -0.075)
-    half = (0.025, 0.025, 0.025)
-
-    config = RunConfig()
-    batch = config.tqc.batch_size
-    agent = TqcAgent(OBSERVATION_DIM, ACTION_DIM, config.tqc, seed=0)
-    buffer = ReplayBuffer(OBSERVATION_DIM, ACTION_DIM, batch)
-    for _ in range(batch):
-        buffer.add(
-            rng.normal(size=OBSERVATION_DIM),
-            rng.uniform(-1.0, 1.0, ACTION_DIM),
-            rng.normal(),
-            rng.normal(size=OBSERVATION_DIM),
-            False,
-        )
-
-    with tempfile.TemporaryDirectory() as tmp:
-        log_path = Path(tmp) / "scripted.jsonl"
-        with EpisodeLogWriter(log_path, header={"reward": config.reward.as_dict()}) as writer:
-            rollout_episodes(
-                config.build_env(),
-                _resolve_policy("scripted", None, config, config.seed),
-                episodes=4,
-                base_seed=config.seed,
-                log_writer=writer,
-            )
-        log_records = len(read_log(log_path)[1])
-
-        # name -> (call, units of work per call)
-        cases = {
-            "fk_frames": (lambda: kernels.fk_frames(arm.dh_rows, q), 1),
-            "ik_dls": (
-                lambda: kernels.ik_dls(
-                    arm.dh_rows,
-                    arm.limit_rows,
-                    q,
-                    target,
-                    arm.ik_damping,
-                    arm.ik_tolerance,
-                    arm.ik_max_iterations,
-                ),
-                1,
-            ),
-            "sphere_box_signed_distance": (
-                lambda: kernels.sphere_box_signed_distance(point, center, half),
-                1,
-            ),
-            "quantile_huber_loss_grad": (
-                lambda: kernels.quantile_huber_loss_grad(preds, targets, taus),
-                1,
-            ),
-            "replay audit (per record)": (lambda: _audit_log(log_path), log_records),
-            f"tqc.train_step (batch {batch})": (lambda: agent.train_step(buffer), 1),
-        }
-
-        print(f"{'case':<28} {'us':>10}")
-        for name, (call, units) in cases.items():
-            call()  # warm-up
-            start = time.perf_counter()
-            for _ in range(args.repeats):
-                call()
-            elapsed_us = (time.perf_counter() - start) / (args.repeats * units) * 1e6
-            print(f"{name:<28} {elapsed_us:>10.2f}")
-    return EXIT_OK
-
-
 def cmd_init_config(args) -> int:
     text = default_config_text()
     if args.out is not None:
@@ -501,7 +442,6 @@ _COMMANDS = {
     "evaluate": cmd_evaluate,
     "assess": cmd_assess,
     "replay": cmd_replay,
-    "bench": cmd_bench,
     "init-config": cmd_init_config,
 }
 

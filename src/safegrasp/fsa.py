@@ -19,10 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import rollout
-from .rollout import ASSESSMENT_SEED_STREAM  # rollout seed stream of assessments
+from .rollout import ASSESSMENT_SEED_STREAM  # re-exported: the assessment rollouts' stream
 from .runlog import EpisodeRecord
 
 PFD_FLOOR = 1.0e-12  # reported when the observed behaviour is perfectly safe
@@ -186,33 +183,3 @@ def format_report_text(report: FsaReport) -> str:
         f"({report.inputs.failure_count} over {report.inputs.total_steps} steps)"
     )
     return "\n".join(lines)
-
-
-def run_assessment(
-    env,
-    policy,
-    episodes: int = 500,
-    seed: int = 0,
-    scenario="normal",
-    disturbance=None,
-    log_writer=None,
-    safe_state_probability_mass: float = 0.0,
-):
-    """Roll out a deterministic policy and assess the resulting log.
-
-    Returns ``(report, episode_records)``.  Episode seeds derive from
-    ``seed`` so the protocol is reproducible.  Each step record also goes to
-    ``log_writer`` when one is given; it is left open for its owner to close.
-    """
-    episode_records = rollout.rollout_episodes(
-        env,
-        policy,
-        episodes=episodes,
-        base_seed=seed,
-        stream=ASSESSMENT_SEED_STREAM,
-        scenario=scenario,
-        disturbance=disturbance,
-        log_writer=log_writer,
-    )
-    inputs = inputs_from_episodes(episode_records, safe_state_probability_mass)
-    return build_report(inputs), episode_records

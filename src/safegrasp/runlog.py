@@ -44,6 +44,12 @@ def replace_atomically(path, data: bytes) -> None:
         raise
 
 
+def write_json_atomically(path, doc) -> None:
+    """Write ``doc`` as indented JSON with sorted keys and a final newline,
+    through ``replace_atomically``."""
+    replace_atomically(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
 class EpisodeLogWriter:
     """Append-only JSONL writer; attach to an environment via
     ``env.set_log_writer``."""

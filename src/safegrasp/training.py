@@ -17,7 +17,6 @@ Run outputs, all under the run directory:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,7 @@ from .runlog import (
     EpisodeLogWriter,
     dumps_canonical,
     records_to_episodes,
-    replace_atomically,
+    write_json_atomically,
 )
 from .tqc import ReplayBuffer, TqcAgent
 from .env import ACTION_DIM, OBSERVATION_DIM
@@ -139,10 +138,7 @@ class Trainer:
             "final_eval": final_eval,
             "eval_history": self.eval_history,
         }
-        replace_atomically(
-            self.out_dir / "metrics.json",
-            (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-        )
+        write_json_atomically(self.out_dir / "metrics.json", summary)
         return summary
 
     def _train(self, diag_fh, train_fh) -> None:

@@ -3,6 +3,7 @@
 import configparser
 import json
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import safegrasp
-from safegrasp.cli import main
+from safegrasp.cli import _build_parser, main
 from safegrasp.config import ConfigError, RunConfig, default_config_text, load_config
 from safegrasp.env import EnvConfig, GraspEnv, RewardConfig, RewardMode, SceneConfig
 from safegrasp.kinematics import ArmModel
@@ -440,7 +441,8 @@ class TestCli:
         out_roll = tmp_path / "rollout"
         code = run_cli(
             "assess", "--policy", "scripted", "--episodes", "4",
-            "--scenarios", "normal", "--no-disturb", "--seed", "23",
+            "--scenarios", "normal", "--disturb-surface", "0", "--disturb-object", "0",
+            "--seed", "23",
             "--out", out_roll,
         )
         assert code == 0
@@ -452,18 +454,40 @@ class TestCli:
         assert report_log == report_roll
 
     def test_assess_log_header_names_its_disturbance(self, tmp_path):
-        for extra, expected in (([], (0.075, 0.005)), (["--no-disturb"], (0.0, 0.0))):
+        zero = ["--disturb-surface", "0", "--disturb-object", "0"]
+        for extra, expected in (([], (0.075, 0.005)), (zero, (0.0, 0.0))):
             out = tmp_path / f"assess{len(extra)}"
             code = run_cli(
                 "assess", "--policy", "scripted", "--episodes", "1",
                 "--scenarios", "normal", "--seed", "23", "--out", out, *extra,
             )
             assert code == 0
-            header, _ = read_log(next(out.glob("assess_*.jsonl")))
+            log = next(out.glob("assess_*.jsonl"))
+            header, _ = read_log(log)
             disturbance = header["disturbance"]
             assert (
                 disturbance["surface_height_delta"], disturbance["object_size_delta"]
             ) == expected
+            assert run_cli("replay", "--log", log) == 0
+
+    def test_assess_refuses_scenario(self, tmp_path):
+        # assess runs the --scenarios set; --scenario, even as an
+        # abbreviation of --scenarios, is not one of its flags
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "assess", "--policy", "scripted", "--episodes", "1",
+                "--scenarios", "normal", "--scenario", "obstacle", "--out", tmp_path,
+            )
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv", [("bench",), ("assess", "--no-disturb")], ids=["bench", "no-disturb"]
+    )
+    def test_removed_command_and_flag_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
 
     def test_assess_empty_log_exit_2(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -478,26 +502,6 @@ class TestCli:
         )
         text = (out / "fsa_report.txt").read_text()
         assert "SIL 2 Range" in text
-
-    def test_bench_runs(self, capsys):
-        assert run_cli("bench", "--repeats", "2") == 0
-        out = capsys.readouterr().out
-        lines = out.splitlines()
-        for name in (
-            "fk_frames",
-            "ik_dls",
-            "sphere_box_signed_distance",
-            "quantile_huber_loss_grad",
-        ):
-            rows = [line for line in lines if line.split()[0] == name]
-            assert len(rows) == 1
-            # one timing column: the name and its microseconds
-            assert len(rows[0].split()) == 2
-        for name in ("replay audit (per record)", "tqc.train_step (batch 256)"):
-            rows = [line for line in lines if line.startswith(name)]
-            assert len(rows) == 1
-            assert float(rows[0][len(name):]) > 0.0
-        assert "fallback" not in out
 
     def test_reward_mode_flag_sets_reward_config(self, tmp_path):
         config_path = tmp_path / "run.ini"
@@ -560,7 +564,7 @@ def run_cli_process(*argv) -> subprocess.CompletedProcess:
     return run_python("-m", "safegrasp.cli", *argv)
 
 
-HEADER = '{"reward":{"mode":"sd-drl"},"seed":0,"type":"header"}'
+HEADER = '{"reward":{"mode":"sd-drl"},"scenario":"normal","seed":0,"type":"header"}'
 STEP = '{"episode":0,"events":{},"reward":-0.25,"step":1,"terminated":false}'
 MALFORMED_LOGS = {
     "invalid_json": f"{HEADER}\n{STEP}\n{{not json\n",
@@ -651,6 +655,87 @@ class TestReplayStructure:
             f"audit failure at record {index} "
             f"(episode {record['episode']}, step {record['step']}): {message}\n"
         )
+
+MISSING = object()  # a header field to delete
+
+
+class TestReplayHeader:
+    """``replay`` refuses (exit 2, one line) a header whose ``seed`` is not
+    an integer or whose ``scenario`` is unknown, and a present ``policy``
+    that is not a string or ``disturbance`` that is not two finite numbers.
+    The clean headers of ``evaluate``, ``assess`` and training evaluation
+    logs pass (see the clean-log tests)."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("seed", "17"),
+            ("seed", True),
+            ("seed", 17.0),
+            ("seed", MISSING),
+            ("scenario", "both"),
+            ("scenario", MISSING),
+            ("policy", 3),
+            ("policy", None),
+            ("disturbance", {"surface_height_delta": float("nan"), "object_size_delta": 0.0}),
+            ("disturbance", {"surface_height_delta": 0.0, "object_size_delta": float("inf")}),
+            ("disturbance", {"surface_height_delta": 0.0}),
+            ("disturbance", {"surface_height_delta": "0", "object_size_delta": 0.0}),
+            ("disturbance", {"surface_height_delta": False, "object_size_delta": 0.0}),
+            ("disturbance", [0.0, 0.0]),
+        ],
+        ids=lambda v: "missing" if v is MISSING else None,
+    )
+    def test_bad_header_exits_2(self, scripted_eval_dir, tmp_path, capsys, field, value):
+        lines = next(scripted_eval_dir.glob("eval_*.jsonl")).read_text().splitlines()
+        header = json.loads(lines[0])
+        if value is MISSING:
+            del header[field]
+        else:
+            header[field] = value
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        tampered = tmp_path / "tampered.jsonl"
+        tampered.write_text("\n".join(lines) + "\n")
+        assert run_cli("replay", "--log", tampered) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tampered}: log header: '{field}' must ")
+        assert len(err.splitlines()) == 1
+
+
+class TestBadNumbers:
+    """A count below 1, or a disturbance that is not finite or moves the
+    table or the cube of any episode out of the workspace, exits 2 with one
+    line before any output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("evaluate", "--policy", "random", "--episodes", "0"),
+            ("train", "--steps", "0"),
+            ("train", "--eval-every", "0"),
+            ("train", "--eval-episodes", "-1"),
+            ("train", "--checkpoint-every", "-5"),
+            ("evaluate", "--policy", "random", "--disturb-surface", "nan"),
+            ("evaluate", "--policy", "random", "--disturb-object", "inf"),
+            ("evaluate", "--policy", "random", "--disturb-surface", "5"),
+            # episode 0's cube fits; a later one, sampled near the edge, does not
+            ("evaluate", "--policy", "random", "--seed", "7", "--episodes", "30",
+             "--disturb-object", "0.3"),
+            ("assess", "--policy", "random", "--disturb-surface", "5"),
+            ("assess", "--policy", "random", "--scenarios", "obstacle", "--disturb-surface", "-1"),
+            ("assess", "--policy", "random", "--episodes", "0"),
+            ("assess", "--policy", "random", "--episodes", "-3"),
+        ],
+        ids=" ".join,
+    )
+    def test_exit_2_with_one_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestMalformedLogs:
     """A log the audit commands cannot read is a usage error (exit 2) with a
@@ -778,6 +863,10 @@ class TestTrainerSmoke:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["total_steps"] == 300
         assert metrics["updates"] > 0
+        eval_logs = sorted((out / "eval").glob("eval_*.jsonl"))
+        assert eval_logs
+        for log in eval_logs:
+            assert run_cli("replay", "--log", log) == 0
         # the checkpoint loads and evaluates
         code = run_cli(
             "evaluate", "--checkpoint", out / "checkpoint.ckpt",
@@ -815,12 +904,12 @@ class TestTrainerSmoke:
             Trainer(RunConfig(seed=1), tmp_path, total_steps=10, workers=2)
 
 
-def fail_metrics_replace(monkeypatch):
-    """Make moving a finished ``metrics.json`` into place fail."""
+def fail_metrics_replace(monkeypatch, name="metrics.json"):
+    """Make moving a finished ``name`` (``metrics.json``) into place fail."""
     real_replace = os.replace
 
     def replace_or_fail(src, dst):
-        if Path(dst).name == "metrics.json":
+        if Path(dst).name == name:
             raise OSError("disk full")
         real_replace(src, dst)
 
@@ -828,7 +917,8 @@ def fail_metrics_replace(monkeypatch):
 
 
 class TestAtomicMetrics:
-    """A failed write leaves the previous metrics.json whole and no temporary."""
+    """A failed write leaves the previous metrics.json (or fsa_report.json)
+    whole and no temporary."""
 
     def test_evaluate(self, tmp_path, monkeypatch):
         args = ("evaluate", "--policy", "scripted", "--out", tmp_path)
@@ -863,3 +953,34 @@ class TestAtomicMetrics:
         assert (out / "metrics.json").read_bytes() == before
         assert json.loads(before)["seed"] == 1
         assert not list(out.glob("*.tmp"))
+
+    def test_assess(self, tmp_path, monkeypatch):
+        args = ("assess", "--policy", "scripted", "--scenarios", "normal", "--out", tmp_path)
+        assert run_cli(*args, "--episodes", "1", "--seed", "3") == 0
+        before = (tmp_path / "fsa_report.json").read_bytes()
+        fail_metrics_replace(monkeypatch, "fsa_report.json")
+        assert run_cli(*args, "--episodes", "2", "--seed", "4") == 3  # io error
+        assert (tmp_path / "fsa_report.json").read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_json_layout(self, tmp_path):
+        doc = {"b": [1, 2.5], "a": {"c": None}}
+        runlog.write_json_atomically(tmp_path / "doc.json", doc)
+        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "doc.json").read_bytes() == expected.encode("utf-8")
+
+
+def test_readme_quick_start_parses():
+    """Every ``safegrasp ...`` line of the README's Quick start block is a
+    command line the CLI accepts, so a removed command or flag cannot stay
+    in the docs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("safegrasp ")]
+    assert len(commands) >= 6
+    parser = _build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README Quick start line does not parse: {line}")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from safegrasp.env import GraspEnv
 from safegrasp.fsa import (
+    ASSESSMENT_SEED_STREAM,
     FsaInput,
     assign_sil,
     build_report,
@@ -15,8 +16,8 @@ from safegrasp.fsa import (
     compute_rrf,
     format_report_text,
     inputs_from_episodes,
-    run_assessment,
 )
+from safegrasp.rollout import rollout_episodes
 from safegrasp.runlog import EpisodeRecord, ViolationCounts
 from safegrasp.tqc import ScriptedGraspPolicy
 
@@ -220,20 +221,25 @@ class HoverPolicy:
         return np.zeros(4)
 
 
+def assess(env, policy, episodes, seed, **kwargs):
+    """The assessment protocol of ``safegrasp assess``: rollouts on the
+    assessment seed stream, then the report of their episodes."""
+    records = rollout_episodes(
+        env, policy, episodes=episodes, base_seed=seed, stream=ASSESSMENT_SEED_STREAM, **kwargs
+    )
+    return build_report(inputs_from_episodes(records)), records
+
+
 class TestRunAssessment:
     def test_always_colliding_policy(self):
         env = GraspEnv()
-        report, records = run_assessment(
-            env, DiveBombPolicy(), episodes=10, seed=0, disturbance=None
-        )
+        report, records = assess(env, DiveBombPolicy(), episodes=10, seed=0, disturbance=None)
         assert report.inputs.failure_count >= 10  # one collision per episode
         assert report.sil <= 1
 
     def test_safe_policy_exercises_failure_free_path(self):
         env = GraspEnv()
-        report, records = run_assessment(
-            env, HoverPolicy(), episodes=3, seed=0, disturbance=None
-        )
+        report, records = assess(env, HoverPolicy(), episodes=3, seed=0, disturbance=None)
         assert report.inputs.failure_count == 0
         assert report.mttf_is_lower_bound
         assert report.mttf == report.inputs.total_steps
@@ -241,9 +247,7 @@ class TestRunAssessment:
     def test_scripted_policy_deterministic(self):
         def run():
             env = GraspEnv()
-            report, _ = run_assessment(
-                env, ScriptedGraspPolicy(), episodes=4, seed=3
-            )
+            report, _ = assess(env, ScriptedGraspPolicy(), episodes=4, seed=3)
             return report.as_dict()
 
         assert run() == run()
@@ -265,7 +269,7 @@ class _OwnedWriter:
 class TestAssessmentWriter:
     def test_writer_stays_open_for_its_owner(self):
         writer = _OwnedWriter()
-        _, episodes = run_assessment(
+        _, episodes = assess(
             GraspEnv(), ScriptedGraspPolicy(), episodes=2, seed=0, log_writer=writer
         )
         assert not writer.closed
