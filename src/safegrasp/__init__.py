@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .env import (  # noqa: F401
-    Action,
     EnvConfig,
     GraspEnv,
     Observation,
@@ -15,7 +14,7 @@ from .env import (  # noqa: F401
     TransitionEvents,
     compute_reward,
 )
-from .kinematics import ArmModel, IkResult, IkStatus, Pose  # noqa: F401
+from .kinematics import ArmModel, IkResult, IkStatus  # noqa: F401
 from .tqc import (  # noqa: F401
     RandomPolicy,
     ReplayBuffer,

@@ -44,7 +44,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, RunConfig, apply_overrides, default_config_text, load_config
-from .env import RewardConfig, TransitionEvents, compute_reward
+from .env import RewardConfig, RewardMode, Scenario, TransitionEvents, compute_reward
 from .fsa import build_report, format_report_text, inputs_from_episodes
 from .metrics import summarize
 from .rollout import (
@@ -67,7 +67,7 @@ EXIT_AUDIT = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-SCENARIOS = ("normal", "obstacle")
+SCENARIOS = tuple(scenario.value for scenario in Scenario)
 DISTURBANCE_KEYS = {"surface_height_delta", "object_size_delta"}
 
 
@@ -79,7 +79,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="config file (INI)")
     parser.add_argument("--seed", type=int, default=None, help="run seed override")
     parser.add_argument(
-        "--reward-mode", choices=("drl", "sd-drl"), default=None, help="reward engine mode"
+        "--reward-mode",
+        choices=[mode.value for mode in RewardMode],
+        default=None,
+        help="reward engine mode",
     )
     parser.add_argument("--out", type=Path, default=None, help="output directory")
 

@@ -20,14 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import (
-    ArmModel,
-    IkStatus,
-    Pose,
-    check_speed,
-    eef_position,
-    inverse_kinematics,
-)
+from .kinematics import ArmModel, IkStatus, check_speed, eef_position, inverse_kinematics
 from .world import (
     DEFAULT_CONTACT_STIFFNESS,
     DEFAULT_CUBE_STIFFNESS,
@@ -41,10 +34,6 @@ from .world import (
 
 OBSERVATION_DIM = 17
 ACTION_DIM = 4
-
-# fixed downward-facing grasp orientation commanded to IK (position-only
-# objective; the value documents the tool convention)
-DOWN_QUAT = (0.0, 1.0, 0.0, 0.0)
 
 # seed configuration from which the home joint vector is solved
 READY_SEED = (0.0, -np.pi / 2.0, np.pi / 2.0, -np.pi / 2.0, -np.pi / 2.0, 0.0)
@@ -60,26 +49,24 @@ class Scenario(Enum):
     STATIC_OBSTACLE = "obstacle"
 
 
-def _as_scenario(value) -> Scenario:
-    if isinstance(value, Scenario):
+def _as_member(enum: type[Enum], label: str, value):
+    """``value`` as a member of ``enum``: a member, or its value in any case
+    and surrounding whitespace."""
+    if isinstance(value, enum):
         return value
     try:
-        return Scenario(str(value).strip().lower())
+        return enum(str(value).strip().lower())
     except ValueError:
-        raise ValueError(
-            f"unknown scenario {value!r}; expected 'normal' or 'obstacle'"
-        ) from None
+        expected = " or ".join(repr(member.value) for member in enum)
+        raise ValueError(f"unknown {label} {value!r}; expected {expected}") from None
+
+
+def _as_scenario(value) -> Scenario:
+    return _as_member(Scenario, "scenario", value)
 
 
 def _as_reward_mode(value) -> RewardMode:
-    if isinstance(value, RewardMode):
-        return value
-    try:
-        return RewardMode(str(value).strip().lower())
-    except ValueError:
-        raise ValueError(
-            f"unknown reward mode {value!r}; expected 'drl' or 'sd-drl'"
-        ) from None
+    return _as_member(RewardMode, "reward mode", value)
 
 
 @dataclass(frozen=True)
@@ -186,83 +173,48 @@ class SceneConfig:
             raise ValueError("contact stiffnesses must be positive")
 
 
-class Action(tuple):
-    """4-dim end-effector command held as four Python floats.
+def _parse_action(action) -> tuple:
+    """A 4-element array-like action as ``(dx, dy, dz, gripper)``, Python floats.
 
-    ``Action(delta_position, gripper)``: a tool displacement 3-vector and the
-    gripper command, both in units of full deflection; ``clamped`` limits
-    each component to [-1, 1].  ``gripper >= 0`` commands the gripper
-    closed, ``< 0`` open.  A NaN component raises ``ValueError``; +-inf is
-    kept and clamps to +-1.
+    A tool displacement in units of full deflection and the gripper command
+    (``>= 0`` closes it, ``< 0`` opens it), each clamped to [-1, 1], so +-inf
+    becomes +-1.  A NaN component raises ``ValueError``.
+    """
+    dx, dy, dz, gripper = np.asarray(action, dtype=np.float64).reshape(ACTION_DIM).tolist()
+    if dx != dx or dy != dy or dz != dz or gripper != gripper:
+        raise ValueError("action components must not be NaN")
+    return (
+        min(1.0, max(-1.0, dx)),
+        min(1.0, max(-1.0, dy)),
+        min(1.0, max(-1.0, dz)),
+        min(1.0, max(-1.0, gripper)),
+    )
+
+
+class Observation:
+    """One observation, ``vector``: a read-only array of 17 floats.
+
+    ``Observation(values)`` copies any 17 numbers into it.  Each field reads
+    a slice or an element of ``vector`` and shares its memory, so no read
+    copies.
     """
 
-    __slots__ = ()
+    __slots__ = ("vector",)
 
-    def __new__(cls, delta_position, gripper):
-        dx, dy, dz = np.asarray(delta_position, dtype=np.float64).reshape(3).tolist()
-        return cls._of(dx, dy, dz, float(gripper))
+    def __init__(self, values):
+        vector = np.array(values, dtype=np.float64)
+        if vector.shape != (OBSERVATION_DIM,):
+            raise ValueError(f"an observation holds {OBSERVATION_DIM} values")
+        vector.flags.writeable = False
+        self.vector = vector
 
-    @classmethod
-    def _of(cls, dx: float, dy: float, dz: float, gripper: float) -> "Action":
-        if dx != dx or dy != dy or dz != dz or gripper != gripper:
-            raise ValueError("action components must not be NaN")
-        return tuple.__new__(cls, (dx, dy, dz, gripper))
-
-    @property
-    def delta_position(self) -> np.ndarray:
-        return np.array(self[:3])
-
-    @property
-    def gripper(self) -> float:
-        return self[3]
-
-    def clamped(self) -> "Action":
-        dx, dy, dz, gripper = self
-        return tuple.__new__(
-            Action,
-            (
-                min(1.0, max(-1.0, dx)),
-                min(1.0, max(-1.0, dy)),
-                min(1.0, max(-1.0, dz)),
-                min(1.0, max(-1.0, gripper)),
-            ),
-        )
-
-    def __getnewargs__(self):  # copy and pickle through ``__new__``'s signature
-        return self[:3], self[3]
-
-    @classmethod
-    def from_array(cls, arr) -> "Action":
-        return cls._of(*np.asarray(arr, dtype=np.float64).reshape(ACTION_DIM).tolist())
-
-
-def as_action(value) -> Action:
-    """An ``Action`` from an ``Action`` or any 4-element array-like."""
-    if isinstance(value, Action):
-        return value
-    return Action.from_array(value)
-
-
-class Observation(NamedTuple):
-    eef_position: np.ndarray
-    eef_velocity: np.ndarray
-    gripper_aperture: float  # 0 closed .. 1 open
-    cube_position: np.ndarray
-    cube_relative: np.ndarray  # cube - eef, exactly
-    obstacle_position: np.ndarray  # zeros when no obstacle is present
-    grasped: bool
-
-    @property
-    def vector(self) -> np.ndarray:
-        out = np.empty(OBSERVATION_DIM)
-        out[0:3] = self.eef_position
-        out[3:6] = self.eef_velocity
-        out[6] = self.gripper_aperture
-        out[7:10] = self.cube_position
-        out[10:13] = self.cube_relative
-        out[13:16] = self.obstacle_position
-        out[16] = 1.0 if self.grasped else 0.0
-        return out
+    eef_position = property(lambda self: self.vector[0:3])
+    eef_velocity = property(lambda self: self.vector[3:6])
+    gripper_aperture = property(lambda self: float(self.vector[6]))  # 0 closed .. 1 open
+    cube_position = property(lambda self: self.vector[7:10])
+    cube_relative = property(lambda self: self.vector[10:13])  # cube - eef, exactly
+    obstacle_position = property(lambda self: self.vector[13:16])  # zeros if none
+    grasped = property(lambda self: bool(self.vector[16]))
 
 
 @dataclass
@@ -414,12 +366,10 @@ class GraspEnv:
 
     def _resolve_home(self) -> tuple:
         if self._home_q is None:
-            target = Pose(
-                position=np.asarray(self.scene_config.home_position),
-                orientation=np.asarray(DOWN_QUAT),
-            )
             result = inverse_kinematics(
-                self.arm, target, np.asarray(READY_SEED, dtype=np.float64)
+                self.arm,
+                np.asarray(self.scene_config.home_position, dtype=np.float64),
+                np.asarray(READY_SEED, dtype=np.float64),
             )
             if not result.converged:
                 raise ValueError(
@@ -498,8 +448,7 @@ class GraspEnv:
             raise RuntimeError("step() called before reset()")
         if self._done:
             raise RuntimeError("step() called on a finished episode; call reset()")
-        act = as_action(action).clamped()
-        dx, dy, dz, gripper = act
+        act = dx, dy, dz, gripper = _parse_action(action)
         cfg = self.env_config
         reward_cfg = self.reward_config
         scale = cfg.action_scale
@@ -634,25 +583,17 @@ class GraspEnv:
         scene = self._scene
         ex, ey, ez = eef = self._eef
         cx, cy, cz = cube = scene.cube_center
-        # one array for the 15 vector entries; the fields are slices of it
-        values = np.array(
+        return Observation(
             eef
             + self._eef_velocity
+            + (self._aperture,)
             + cube
             + (cx - ex, cy - ey, cz - ez)
             + (scene.obstacle_center or (0.0, 0.0, 0.0))
-        )
-        return Observation(
-            eef_position=values[0:3],
-            eef_velocity=values[3:6],
-            gripper_aperture=self._aperture,
-            cube_position=values[6:9],
-            cube_relative=values[9:12],
-            obstacle_position=values[12:15],
-            grasped=self._grasped,
+            + (1.0 if self._grasped else 0.0,)
         )
 
-    def _step_record(self, act: Action, result: StepResult) -> dict:
+    def _step_record(self, act: tuple, result: StepResult) -> dict:
         return {
             "episode": self._episode_index,
             "step": self._step_count,

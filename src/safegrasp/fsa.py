@@ -17,7 +17,7 @@ failures: they are penalised interactions, not loss of the safety function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .rollout import ASSESSMENT_SEED_STREAM  # re-exported: the assessment rollouts' stream
 from .runlog import EpisodeRecord
@@ -66,20 +66,7 @@ class FsaReport:
     note: str = FORMULA_NOTE
 
     def as_dict(self) -> dict:
-        return {
-            "mttf": self.mttf,
-            "pfd": self.pfd,
-            "rrf": self.rrf,
-            "sil": self.sil,
-            "mttf_is_lower_bound": self.mttf_is_lower_bound,
-            "inputs": {
-                "total_steps": self.inputs.total_steps,
-                "failure_count": self.inputs.failure_count,
-                "safe_state_probability_mass": self.inputs.safe_state_probability_mass,
-            },
-            "sil2_ranges": dict(self.sil2_ranges),
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def compute_mttf(inputs: FsaInput) -> float:

@@ -1,10 +1,13 @@
 """Forward/inverse kinematics and joint-speed checking for a 6-DOF serial arm.
 
 The arm is described by standard DH parameters; the default geometry is the
-published table for a UR5-class manipulator.  Inverse kinematics is a
-position-only damped-least-squares iteration with iterates projected onto the
-joint limits; failure is reported as a status, never raised, because command
-rejection is a normal runtime event for the environment's safety shield.
+published table for a UR5-class manipulator.  The module is position-only,
+as the cobot is commanded with a fixed downward grasp orientation: forward
+kinematics (:func:`eef_position`) gives the tool position, and inverse
+kinematics takes a tool position as its target.  It is a damped-least-squares
+iteration with iterates projected onto the joint limits; failure is reported
+as a status, never raised, because command rejection is a normal runtime
+event for the environment's safety shield.
 """
 
 from __future__ import annotations
@@ -106,31 +109,10 @@ def _within(limit_rows: tuple, values: tuple) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Position plus unit quaternion (w, x, y, z)."""
-
-    position: np.ndarray
-    orientation: np.ndarray = field(
-        default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0])
-    )
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=np.float64).reshape(3)
-        quat = np.asarray(self.orientation, dtype=np.float64).reshape(4)
-        norm = math.hypot(*quat.tolist())
-        if abs(norm - 1.0) > 1.0e-9:
-            if norm == 0.0:
-                raise ValueError("orientation quaternion must be nonzero")
-            quat = quat / norm
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "orientation", quat)
-
-
 class IkResult(NamedTuple):
     """IK outcome; the joints and the tool point are tuples of floats.
 
-    ``solution`` and ``tool_position`` give them as arrays.
+    ``solution`` gives the joints as an array.
     """
 
     status: IkStatus
@@ -153,90 +135,28 @@ class IkResult(NamedTuple):
         """Tool origin of the solution, ``frames``' last origin."""
         return None if self.frames is None else self.frames[0][6]
 
-    @property
-    def tool_position(self) -> np.ndarray | None:
-        return None if self.tool_point is None else np.array(self.tool_point)
-
 
 class SpeedCheck(NamedTuple):
     ok: bool
     max_rate: float  # rad/s, largest per-joint rate of the command
 
 
-def rotation_to_quaternion(rot: np.ndarray) -> np.ndarray:
-    """Convert a rotation matrix to a (w, x, y, z) unit quaternion."""
-    m = np.asarray(rot, dtype=np.float64)
-    trace = m[0, 0] + m[1, 1] + m[2, 2]
-    if trace > 0.0:
-        s = np.sqrt(trace + 1.0) * 2.0
-        quat = np.array(
-            [
-                0.25 * s,
-                (m[2, 1] - m[1, 2]) / s,
-                (m[0, 2] - m[2, 0]) / s,
-                (m[1, 0] - m[0, 1]) / s,
-            ]
-        )
-    elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        quat = np.array(
-            [
-                (m[2, 1] - m[1, 2]) / s,
-                0.25 * s,
-                (m[0, 1] + m[1, 0]) / s,
-                (m[0, 2] + m[2, 0]) / s,
-            ]
-        )
-    elif m[1, 1] >= m[2, 2]:
-        s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        quat = np.array(
-            [
-                (m[0, 2] - m[2, 0]) / s,
-                (m[0, 1] + m[1, 0]) / s,
-                0.25 * s,
-                (m[1, 2] + m[2, 1]) / s,
-            ]
-        )
-    else:
-        s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        quat = np.array(
-            [
-                (m[1, 0] - m[0, 1]) / s,
-                (m[0, 2] + m[2, 0]) / s,
-                (m[1, 2] + m[2, 1]) / s,
-                0.25 * s,
-            ]
-        )
-    return quat / np.linalg.norm(quat)
-
-
-def forward_kinematics(model: ArmModel, q: np.ndarray) -> Pose:
-    """End-effector pose from the DH chain product."""
+def eef_position(model: ArmModel, q: np.ndarray) -> np.ndarray:
+    """Tool position of the joint vector ``q``, from the DH chain product."""
     values = kernels.float_tuple(q, 6)
     if not all(math.isfinite(v) for v in values):
         raise ValueError("joint vector must be finite")
-    rot, origins, _ = kernels.fk_frames(model.dh_rows, values)
-    return Pose(
-        position=np.array(origins[6]),
-        orientation=rotation_to_quaternion(np.array(rot)),
-    )
-
-
-def eef_position(model: ArmModel, q: np.ndarray) -> np.ndarray:
-    """End-effector position only (cheaper path used by the environment)."""
-    _, origins, _ = kernels.fk_frames(model.dh_rows, kernels.float_tuple(q, 6))
+    _, origins, _ = kernels.fk_frames(model.dh_rows, values)
     return np.array(origins[6])
 
 
 def inverse_kinematics(model: ArmModel, target, seed, seed_frames=None) -> IkResult:
-    """Damped-least-squares IK for the target position.
+    """Damped-least-squares IK for the target tool position.
 
-    ``target`` is a :class:`Pose` or the tool position itself (a 3-vector;
-    the env passes a tuple of floats).  Orientation is not part of the
-    objective: the arm commands the grasp tool point in position only, so
-    the solver drives the 3-dim position error with the geometric position
-    Jacobian.  A failure to converge is reported as ``UNREACHABLE``, or
-    ``LIMIT_VIOLATION`` when the best iterate was pinned at a joint limit.
+    ``target`` is a 3-vector (the env passes a tuple of floats).  The solver
+    drives the 3-dim position error with the geometric position Jacobian.  A
+    failure to converge is reported as ``UNREACHABLE``, or ``LIMIT_VIOLATION``
+    when the best iterate was pinned at a joint limit.
 
     ``seed_frames``, when given, is the ``(origins, zaxes)`` pair of
     ``seed``, such as the ``frames`` of the converged result the seed came
@@ -245,8 +165,6 @@ def inverse_kinematics(model: ArmModel, target, seed, seed_frames=None) -> IkRes
     seed_values = kernels.float_tuple(seed, 6)
     if not _within(model.limit_rows, seed_values):
         raise ValueError("IK seed must lie within joint limits")
-    if isinstance(target, Pose):
-        target = target.position
     target = kernels.float_tuple(target, 3)
     q_best, residual, iterations, clamped, converged, frames = kernels.ik_dls(
         model.dh_rows,

@@ -9,17 +9,13 @@ violation record).
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .runlog import EpisodeRecord, ViolationCounts
 
-VIOLATION_TYPES = (
-    "collision",
-    "obstacle_collision",
-    "speed",
-    "velocity",
-    "velocity_during_collision",
-)
+VIOLATION_TYPES = tuple(f.name for f in fields(ViolationCounts))
 
 
 def _require_records(records) -> list:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 
@@ -130,22 +130,10 @@ class ViolationCounts:
     velocity_during_collision: int = 0
 
     def total(self) -> int:
-        return (
-            self.collision
-            + self.obstacle_collision
-            + self.speed
-            + self.velocity
-            + self.velocity_during_collision
-        )
+        return sum(astuple(self))
 
     def as_dict(self) -> dict:
-        return {
-            "collision": self.collision,
-            "obstacle_collision": self.obstacle_collision,
-            "speed": self.speed,
-            "velocity": self.velocity,
-            "velocity_during_collision": self.velocity_during_collision,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -228,17 +228,15 @@ class TqcAgent:
     def alpha(self) -> float:
         return float(np.exp(self.log_alpha["log_alpha"]))
 
-    def select_action(
-        self, obs: np.ndarray, stochastic: bool = True, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        """Squashed-Gaussian sample, or tanh(mean) when deterministic."""
+    def select_action(self, obs: np.ndarray) -> np.ndarray:
+        """Squashed-Gaussian sample drawn with the agent's noise RNG.
+
+        ``actor_snapshot().select_action`` gives the deterministic tanh(mean).
+        """
         mean, log_std = policy_moments(
             self.actor_net, self.actor_params, np.asarray(obs, dtype=np.float64), self.act_dim
         )
-        if not stochastic:
-            return np.tanh(mean)
-        rng = rng if rng is not None else self._noise_rng
-        noise = rng.standard_normal(mean.shape)
+        noise = self._noise_rng.standard_normal(mean.shape)
         return np.tanh(mean + np.exp(log_std) * noise)
 
     def sample_with_logprob(self, obs: np.ndarray, rng: np.random.Generator):

@@ -155,7 +155,7 @@ class Trainer:
         def policy(obs):
             if step < tqc.warmup_steps:
                 return warmup_rng.uniform(-1.0, 1.0, ACTION_DIM)
-            return self.agent.select_action(obs.vector, stochastic=True)
+            return self.agent.select_action(obs.vector)
 
         while step < self.total_steps:
             seed = derive_seed(cfg.seed, TRAIN_SEED_STREAM, self._episodes)

@@ -116,6 +116,8 @@ class Scene:
         )
         grow = 0.5 * float(self.cube_size_offset)
         half = tuple(h + grow for h in self.nominal_cube_half_extents)
+        if not all(h > 0.0 for h in half):
+            raise ValueError("the disturbed cube half extents must be positive")
         object.__setattr__(self, "cube_half_extents", half)
 
     def validate_containment(self) -> "Scene":

@@ -26,7 +26,7 @@ from safegrasp.env import (
     compute_reward,
 )
 from safegrasp.fsa import FsaInput, assign_sil, build_report
-from safegrasp.kinematics import ArmModel, IkStatus, Pose, forward_kinematics, inverse_kinematics
+from safegrasp.kinematics import ArmModel, IkStatus, eef_position, inverse_kinematics
 from safegrasp.metrics import safety_driven_success_rate, success_rate
 from safegrasp.nn import Mlp, forward, gradients, init_mlp_params
 from safegrasp.runlog import EpisodeRecord, ViolationCounts, read_log
@@ -336,12 +336,12 @@ class TestCriterion07IkConvergence:
         trials = 1000
         for _ in range(trials):
             q_true = rng.uniform(-np.pi, np.pi, 6)
-            target = Pose(position=forward_kinematics(arm, q_true).position)
+            target = eef_position(arm, q_true)
             seed = rng.uniform(-np.pi, np.pi, 6)
             result = inverse_kinematics(arm, target, seed=seed)
             if result.status is IkStatus.CONVERGED:
-                back = forward_kinematics(arm, result.solution).position
-                assert np.linalg.norm(back - target.position) < 1e-3
+                back = eef_position(arm, result.solution)
+                assert np.linalg.norm(back - target) < 1e-3
                 converged += 1
         rate = converged / trials
         assert rate >= 0.95

@@ -703,9 +703,9 @@ class TestReplayHeader:
 
 
 class TestBadNumbers:
-    """A count below 1, or a disturbance that is not finite or moves the
-    table or the cube of any episode out of the workspace, exits 2 with one
-    line before any output."""
+    """A count below 1, or a disturbance that is not finite, shrinks the cube
+    to nothing or moves the table or the cube of any episode out of the
+    workspace, exits 2 with one line before any output."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -721,6 +721,9 @@ class TestBadNumbers:
             # episode 0's cube fits; a later one, sampled near the edge, does not
             ("evaluate", "--policy", "random", "--seed", "7", "--episodes", "30",
              "--disturb-object", "0.3"),
+            # a cube shrunk to zero or negative size
+            ("evaluate", "--policy", "random", "--disturb-object", "-0.05"),
+            ("evaluate", "--policy", "random", "--disturb-object", "-0.06"),
             ("assess", "--policy", "random", "--disturb-surface", "5"),
             ("assess", "--policy", "random", "--scenarios", "obstacle", "--disturb-surface", "-1"),
             ("assess", "--policy", "random", "--episodes", "0"),

@@ -1,6 +1,5 @@
 """Environment: reward engine, command shield, grasp logic, termination."""
 
-import copy
 import dataclasses
 import itertools
 import json
@@ -12,7 +11,6 @@ from scipy import stats
 from safegrasp import env as env_module
 from safegrasp import kernels
 from safegrasp.env import (
-    Action,
     EnvConfig,
     GraspEnv,
     Observation,
@@ -20,7 +18,6 @@ from safegrasp.env import (
     RewardMode,
     SceneConfig,
     TransitionEvents,
-    as_action,
     check_grasp,
     compute_reward,
 )
@@ -225,6 +222,35 @@ class TestReset:
         assert obs.gripper_aperture == 1.0
         assert not obs.grasped
 
+    def test_observation_vector_is_one_read_only_array(self, env):
+        env.reset(seed=1)
+        obs = env.step(np.array([0.2, 0.1, -0.3, 1.0])).observation
+        assert obs.vector is obs.vector
+        assert not obs.vector.flags.writeable
+        with pytest.raises(ValueError):
+            obs.vector[0] = 0.0
+        views = {
+            "eef_position": slice(0, 3),
+            "eef_velocity": slice(3, 6),
+            "cube_position": slice(7, 10),
+            "cube_relative": slice(10, 13),
+            "obstacle_position": slice(13, 16),
+        }
+        for name, index in views.items():
+            field = getattr(obs, name)
+            assert np.shares_memory(field, obs.vector), name
+            assert np.array_equal(field, obs.vector[index]), name
+        assert obs.gripper_aperture == obs.vector[6] == 0.0
+        assert type(obs.grasped) is bool and obs.grasped == (obs.vector[16] == 1.0)
+        # the hand-built form is the same: any 17 numbers, copied once
+        values = list(range(17))
+        built = Observation(values)
+        values[0] = 99
+        assert built.vector.tolist() == list(map(float, range(17)))
+        assert not built.vector.flags.writeable
+        with pytest.raises(ValueError):
+            Observation(np.zeros(15))
+
 
 class TestStepPipeline:
     def test_step_before_reset_raises(self):
@@ -354,9 +380,7 @@ class TestActionParsing:
         action = np.zeros(4)
         action[index] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            as_action(action)
-        with pytest.raises(ValueError, match="NaN"):
-            Action(action[:3], action[3])
+            env_module._parse_action(action)
 
     @pytest.mark.parametrize("index", range(4))
     def test_nan_step_raises_and_leaves_the_env_as_it_was(self, env, index):
@@ -387,17 +411,24 @@ class TestActionParsing:
         assert writer.records[1]["action"] == [0.0, 0.0, 0.0, 1.0]
         assert json.loads(json.dumps(writer.records)) == writer.records
 
-    def test_action_holds_plain_floats(self):
-        act = as_action(np.array([2.0, -0.5, 0.25, -3.0], dtype=np.float32))
-        clamped = act.clamped()
+    def test_action_holds_plain_floats(self, env):
+        clamped = env_module._parse_action(
+            np.array([2.0, -0.5, 0.25, -3.0], dtype=np.float32)
+        )
         assert clamped == (1.0, -0.5, 0.25, -1.0)
         assert all(type(v) is float for v in clamped)
-        assert np.array_equal(act.delta_position, [2.0, -0.5, 0.25])
-        assert act.gripper == -3.0
-        assert as_action(act) is act
-        assert copy.deepcopy(clamped) == clamped
+        assert env_module._parse_action([0.5, 0, -1, 1]) == (0.5, 0.0, -1.0, 1.0)
         with pytest.raises(ValueError):
-            as_action(np.zeros(3))
+            env_module._parse_action(np.zeros(3))
+        # the env logs the parsed action; a wrong length is refused there too
+        env.reset(seed=12)
+        writer = _ListWriter()
+        env.set_log_writer(writer)
+        env.step(np.array([2.0, -0.5, 0.25, -3.0], dtype=np.float32))
+        assert writer.records[0]["action"] == [1.0, -0.5, 0.25, -1.0]
+        with pytest.raises(ValueError):
+            env.step(np.zeros(3))
+        assert len(writer.records) == 1
 
 
 class TestGraspLogic:

@@ -16,11 +16,9 @@ from safegrasp import kernels
 from safegrasp.kinematics import (
     ArmModel,
     IkStatus,
-    Pose,
     UR5_DH,
     check_speed,
     eef_position,
-    forward_kinematics,
     inverse_kinematics,
 )
 
@@ -171,12 +169,11 @@ class TestForwardKinematics:
         dh = np.zeros((6, 4))
         model = ArmModel(dh=dh, joint_limits=np.tile((-7.0, 7.0), (6, 1)))
         q = np.array([0.3, -1.0, 2.0, 0.5, -0.2, 1.1])
-        pose = forward_kinematics(model, q)
-        assert np.allclose(pose.position, 0.0, atol=1e-15)
+        assert np.allclose(eef_position(model, q), 0.0, atol=1e-15)
 
     def test_ur5_zero_pose_matches_frozen_oracle_value(self, arm):
-        pose = forward_kinematics(arm, np.zeros(6))
-        assert pose.position == pytest.approx(UR5_ZERO_POSE_POSITION, abs=1e-9)
+        position = eef_position(arm, np.zeros(6))
+        assert position == pytest.approx(UR5_ZERO_POSE_POSITION, abs=1e-9)
         # and the oracle itself reproduces the frozen value
         oracle = dh_oracle(UR5_DH, np.zeros(6))[:3, 3]
         assert oracle == pytest.approx(UR5_ZERO_POSE_POSITION, abs=1e-12)
@@ -185,37 +182,25 @@ class TestForwardKinematics:
         rng = np.random.default_rng(42)
         for _ in range(100):
             q = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 6)
-            pose = forward_kinematics(arm, q)
             expected = dh_oracle(UR5_DH, q)[:3, 3]
-            assert np.linalg.norm(pose.position - expected) <= 1e-9
+            assert np.linalg.norm(eef_position(arm, q) - expected) <= 1e-9
 
     def test_angle_periodicity(self, arm):
         q = np.array([0.4, -1.2, 1.0, -0.3, 0.8, -0.6])
         shifted = q + 2.0 * np.pi
-        a = forward_kinematics(arm, q)
-        b = forward_kinematics(arm, shifted)
-        assert np.allclose(a.position, b.position, atol=1e-12)
-        # same rotation up to quaternion double cover
-        assert min(
-            np.linalg.norm(a.orientation - b.orientation),
-            np.linalg.norm(a.orientation + b.orientation),
-        ) < 1e-9
+        a = eef_position(arm, q)
+        b = eef_position(arm, shifted)
+        assert np.allclose(a, b, atol=1e-12)
 
     def test_rejects_non_finite_joints(self, arm):
         with pytest.raises(ValueError):
-            forward_kinematics(arm, np.array([np.nan, 0, 0, 0, 0, 0]))
-
-    def test_orientation_is_unit_quaternion(self, arm):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            pose = forward_kinematics(arm, rng.uniform(-3, 3, 6))
-            assert np.linalg.norm(pose.orientation) == pytest.approx(1.0, abs=1e-9)
+            eef_position(arm, np.array([np.nan, 0, 0, 0, 0, 0]))
 
 
 class TestInverseKinematics:
     def test_fixed_point_round_trip(self, arm):
         q = np.array([0.5, -1.8, 1.9, -1.5, -1.2, 0.4])
-        target = Pose(position=forward_kinematics(arm, q).position)
+        target = eef_position(arm, q)
         result = inverse_kinematics(arm, target, seed=q)
         assert result.status is IkStatus.CONVERGED
         assert result.residual < 1e-9
@@ -224,7 +209,7 @@ class TestInverseKinematics:
     def test_beyond_reach_is_unreachable(self, arm):
         # farther than the sum of all link offsets
         total_reach = np.sum(np.abs(arm.dh[:, :2]))
-        target = Pose(position=np.array([1.5 * total_reach, 0.0, 0.0]))
+        target = np.array([1.5 * total_reach, 0.0, 0.0])
         seed = np.zeros(6)
         result = inverse_kinematics(arm, target, seed=seed)
         assert result.status in (IkStatus.UNREACHABLE, IkStatus.LIMIT_VIOLATION)
@@ -237,12 +222,12 @@ class TestInverseKinematics:
         converged = 0
         for _ in range(trials):
             q_true = rng.uniform(-np.pi, np.pi, 6)
-            target = Pose(position=forward_kinematics(arm, q_true).position)
+            target = eef_position(arm, q_true)
             seed = rng.uniform(-np.pi, np.pi, 6)
             result = inverse_kinematics(arm, target, seed=seed)
             if result.status is IkStatus.CONVERGED:
-                round_trip = forward_kinematics(arm, result.solution).position
-                assert np.linalg.norm(round_trip - target.position) < 1e-3
+                round_trip = eef_position(arm, result.solution)
+                assert np.linalg.norm(round_trip - target) < 1e-3
                 assert arm.within_limits(result.solution)
                 converged += 1
         assert converged >= 0.95 * trials
@@ -255,13 +240,13 @@ class TestInverseKinematics:
         rng = np.random.default_rng(7)
         for _ in range(100):
             q_true = rng.uniform(-2.0, 2.0, 6)
-            target = Pose(position=forward_kinematics(tight, q_true).position)
+            target = eef_position(tight, q_true)
             result = inverse_kinematics(tight, target, seed=np.zeros(6))
             if result.status is IkStatus.CONVERGED:
                 assert tight.within_limits(result.solution)
 
     def test_seed_outside_limits_rejected(self, arm):
-        target = Pose(position=np.array([0.4, 0.0, 0.2]))
+        target = np.array([0.4, 0.0, 0.2])
         with pytest.raises(ValueError):
             inverse_kinematics(arm, target, seed=np.full(6, 10.0))
 
@@ -273,15 +258,15 @@ class TestInverseKinematics:
         for _ in range(200):
             seed = rng.uniform(-np.pi, np.pi, 6)
             start = eef_position(arm, seed)
-            target = Pose(position=start + rng.uniform(-0.3, 0.3, 3))
+            target = start + rng.uniform(-0.3, 0.3, 3)
             result = inverse_kinematics(arm, target, seed=seed)
             seen.add(result.status)
             if result.converged:
-                assert np.array_equal(
-                    result.tool_position, eef_position(arm, result.solution)
+                assert result.tool_point == tuple(
+                    eef_position(arm, result.solution).tolist()
                 )
             else:
-                assert result.tool_position is None
+                assert result.tool_point is None
         assert IkStatus.CONVERGED in seen and len(seen) > 1
 
     def test_frames_are_fk_of_solution(self, arm):
@@ -308,14 +293,14 @@ def ik_dls_pairs():
     reach = float(np.sum(np.abs(arm.dh[:, :2])))
     cases = []
     for _ in range(600):  # reachable targets, free seeds
-        target = forward_kinematics(arm, rng.uniform(-np.pi, np.pi, 6)).position
+        target = eef_position(arm, rng.uniform(-np.pi, np.pi, 6))
         cases.append((arm, rng.uniform(-np.pi, np.pi, 6), target))
     for _ in range(100):  # beyond the sum of all link offsets
         direction = rng.normal(size=3)
         target = 1.5 * reach * direction / np.linalg.norm(direction)
         cases.append((arm, rng.uniform(-np.pi, np.pi, 6), target))
     for _ in range(300):  # targets mostly outside the tight limits' reach
-        target = forward_kinematics(tight, rng.uniform(-3.0, 3.0, 6)).position
+        target = eef_position(tight, rng.uniform(-3.0, 3.0, 6))
         cases.append((tight, rng.uniform(-1.0, 1.0, 6), target))
     return cases
 
@@ -359,14 +344,14 @@ class TestKernelsAgainstMatrixReference:
         reach = float(np.sum(np.abs(arm.dh[:, :2])))
         cases = []
         for _ in range(600):  # reachable targets, free seeds
-            target = forward_kinematics(arm, rng.uniform(-np.pi, np.pi, 6)).position
+            target = eef_position(arm, rng.uniform(-np.pi, np.pi, 6))
             cases.append((arm, rng.uniform(-np.pi, np.pi, 6), target))
         for _ in range(100):  # beyond the sum of all link offsets
             direction = rng.normal(size=3)
             target = 1.5 * reach * direction / np.linalg.norm(direction)
             cases.append((arm, rng.uniform(-np.pi, np.pi, 6), target))
         for _ in range(300):  # targets mostly outside the tight limits' reach
-            target = forward_kinematics(tight, rng.uniform(-3.0, 3.0, 6)).position
+            target = eef_position(tight, rng.uniform(-3.0, 3.0, 6))
             cases.append((tight, rng.uniform(-1.0, 1.0, 6), target))
 
         statuses = set()
@@ -503,8 +488,6 @@ class TestVectorLengths:
             check_speed(q, (0.0,) * 6, 0.05, arm)
         with pytest.raises(ValueError):
             check_speed(q, q, 0.05, arm)
-        with pytest.raises(ValueError):
-            forward_kinematics(arm, q)
         with pytest.raises(ValueError):
             eef_position(arm, q)
         with pytest.raises(ValueError):

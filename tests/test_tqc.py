@@ -300,17 +300,16 @@ class TestQuantileHuberKernel:
 
 class TestSelectAction:
     def test_deterministic_calls_identical(self):
-        agent = TqcAgent(6, 3, small_config(), seed=5)
+        snapshot = TqcAgent(6, 3, small_config(), seed=5).actor_snapshot()
         obs = np.linspace(-1, 1, 6)
-        a = agent.select_action(obs, stochastic=False)
-        b = agent.select_action(obs, stochastic=False)
+        a = snapshot.select_action(obs)
+        b = snapshot.select_action(obs)
         assert np.array_equal(a, b)
 
     def test_all_actions_bounded_10k_draws(self):
         agent = TqcAgent(6, 4, small_config(), seed=6)
-        rng = np.random.default_rng(0)
-        obs = rng.normal(size=(10_000, 6))
-        actions = agent.select_action(obs, stochastic=True, rng=rng)
+        obs = np.random.default_rng(0).normal(size=(10_000, 6))
+        actions = agent.select_action(obs)
         assert actions.shape == (10_000, 4)
         assert np.all(actions >= -1.0) and np.all(actions <= 1.0)
 
@@ -349,10 +348,8 @@ class TestSelectAction:
         agent = TqcAgent(5, 2, small_config(), seed=8)
         snap = agent.actor_snapshot()
         obs = np.linspace(-0.5, 0.5, 5)
-        assert np.array_equal(
-            agent.select_action(obs, stochastic=False),
-            snap.select_action(obs),
-        )
+        mean, _ = policy_moments(agent.actor_net, agent.actor_params, obs, 2)
+        assert np.array_equal(np.tanh(mean), snap.select_action(obs))
 
 
 class TestReplayBuffer:
@@ -579,8 +576,8 @@ class TestTrainStep:
         clone = TqcAgent.load(path)
         obs = np.linspace(-1, 1, 6)
         assert np.array_equal(
-            agent.select_action(obs, stochastic=False),
-            clone.select_action(obs, stochastic=False),
+            agent.actor_snapshot().select_action(obs),
+            clone.actor_snapshot().select_action(obs),
         )
         assert clone.updates == agent.updates
 
@@ -592,13 +589,13 @@ class TestPolicies:
         from safegrasp.env import Observation
 
         obs = Observation(
-            eef_position=np.array([0.4, 0.0, 0.1]),
-            eef_velocity=np.zeros(3),
-            gripper_aperture=1.0,
-            cube_position=np.array([0.5, 0.0, 0.1]),
-            cube_relative=np.array([0.1, 0.0, 0.0]),
-            obstacle_position=np.zeros(3),
-            grasped=False,
+            [0.4, 0.0, 0.1]  # eef position
+            + [0.0, 0.0, 0.0]  # eef velocity
+            + [1.0]  # gripper open
+            + [0.5, 0.0, 0.1]  # cube position
+            + [0.1, 0.0, 0.0]  # cube - eef
+            + [0.0, 0.0, 0.0]  # no obstacle
+            + [0.0]  # not grasped
         )
         action = ScriptedGraspPolicy()(obs)
         assert action[0] > 0.0
@@ -608,13 +605,13 @@ class TestPolicies:
         from safegrasp.env import Observation
 
         obs = Observation(
-            eef_position=np.array([0.5, 0.0, 0.1]),
-            eef_velocity=np.zeros(3),
-            gripper_aperture=1.0,
-            cube_position=np.array([0.5, 0.0, 0.105]),
-            cube_relative=np.array([0.0, 0.0, 0.005]),
-            obstacle_position=np.zeros(3),
-            grasped=False,
+            [0.5, 0.0, 0.1]  # eef position
+            + [0.0, 0.0, 0.0]  # eef velocity
+            + [1.0]  # gripper open
+            + [0.5, 0.0, 0.105]  # cube position
+            + [0.0, 0.0, 0.005]  # cube - eef
+            + [0.0, 0.0, 0.0]  # no obstacle
+            + [0.0]  # not grasped
         )
         action = ScriptedGraspPolicy()(obs)
         assert action[3] == 1.0

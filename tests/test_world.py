@@ -180,6 +180,13 @@ class TestApplyDisturbance:
         with pytest.raises(ValueError):
             apply_disturbance(scene, DisturbanceSpec(0.60, 0.0))
 
+    def test_cube_shrunk_to_nothing_raises(self):
+        # 0.025 m nominal half extents shrink by half the size offset
+        with pytest.raises(ValueError, match="half extents must be positive"):
+            make_scene(cube_size_offset=-0.05)
+        with pytest.raises(ValueError, match="half extents must be positive"):
+            apply_disturbance(make_scene(), DisturbanceSpec(0.0, -0.06))
+
 
 def assert_scenes_equal(a: Scene, b: Scene) -> None:
     assert a.nominal_table_height == b.nominal_table_height
