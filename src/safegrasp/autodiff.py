@@ -147,9 +147,6 @@ class Tensor:
             ),
         )
 
-    def __neg__(self):
-        return Tensor._make(-self.data, (self,), (lambda g: -g,))
-
     def __matmul__(self, other):
         other = as_tensor(other)
         data = self.data @ other.data
@@ -223,12 +220,6 @@ class Tensor:
             return np.broadcast_to(g, shape) / n
 
         return Tensor._make(data, (self,), (vjp,))
-
-    def reshape(self, *shape):
-        data = self.data.reshape(*shape)
-        return Tensor._make(
-            data, (self,), (lambda g, s=self.data.shape: g.reshape(s),)
-        )
 
 
 def as_tensor(value) -> Tensor:

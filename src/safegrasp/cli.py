@@ -305,7 +305,12 @@ def cmd_assess(args) -> int:
     else:
         policy = _resolve_policy(args.policy, args.checkpoint, config, config.seed)
         scenarios = SCENARIOS if args.scenarios == "both" else (args.scenarios,)
-        per_scenario = max(1, args.episodes // len(scenarios))
+        per_scenario, left = divmod(args.episodes, len(scenarios))
+        if left:
+            raise ConfigError(
+                f"--episodes {args.episodes} does not split evenly over "
+                f"{len(scenarios)} scenarios"
+            )
         disturbance = _disturbance(args, config, scenarios, ASSESSMENT_SEED_STREAM, per_scenario)
         episodes = []
         for scenario in scenarios:

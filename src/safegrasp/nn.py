@@ -1,6 +1,6 @@
 """Dense networks over the autodiff substrate, Adam, and checkpoint IO.
 
-Parameters are plain float64 arrays held in a :class:`ParameterSet`; the
+Parameters are a plain ``dict`` of float64 arrays, name -> array; the
 layer convention is ``w{i}`` of shape (fan_in, fan_out) and ``b{i}`` of shape
 (1, fan_out).  Arrays may carry an extra leading ensemble axis (used by the
 critic ensemble); every routine here broadcasts over it transparently.
@@ -46,59 +46,9 @@ class Mlp:
         return len(self.sizes) - 1
 
 
-class ParameterSet:
-    """Ordered name -> array mapping with shapes fixed at construction."""
-
-    def __init__(self, arrays: dict):
-        self._arrays = {}
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"parameter {name!r} contains non-finite values")
-            self._arrays[str(name)] = arr
-        self._shapes = {name: arr.shape for name, arr in self._arrays.items()}
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._arrays[name]
-
-    def __setitem__(self, name: str, value: np.ndarray) -> None:
-        value = np.asarray(value, dtype=np.float64)
-        if name not in self._shapes:
-            raise KeyError(f"unknown parameter {name!r}")
-        if value.shape != self._shapes[name]:
-            raise ValueError(
-                f"shape mismatch for {name!r}: {value.shape} != {self._shapes[name]}"
-            )
-        self._arrays[name] = value
-
-    def __iter__(self):
-        return iter(self._arrays)
-
-    def __len__(self) -> int:
-        return len(self._arrays)
-
-    def __contains__(self, name) -> bool:
-        return name in self._arrays
-
-    def names(self) -> list:
-        return list(self._arrays)
-
-    def items(self):
-        return self._arrays.items()
-
-    def copy(self) -> "ParameterSet":
-        return ParameterSet({k: v.copy() for k, v in self._arrays.items()})
-
-    def zeros_like(self) -> "ParameterSet":
-        return ParameterSet({k: np.zeros_like(v) for k, v in self._arrays.items()})
-
-    def as_dict(self) -> dict:
-        return dict(self._arrays)
-
-
 def init_mlp_params(
     net: Mlp, rng: np.random.Generator, ensemble: int | None = None
-) -> ParameterSet:
+) -> dict:
     """He-uniform initialisation; the output layer gets a smaller gain."""
     arrays = {}
     lead = () if ensemble is None else (int(ensemble),)
@@ -109,10 +59,10 @@ def init_mlp_params(
             bound *= 0.01  # keep initial outputs near zero
         arrays[f"w{i}"] = rng.uniform(-bound, bound, size=lead + (fan_in, fan_out))
         arrays[f"b{i}"] = np.zeros(lead + (1, fan_out))
-    return ParameterSet(arrays)
+    return arrays
 
 
-def forward(net: Mlp, params: ParameterSet, x: np.ndarray) -> np.ndarray:
+def forward(net: Mlp, params: dict, x: np.ndarray) -> np.ndarray:
     """Deterministic forward pass on plain arrays, with no tape.
 
     Accepts a single input vector or a batch; the output matches.  It runs
@@ -145,7 +95,7 @@ def forward_tape(net: Mlp, params: dict, x: Tensor) -> Tensor:
     return h
 
 
-def gradients(net: Mlp, params: ParameterSet, x: np.ndarray, loss_fn) -> dict:
+def gradients(net: Mlp, params: dict, x: np.ndarray, loss_fn) -> dict:
     """Exact reverse-mode gradients of a scalar loss of the network outputs.
 
     ``loss_fn`` receives the output Tensor and must build a scalar Tensor.
@@ -168,14 +118,14 @@ def gradients(net: Mlp, params: ParameterSet, x: np.ndarray, loss_fn) -> dict:
 class AdamState:
     """First/second moment accumulators plus the step counter."""
 
-    def __init__(self, params: ParameterSet):
+    def __init__(self, params: dict):
         self.m = {name: np.zeros_like(arr) for name, arr in params.items()}
         self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
         self.t = 0
 
 
 def adam_update(
-    params: ParameterSet,
+    params: dict,
     grads: dict,
     state: AdamState,
     lr: float,

@@ -192,8 +192,3 @@ def records_to_episodes(step_records: list[dict]) -> list[EpisodeRecord]:
         violations = ViolationCounts(collision, obstacle, speed, velocity, during)
         episodes.append(EpisodeRecord(return_sum, steps, success, violations, failed))
     return episodes
-
-
-def load_episodes(path) -> list[EpisodeRecord]:
-    _, records = read_log(path)
-    return records_to_episodes(records)

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .autodiff import Tensor, concat, custom_unary
 from .env import EnvConfig, RewardConfig, SceneConfig
-from .nn import AdamState, Mlp, ParameterSet, adam_update, forward, forward_tape, init_mlp_params
+from .nn import AdamState, Mlp, adam_update, forward, forward_tape, init_mlp_params
 from .nn import load_checkpoint, save_checkpoint
 
 LOG_STD_MIN = -5.0
@@ -214,8 +214,8 @@ class TqcAgent:
         self.critic_params = init_mlp_params(
             self.critic_net, init_rng, ensemble=cfg.n_critics
         )
-        self.target_params = self.critic_params.copy()
-        self.log_alpha = ParameterSet({"log_alpha": np.zeros(())})
+        self.target_params = {name: arr.copy() for name, arr in self.critic_params.items()}
+        self.log_alpha = {"log_alpha": np.zeros(())}
         self._actor_adam = AdamState(self.actor_params)
         self._critic_adam = AdamState(self.critic_params)
         self._alpha_adam = AdamState(self.log_alpha)
@@ -261,7 +261,7 @@ class TqcAgent:
 
     # -- critics ---------------------------------------------------------------
 
-    def critic_quantiles(self, params: ParameterSet, obs: np.ndarray, act: np.ndarray) -> np.ndarray:
+    def critic_quantiles(self, params: dict, obs: np.ndarray, act: np.ndarray) -> np.ndarray:
         """Quantile atoms (n_critics, batch, M) for a batch of state-actions."""
         inp = np.concatenate([obs, act], axis=-1)
         return forward(self.critic_net, params, inp)
@@ -367,16 +367,15 @@ class TqcAgent:
 
     # -- persistence ---------------------------------------------------------------
 
-    def checkpoint_arrays(self) -> dict:
-        arrays = {}
-        for name, arr in self.actor_params.items():
-            arrays[f"actor/{name}"] = arr
-        for name, arr in self.critic_params.items():
-            arrays[f"critics/{name}"] = arr
-        for name, arr in self.target_params.items():
-            arrays[f"targets/{name}"] = arr
-        arrays["log_alpha"] = self.log_alpha["log_alpha"]
-        return arrays
+    def _state_table(self) -> dict:
+        """Checkpoint name prefix -> parameter dict, in file order; ``save``
+        and ``load`` both walk it."""
+        return {
+            "actor/": self.actor_params,
+            "critics/": self.critic_params,
+            "targets/": self.target_params,
+            "": self.log_alpha,
+        }
 
     def save(self, path, extra_meta: dict | None = None) -> None:
         meta = {
@@ -387,18 +386,28 @@ class TqcAgent:
         }
         if extra_meta:
             meta.update(extra_meta)
-        save_checkpoint(path, self.checkpoint_arrays(), meta)
+        arrays = {
+            prefix + name: arr
+            for prefix, params in self._state_table().items()
+            for name, arr in params.items()
+        }
+        save_checkpoint(path, arrays, meta)
 
     @classmethod
     def load(cls, path, seed: int = 0) -> "TqcAgent":
+        """Rebuild a saved agent; a missing array is a ``KeyError``, one whose
+        shape the checkpoint's own config does not give a ``ValueError``."""
         arrays, meta = load_checkpoint(path)
         agent = cls(meta["obs_dim"], meta["act_dim"], TqcConfig(**meta["config"]), seed=seed)
-        for name in agent.actor_params.names():
-            agent.actor_params[name] = arrays[f"actor/{name}"]
-        for name in agent.critic_params.names():
-            agent.critic_params[name] = arrays[f"critics/{name}"]
-            agent.target_params[name] = arrays[f"targets/{name}"]
-        agent.log_alpha["log_alpha"] = arrays["log_alpha"].reshape(())
+        for prefix, params in agent._state_table().items():
+            for name, arr in params.items():
+                loaded = arrays[prefix + name]
+                if loaded.shape != arr.shape:
+                    raise ValueError(
+                        f"array {prefix + name!r} has shape {loaded.shape}, "
+                        f"but the checkpoint's config gives {arr.shape}"
+                    )
+                params[name] = loaded
         agent.updates = int(meta.get("updates", 0))
         return agent
 

@@ -17,12 +17,12 @@ from safegrasp.cli import _build_parser, main
 from safegrasp.config import ConfigError, RunConfig, default_config_text, load_config
 from safegrasp.env import EnvConfig, GraspEnv, RewardConfig, RewardMode, SceneConfig
 from safegrasp.kinematics import ArmModel
+from safegrasp.nn import load_checkpoint, save_checkpoint
 from safegrasp import runlog
 from safegrasp.runlog import (
     EpisodeLogWriter,
     EpisodeRecord,
     ViolationCounts,
-    load_episodes,
     read_log,
     records_to_episodes,
 )
@@ -347,7 +347,7 @@ class TestRunLog:
             env.step(np.array([0.2, 0.0, 0.1, -1.0]))
         env.set_log_writer(None)
         writer.close()
-        episodes = load_episodes(path)
+        episodes = records_to_episodes(read_log(path)[1])
         assert len(episodes) == 1
         assert episodes[0].steps == 5
 
@@ -728,6 +728,9 @@ class TestBadNumbers:
             ("assess", "--policy", "random", "--scenarios", "obstacle", "--disturb-surface", "-1"),
             ("assess", "--policy", "random", "--episodes", "0"),
             ("assess", "--policy", "random", "--episodes", "-3"),
+            # two scenarios by default: a count they do not split evenly
+            ("assess", "--policy", "random", "--episodes", "1"),
+            ("assess", "--policy", "random", "--episodes", "3"),
         ],
         ids=" ".join,
     )
@@ -807,22 +810,41 @@ class TestMalformedLogs:
 
 
 class TestBadCheckpoint:
-    """An unreadable checkpoint is a usage error (exit 2) with a one-line
-    message, not a traceback with the audit-failure code 1."""
+    """An unreadable checkpoint, or one whose arrays do not fit its own
+    config, is a usage error (exit 2) with a one-line message, not a
+    traceback with the audit-failure code 1."""
+
+    # what the one-line message must name, per case; critics/w0 is
+    # (2, 21, 8) for 17 + 4 inputs and 8 hidden units
+    EXPECTED = {
+        "junk": ("bad magic",),
+        "truncated": ("truncated",),
+        "misshapen": ("critics/w0", "(2, 21, 9)", "(2, 21, 8)"),
+        "missing": ("targets/w0",),
+    }
 
     @staticmethod
     def write_case(tmp_path, case) -> Path:
         path = tmp_path / f"{case}.ckpt"
         if case == "junk":
             path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
-        else:
-            agent = TqcAgent(17, 4, TqcConfig(hidden_sizes=(8, 8)), seed=0)
-            agent.save(path)
+            return path
+        agent = TqcAgent(17, 4, TqcConfig(hidden_sizes=(8, 8)), seed=0)
+        agent.save(path)
+        if case == "truncated":
             path.write_bytes(path.read_bytes()[:-9])
+            return path
+        # a well-formed file whose arrays do not match its own config
+        arrays, meta = load_checkpoint(path)
+        if case == "misshapen":
+            arrays["critics/w0"] = np.zeros((2, 21, 9))
+        else:
+            del arrays["targets/w0"]
+        save_checkpoint(path, arrays, meta)
         return path
 
     @pytest.mark.parametrize("command", ["evaluate", "assess"])
-    @pytest.mark.parametrize("case", ["junk", "truncated"])
+    @pytest.mark.parametrize("case", sorted(EXPECTED))
     def test_exit_2_with_one_line(self, tmp_path, case, command):
         path = self.write_case(tmp_path, case)
         proc = run_cli_process(
@@ -832,7 +854,7 @@ class TestBadCheckpoint:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: cannot load checkpoint")
         assert len(proc.stderr.splitlines()) == 1
-        assert ("bad magic" if case == "junk" else "truncated") in proc.stderr
+        assert all(part in proc.stderr for part in self.EXPECTED[case])
 
 
 def test_modules_import_without_warnings():

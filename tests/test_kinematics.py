@@ -286,6 +286,8 @@ class TestInverseKinematics:
 def ik_dls_pairs():
     """The 1000 (arm, seed, target) cases of ``test_ik_dls_matches_on_1000_pairs``."""
     rng = np.random.default_rng(99)
+    # 60 iterations keep the reference affordable; most reachable
+    # targets still converge, the rest end as failures of either kind
     arm = ArmModel.default_ur5(ik_max_iterations=60)
     tight = ArmModel(
         dh=arm.dh, joint_limits=np.tile((-1.0, 1.0), (6, 1)), ik_max_iterations=60
@@ -334,28 +336,8 @@ class TestKernelsAgainstMatrixReference:
                     assert np.abs(np.array(zaxes) - ref_zaxes).max() <= 1e-12
 
     def test_ik_dls_matches_on_1000_pairs(self):
-        rng = np.random.default_rng(99)
-        # 60 iterations keep the reference affordable; most reachable
-        # targets still converge, the rest end as failures of either kind
-        arm = ArmModel.default_ur5(ik_max_iterations=60)
-        tight = ArmModel(
-            dh=arm.dh, joint_limits=np.tile((-1.0, 1.0), (6, 1)), ik_max_iterations=60
-        )
-        reach = float(np.sum(np.abs(arm.dh[:, :2])))
-        cases = []
-        for _ in range(600):  # reachable targets, free seeds
-            target = eef_position(arm, rng.uniform(-np.pi, np.pi, 6))
-            cases.append((arm, rng.uniform(-np.pi, np.pi, 6), target))
-        for _ in range(100):  # beyond the sum of all link offsets
-            direction = rng.normal(size=3)
-            target = 1.5 * reach * direction / np.linalg.norm(direction)
-            cases.append((arm, rng.uniform(-np.pi, np.pi, 6), target))
-        for _ in range(300):  # targets mostly outside the tight limits' reach
-            target = eef_position(tight, rng.uniform(-3.0, 3.0, 6))
-            cases.append((tight, rng.uniform(-1.0, 1.0, 6), target))
-
         statuses = set()
-        for model, seed, target in cases:
+        for model, seed, target in ik_dls_pairs():
             args = (model.ik_damping, model.ik_tolerance, model.ik_max_iterations)
             q, res, iters, clamped, converged, frames = kernels.ik_dls(
                 model.dh_rows,

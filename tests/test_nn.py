@@ -11,7 +11,6 @@ from safegrasp.nn import (
     CHECKPOINT_MAGIC,
     AdamState,
     Mlp,
-    ParameterSet,
     adam_update,
     forward,
     forward_tape,
@@ -141,10 +140,10 @@ class TestAutodiffOps:
 class TestForward:
     def test_zero_parameters_zero_output(self):
         net = Mlp((3, 4, 2))
-        params = ParameterSet(
-            {"w0": np.zeros((3, 4)), "b0": np.zeros((1, 4)),
-             "w1": np.zeros((4, 2)), "b1": np.zeros((1, 2))}
-        )
+        params = {
+            "w0": np.zeros((3, 4)), "b0": np.zeros((1, 4)),
+            "w1": np.zeros((4, 2)), "b1": np.zeros((1, 2)),
+        }
         assert np.array_equal(forward(net, params, np.array([1.0, -2.0, 3.0])), np.zeros(2))
 
     def test_affine_layer_matches_hand_multiply(self):
@@ -217,10 +216,10 @@ class TestForward:
 class TestGradients:
     def test_linear_sum_has_closed_form(self):
         net = Mlp((3, 4, 4))
-        params = ParameterSet(
-            {"w0": np.eye(3, 4), "b0": np.full((1, 4), 5.0),
-             "w1": np.zeros((4, 4)), "b1": np.zeros((1, 4))}
-        )
+        params = {
+            "w0": np.eye(3, 4), "b0": np.full((1, 4), 5.0),
+            "w1": np.zeros((4, 4)), "b1": np.zeros((1, 4)),
+        }
         x = np.array([[1.0, 2.0, 3.0]])
         grads = gradients(net, params, x, lambda out: out.sum())
         # dL/dw1 = outer(hidden, ones); hidden = relu(x I + 5)
@@ -273,21 +272,21 @@ class TestGradients:
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        params = ParameterSet({"w": np.array([1.0, -2.0, 3.0])})
+        params = {"w": np.array([1.0, -2.0, 3.0])}
         state = AdamState(params)
         before = params["w"].copy()
         adam_update(params, {"w": np.zeros(3)}, state, lr=0.1)
         assert np.array_equal(params["w"], before)
 
     def test_first_step_is_signed_learning_rate(self):
-        params = ParameterSet({"w": np.zeros(4)})
+        params = {"w": np.zeros(4)}
         state = AdamState(params)
         grad = np.array([0.3, -0.7, 1.5, -2.0])
         adam_update(params, {"w": grad}, state, lr=0.01)
         assert np.allclose(params["w"], -0.01 * np.sign(grad), atol=1e-6)
 
     def test_quadratic_descent_windows(self):
-        params = ParameterSet({"w": np.array([5.0, -3.0])})
+        params = {"w": np.array([5.0, -3.0])}
         state = AdamState(params)
         target = np.array([1.0, 2.0])
         losses = []
@@ -299,23 +298,10 @@ class TestAdam:
             assert losses[i + 10] < losses[i]
 
     def test_shape_mismatch_raises(self):
-        params = ParameterSet({"w": np.zeros(3)})
+        params = {"w": np.zeros(3)}
         state = AdamState(params)
         with pytest.raises(ValueError):
             adam_update(params, {"w": np.zeros(4)}, state, lr=0.1)
-
-
-class TestParameterSet:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ParameterSet({"w": np.array([1.0, np.inf])})
-
-    def test_shape_is_locked(self):
-        params = ParameterSet({"w": np.zeros((2, 2))})
-        with pytest.raises(ValueError):
-            params["w"] = np.zeros((3, 2))
-        with pytest.raises(KeyError):
-            params["v"] = np.zeros((2, 2))
 
 
 class TestCheckpoint:

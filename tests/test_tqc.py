@@ -427,7 +427,7 @@ class TestTrainStep:
         buf = ReplayBuffer(4, 2, 256)
         fill_buffer(buf, np.random.default_rng(1), 64, obs_dim=4, act_dim=2)
         agent.train_step(buf)
-        for name in agent.critic_params.names():
+        for name in agent.critic_params:
             assert np.array_equal(agent.target_params[name], agent.critic_params[name])
 
     def test_critic_loss_gradient_matches_finite_differences(self):
@@ -514,7 +514,7 @@ class TestTrainStep:
                 out = forward(net, params, x)
                 return float(np.mean((out - target) ** 2))
 
-            for name in params.names():
+            for name in params:
                 arr = params[name]
                 flat = arr.reshape(-1)
                 analytic = grads[name].reshape(-1)
