@@ -87,6 +87,26 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=None, help="output directory")
 
 
+def _add_rollout_flags(
+    parser: argparse.ArgumentParser, episodes: int, surface: float, size: float
+) -> None:
+    """The policy, episode count and disturbance flags of evaluate and assess."""
+    parser.add_argument("--checkpoint", type=Path, default=None, help="agent checkpoint")
+    parser.add_argument(
+        "--policy",
+        choices=("checkpoint", "scripted", "random"),
+        default="checkpoint",
+        help="policy source",
+    )
+    parser.add_argument("--episodes", type=int, default=episodes)
+    parser.add_argument(
+        "--disturb-surface", type=float, default=surface, help="surface height delta (m)"
+    )
+    parser.add_argument(
+        "--disturb-object", type=float, default=size, help="object size delta (m)"
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="safegrasp", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"safegrasp {__version__}")
@@ -112,33 +132,12 @@ def _build_parser() -> argparse.ArgumentParser:
     # assess takes --scenarios instead, and ignores [run] scenario
     for p in (p_train, p_eval):
         p.add_argument("--scenario", choices=SCENARIOS, default=None, help="task scenario")
-    p_eval.add_argument("--checkpoint", type=Path, default=None, help="agent checkpoint")
-    p_eval.add_argument(
-        "--policy",
-        choices=("checkpoint", "scripted", "random"),
-        default="checkpoint",
-        help="policy source",
-    )
-    p_eval.add_argument("--episodes", type=int, default=20)
-    p_eval.add_argument(
-        "--disturb-surface", type=float, default=0.0, help="surface height delta (m)"
-    )
-    p_eval.add_argument(
-        "--disturb-object", type=float, default=0.0, help="object size delta (m)"
-    )
+    _add_rollout_flags(p_eval, 20, 0.0, 0.0)
 
     p_assess = add_parser("assess", help="functional-safety assessment")
     _add_common(p_assess)
-    p_assess.add_argument("--checkpoint", type=Path, default=None)
-    p_assess.add_argument(
-        "--policy",
-        choices=("checkpoint", "scripted", "random"),
-        default="checkpoint",
-    )
+    _add_rollout_flags(p_assess, 500, 0.075, 0.005)
     p_assess.add_argument("--log", type=Path, default=None, help="assess a recorded log")
-    p_assess.add_argument("--episodes", type=int, default=500)
-    p_assess.add_argument("--disturb-surface", type=float, default=0.075)
-    p_assess.add_argument("--disturb-object", type=float, default=0.005)
     p_assess.add_argument(
         "--scenarios",
         choices=(*SCENARIOS, "both"),
@@ -216,6 +215,41 @@ def _disturbance(args, config: RunConfig, scenarios, stream: int, episodes: int)
     return disturbance
 
 
+def _logged_rollouts(
+    args, config: RunConfig, out_dir: Path, scenarios, stream: int, log_name: str
+) -> tuple[list, list[Path]]:
+    """Roll out the ``--policy`` for ``--episodes`` split evenly over
+    ``scenarios``, one step log per scenario in ``out_dir``, named
+    ``<log_name>_<timestamp>_s<seed>.jsonl`` with ``{scenario}`` filled in.
+    Returns the episodes and the log paths."""
+    policy = _resolve_policy(args.policy, args.checkpoint, config, config.seed)
+    per_scenario, left = divmod(args.episodes, len(scenarios))
+    if left:
+        raise ConfigError(
+            f"--episodes {args.episodes} does not split evenly over "
+            f"{len(scenarios)} scenarios"
+        )
+    disturbance = _disturbance(args, config, scenarios, stream, per_scenario)
+    episodes, paths = [], []
+    for scenario in scenarios:
+        name = log_name.format(scenario=scenario)
+        paths.append(out_dir / f"{name}_{_timestamp()}_s{config.seed}.jsonl")
+        with EpisodeLogWriter(
+            paths[-1], header=log_header(config, scenario, args.policy, disturbance)
+        ) as writer:
+            episodes += rollout_episodes(
+                config.build_env(),
+                policy,
+                episodes=per_scenario,
+                base_seed=config.seed,
+                stream=stream,
+                scenario=scenario,
+                disturbance=disturbance,
+                log_writer=writer,
+            )
+    return episodes, paths
+
+
 def _read_step_log(path: Path) -> tuple[dict, list[dict]]:
     """``read_log`` for the audit commands: a log that is missing, malformed
     or holds no step record is a usage error."""
@@ -268,27 +302,10 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _load_run_config(args)
-    policy = _resolve_policy(args.policy, args.checkpoint, config, config.seed)
-    disturbance = _disturbance(args, config, [config.scenario], EVAL_SEED_STREAM, args.episodes)
     out_dir = _out_dir(args, config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    env = config.build_env()
-    log_path = out_dir / f"eval_{_timestamp()}_s{config.seed}.jsonl"
-    writer = EpisodeLogWriter(
-        log_path,
-        header=log_header(config, config.scenario.value, args.policy, disturbance),
+    records, (log_path,) = _logged_rollouts(
+        args, config, out_dir, (config.scenario.value,), EVAL_SEED_STREAM, "eval"
     )
-    records = rollout_episodes(
-        env,
-        policy,
-        episodes=args.episodes,
-        base_seed=config.seed,
-        stream=EVAL_SEED_STREAM,
-        scenario=config.scenario,
-        disturbance=disturbance,
-        log_writer=writer,
-    )
-    writer.close()
     summary = summarize(records)
     write_json_atomically(out_dir / "metrics.json", summary)
     print(f"log: {log_path}")
@@ -303,31 +320,10 @@ def cmd_assess(args) -> int:
         _, records = _read_step_log(args.log)
         episodes = records_to_episodes(records)
     else:
-        policy = _resolve_policy(args.policy, args.checkpoint, config, config.seed)
         scenarios = SCENARIOS if args.scenarios == "both" else (args.scenarios,)
-        per_scenario, left = divmod(args.episodes, len(scenarios))
-        if left:
-            raise ConfigError(
-                f"--episodes {args.episodes} does not split evenly over "
-                f"{len(scenarios)} scenarios"
-            )
-        disturbance = _disturbance(args, config, scenarios, ASSESSMENT_SEED_STREAM, per_scenario)
-        episodes = []
-        for scenario in scenarios:
-            with EpisodeLogWriter(
-                out_dir / f"assess_{scenario}_{_timestamp()}_s{config.seed}.jsonl",
-                header=log_header(config, scenario, args.policy, disturbance),
-            ) as writer:
-                episodes += rollout_episodes(
-                    config.build_env(),
-                    policy,
-                    episodes=per_scenario,
-                    base_seed=config.seed,
-                    stream=ASSESSMENT_SEED_STREAM,
-                    scenario=scenario,
-                    disturbance=disturbance,
-                    log_writer=writer,
-                )
+        episodes, _ = _logged_rollouts(
+            args, config, out_dir, scenarios, ASSESSMENT_SEED_STREAM, "assess_{scenario}"
+        )
     report = build_report(inputs_from_episodes(episodes))
     text = format_report_text(report)
     out_dir.mkdir(parents=True, exist_ok=True)

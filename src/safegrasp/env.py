@@ -405,11 +405,11 @@ class GraspEnv:
                 "configured sampling regions"
             )
         return Scene(
-            nominal_table_height=cfg.table_height,
+            table_height=cfg.table_height,
             workspace_min=cfg.workspace_min,
             workspace_max=cfg.workspace_max,
             cube_center=cube_center,
-            nominal_cube_half_extents=(half, half, half),
+            cube_half_extents=(half, half, half),
             obstacle_center=obstacle_center,
             obstacle_half_extents=obstacle_half,
             contact_stiffness=cfg.contact_stiffness,

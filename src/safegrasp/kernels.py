@@ -117,7 +117,6 @@ def ik_dls(
     best_q = q.copy()
     best_frames = None
     best_res = 1.0e300
-    best_clamped = 0
     lam2 = damping * damping
     iterations = 0
     converged = 0
@@ -132,15 +131,10 @@ def ik_dls(
         ey = ty - py
         ez = tz - pz
         res = math.sqrt(ex * ex + ey * ey + ez * ez)
-        clamped = 0
-        for qj, (lower, upper) in zip(q, limits):
-            if qj <= lower or qj >= upper:
-                clamped = 1
         if res < best_res:
             best_res = res
             best_q = q.copy()
             best_frames = (origins, zaxes)
-            best_clamped = clamped
         iterations = it
         if res <= tolerance:
             converged = 1
@@ -202,7 +196,11 @@ def ik_dls(
             elif qj > upper:
                 qj = upper
             q[j] = qj
-    return best_q, best_res, iterations, best_clamped, converged, best_frames
+    clamped = 0
+    for qj, (lower, upper) in zip(best_q, limits):
+        if qj <= lower or qj >= upper:
+            clamped = 1
+    return best_q, best_res, iterations, clamped, converged, best_frames
 
 
 

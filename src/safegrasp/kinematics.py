@@ -156,7 +156,10 @@ def inverse_kinematics(model: ArmModel, target, seed, seed_frames=None) -> IkRes
     ``target`` is a 3-vector (the env passes a tuple of floats).  The solver
     drives the 3-dim position error with the geometric position Jacobian.  A
     failure to converge is reported as ``UNREACHABLE``, or ``LIMIT_VIOLATION``
-    when the best iterate was pinned at a joint limit.
+    when the best iterate was pinned at a joint limit.  For a target the arm
+    cannot reach, which of the two it is depends on last-bit rounding in the
+    DLS loop, so it can change with the libm ``cos``/``sin`` build; the
+    shield itself tests only for ``CONVERGED``.
 
     ``seed_frames``, when given, is the ``(origins, zaxes)`` pair of
     ``seed``, such as the ``frames`` of the converged result the seed came

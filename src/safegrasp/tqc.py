@@ -233,11 +233,7 @@ class TqcAgent:
 
         ``actor_snapshot().select_action`` gives the deterministic tanh(mean).
         """
-        mean, log_std = policy_moments(
-            self.actor_net, self.actor_params, np.asarray(obs, dtype=np.float64), self.act_dim
-        )
-        noise = self._noise_rng.standard_normal(mean.shape)
-        return np.tanh(mean + np.exp(log_std) * noise)
+        return self.sample_with_logprob(obs[None], self._noise_rng)[0][0]
 
     def sample_with_logprob(self, obs: np.ndarray, rng: np.random.Generator):
         """Stochastic actions plus their squashed log-density (plain arrays)."""
@@ -395,12 +391,14 @@ class TqcAgent:
 
     @classmethod
     def load(cls, path, seed: int = 0) -> "TqcAgent":
-        """Rebuild a saved agent; a missing array is a ``KeyError``, one whose
-        shape the checkpoint's own config does not give a ``ValueError``."""
+        """Rebuild a saved agent; a missing array, or one whose shape the
+        checkpoint's own config does not give, is a ``ValueError``."""
         arrays, meta = load_checkpoint(path)
         agent = cls(meta["obs_dim"], meta["act_dim"], TqcConfig(**meta["config"]), seed=seed)
         for prefix, params in agent._state_table().items():
             for name, arr in params.items():
+                if prefix + name not in arrays:
+                    raise ValueError(f"checkpoint has no array {prefix + name!r}")
                 loaded = arrays[prefix + name]
                 if loaded.shape != arr.shape:
                     raise ValueError(

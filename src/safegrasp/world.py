@@ -17,7 +17,7 @@ around is penalised, not force-lethal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -57,14 +57,11 @@ class DisturbanceSpec:
         ):
             raise ValueError("disturbance deltas must be finite")
 
-    def negated(self) -> "DisturbanceSpec":
-        return DisturbanceSpec(-self.surface_height_delta, -self.object_size_delta)
-
 
 # the Scene fields that hold 3-vectors
 _POINT_FIELDS = (
     "workspace_min", "workspace_max", "cube_center",
-    "nominal_cube_half_extents", "obstacle_center", "obstacle_half_extents",
+    "cube_half_extents", "obstacle_center", "obstacle_half_extents",
 )
 
 
@@ -72,28 +69,20 @@ _POINT_FIELDS = (
 class Scene:
     """Immutable scene value.
 
-    Geometry is stored as nominal values plus accumulated disturbance
-    offsets, so applying a disturbance followed by its negation restores the
-    original scene exactly, field by field.  Every 3-vector is stored once,
-    as an ``(x, y, z)`` tuple of Python floats: the constructor converts any
-    3-vector it is given, and the scalar contact tests and the step record
-    read the tuples as they are.
+    Every 3-vector is stored once, as an ``(x, y, z)`` tuple of Python
+    floats: the constructor converts any 3-vector it is given, and the scalar
+    contact tests and the step record read the tuples as they are.
     """
 
-    nominal_table_height: float
+    table_height: float
     workspace_min: tuple
     workspace_max: tuple
     cube_center: tuple
-    nominal_cube_half_extents: tuple
+    cube_half_extents: tuple
     obstacle_center: tuple | None = None
     obstacle_half_extents: tuple | None = None
-    surface_offset: float = 0.0
-    cube_size_offset: float = 0.0
     contact_stiffness: float = DEFAULT_CONTACT_STIFFNESS
     cube_stiffness: float = DEFAULT_CUBE_STIFFNESS
-    # the disturbed surface height and cube size, derived once per scene
-    table_height: float = field(init=False, repr=False, compare=False)
-    cube_half_extents: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.obstacle_center is None) != (self.obstacle_half_extents is None):
@@ -103,22 +92,15 @@ class Scene:
             if value is not None:
                 point = tuple(np.asarray(value, dtype=np.float64).reshape(3).tolist())
                 object.__setattr__(self, name, point)
+        object.__setattr__(self, "table_height", float(self.table_height))
         if not all(lo < hi for lo, hi in zip(self.workspace_min, self.workspace_max)):
             raise ValueError("workspace bounds must satisfy min < max")
-        if not all(h > 0.0 for h in self.nominal_cube_half_extents):
+        if not all(h > 0.0 for h in self.cube_half_extents):
             raise ValueError("cube half extents must be positive")
         if self.obstacle_present and not all(h > 0.0 for h in self.obstacle_half_extents):
             raise ValueError("obstacle half extents must be positive")
         if not self.contact_stiffness > 0.0 or not self.cube_stiffness > 0.0:
             raise ValueError("contact stiffnesses must be positive")
-        object.__setattr__(
-            self, "table_height", float(self.nominal_table_height + self.surface_offset)
-        )
-        grow = 0.5 * float(self.cube_size_offset)
-        half = tuple(h + grow for h in self.nominal_cube_half_extents)
-        if not all(h > 0.0 for h in half):
-            raise ValueError("the disturbed cube half extents must be positive")
-        object.__setattr__(self, "cube_half_extents", half)
 
     def validate_containment(self) -> "Scene":
         """Check the resting geometry fits the workspace.
@@ -272,10 +254,11 @@ def apply_disturbance(scene: Scene, spec: DisturbanceSpec) -> Scene:
     The obstacle is deliberately left untouched: the disturbance protocol
     perturbs the work surface and the manipulated object only.
     """
+    grow = 0.5 * spec.object_size_delta
     disturbed = replace(
         scene,
-        surface_offset=scene.surface_offset + spec.surface_height_delta,
-        cube_size_offset=scene.cube_size_offset + spec.object_size_delta,
+        table_height=scene.table_height + spec.surface_height_delta,
+        cube_half_extents=tuple(h + grow for h in scene.cube_half_extents),
     )
     cx, cy, _ = disturbed.cube_center
     rest = disturbed.cube_rest_height()

@@ -820,7 +820,7 @@ class TestBadCheckpoint:
         "junk": ("bad magic",),
         "truncated": ("truncated",),
         "misshapen": ("critics/w0", "(2, 21, 9)", "(2, 21, 8)"),
-        "missing": ("targets/w0",),
+        "missing": ("no array 'targets/w0'",),
     }
 
     @staticmethod

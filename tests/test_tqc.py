@@ -1,5 +1,7 @@
 """TQC agent: truncation, quantile loss, actor density, replay, training."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -299,6 +301,16 @@ class TestQuantileHuberKernel:
 
 
 class TestSelectAction:
+    def test_stochastic_action_is_row_0_of_the_batched_sample(self):
+        agent = TqcAgent(17, 4, small_config(), seed=8)
+        obs = np.random.default_rng(1).normal(size=17)
+        for _ in range(3):  # the noise RNG advances between calls
+            rng = copy.deepcopy(agent._noise_rng)
+            expected = agent.sample_with_logprob(obs[None], rng)[0][0]
+            action = agent.select_action(obs)
+            assert action.shape == expected.shape == (4,)
+            assert action.tobytes() == expected.tobytes()
+
     def test_deterministic_calls_identical(self):
         snapshot = TqcAgent(6, 3, small_config(), seed=5).actor_snapshot()
         obs = np.linspace(-1, 1, 6)
