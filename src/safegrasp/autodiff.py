@@ -102,8 +102,6 @@ class Tensor:
             ),
         )
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = as_tensor(other)
         data = self.data - other.data
@@ -130,8 +128,6 @@ class Tensor:
                 lambda g, o=self.data, s=other.data.shape: _unbroadcast(g * o, s),
             ),
         )
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = as_tensor(other)

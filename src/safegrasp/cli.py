@@ -4,7 +4,7 @@ Subcommands::
 
     safegrasp train        train an agent, with periodic deterministic evaluation
     safegrasp evaluate     roll out a policy (checkpoint/scripted/random), write metrics
-    safegrasp assess       functional-safety assessment from rollouts or a log file
+    safegrasp assess       functional-safety assessment from rollouts or an audited log
     safegrasp replay       audit a log: recompute rewards from the logged events
     safegrasp init-config  print the default configuration file
 
@@ -66,6 +66,11 @@ EXIT_OK = 0
 EXIT_AUDIT = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+
+class AuditFailure(Exception):
+    """A logged reward or episode that the audit refuses (exit 1), in one line."""
+
 
 SCENARIOS = tuple(scenario.value for scenario in Scenario)
 DISTURBANCE_KEYS = {"surface_height_delta", "object_size_delta"}
@@ -250,20 +255,6 @@ def _logged_rollouts(
     return episodes, paths
 
 
-def _read_step_log(path: Path) -> tuple[dict, list[dict]]:
-    """``read_log`` for the audit commands: a log that is missing, malformed
-    or holds no step record is a usage error."""
-    if not path.exists():
-        raise ConfigError(f"log file not found: {path}")
-    try:
-        header, records = read_log(path)
-    except LogFormatError as exc:
-        raise ConfigError(str(exc)) from None
-    if not records:
-        raise ConfigError(f"log file contains no step records: {path}")
-    return header, records
-
-
 def _out_dir(args, config: RunConfig) -> Path:
     if args.out is not None:
         return Path(args.out)
@@ -274,7 +265,7 @@ def _out_dir(args, config: RunConfig) -> Path:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     config = _load_run_config(args)
     out_dir = _out_dir(args, config)
     trainer = Trainer(
@@ -297,10 +288,9 @@ def cmd_train(args) -> int:
         f"safety_driven={final['safety_driven_success_rate']:.3f} "
         f"return_norm={final['average_return_normalized']:.4f}"
     )
-    return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> None:
     config = _load_run_config(args)
     out_dir = _out_dir(args, config)
     records, (log_path,) = _logged_rollouts(
@@ -310,15 +300,13 @@ def cmd_evaluate(args) -> int:
     write_json_atomically(out_dir / "metrics.json", summary)
     print(f"log: {log_path}")
     print(json.dumps(summary, indent=2, sort_keys=True))
-    return EXIT_OK
 
 
-def cmd_assess(args) -> int:
+def cmd_assess(args) -> None:
     config = _load_run_config(args)
     out_dir = _out_dir(args, config)
     if args.log is not None:
-        _, records = _read_step_log(args.log)
-        episodes = records_to_episodes(records)
+        episodes = records_to_episodes(_audited_records(args.log))
     else:
         scenarios = SCENARIOS if args.scenarios == "both" else (args.scenarios,)
         episodes, _ = _logged_rollouts(
@@ -330,46 +318,55 @@ def cmd_assess(args) -> int:
     write_json_atomically(out_dir / "fsa_report.json", report.as_dict())
     replace_atomically(out_dir / "fsa_report.txt", (text + "\n").encode("utf-8"))
     print(text)
-    return EXIT_OK
 
 
-def cmd_replay(args) -> int:
-    header, records = _read_step_log(args.log)
-    _check_header(args.log, header)
-    if args.config is not None:
-        reward_config = load_config(args.config).reward
+def cmd_replay(args) -> None:
+    records = _audited_records(args.log, args.config)
+    episodes = records_to_episodes(records)
+    print(
+        f"audit ok: {len(records)} step records, {len(episodes)} episodes, "
+        "rewards reproducible from events, episodes complete"
+    )
+
+
+def _audited_records(path: Path, config_path: Path | None = None) -> list[dict]:
+    """The step records of a log that passes the audit: a log that cannot be
+    read or scored is a ``ConfigError``; a reward that its events, scored by
+    ``config_path``'s reward table or else the header's, do not reproduce,
+    or an episode that is not whole, is an ``AuditFailure``."""
+    if not path.exists():
+        raise ConfigError(f"log file not found: {path}")
+    try:
+        header, records = read_log(path)
+    except LogFormatError as exc:
+        raise ConfigError(str(exc)) from None
+    if not records:
+        raise ConfigError(f"log file contains no step records: {path}")
+    _check_header(path, header)
+    if config_path is not None:
+        reward_config = load_config(config_path).reward
     elif "reward" in header:
         try:
             reward_config = RewardConfig.from_dict(header["reward"])
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{args.log}: invalid reward header: {exc}") from None
+            raise ConfigError(f"{path}: invalid reward header: {exc}") from None
     else:
         raise ConfigError("log has no reward header; supply --config")
     for index, record in enumerate(records):
         try:
             events = TransitionEvents.from_dict(record["events"])
         except ValueError as exc:
-            raise ConfigError(f"{args.log}: step record {index}: {exc}") from None
+            raise ConfigError(f"{path}: step record {index}: {exc}") from None
         expected = compute_reward(events, reward_config)
         logged = float(record["reward"])
         if expected != logged:
-            print(
+            raise AuditFailure(
                 f"audit failure at record {index} "
                 f"(episode {record.get('episode')}, step {record.get('step')}): "
-                f"logged reward {logged!r} != recomputed {expected!r}",
-                file=sys.stderr,
+                f"logged reward {logged!r} != recomputed {expected!r}"
             )
-            return EXIT_AUDIT
-    defect = _structure_defect(records)
-    if defect is not None:
-        print(f"audit failure at {defect}", file=sys.stderr)
-        return EXIT_AUDIT
-    episodes = records_to_episodes(records)
-    print(
-        f"audit ok: {len(records)} step records, {len(episodes)} episodes, "
-        "rewards reproducible from events, episodes complete"
-    )
-    return EXIT_OK
+    _check_structure(records)
+    return records
 
 
 def _check_header(path: Path, header: dict) -> None:
@@ -393,17 +390,17 @@ def _check_header(path: Path, header: dict) -> None:
             raise ConfigError(f"{path}: log header: {message}")
 
 
-def _structure_defect(records: list[dict]) -> str | None:
-    """Where and what the first structural defect of a step log is, or None.
-
-    Each episode's records are contiguous, its steps run 1, 2, 3, ... and
-    its last record, and only that one, is terminated or truncated.
+def _check_structure(records: list[dict]) -> None:
+    """Raise ``AuditFailure`` at the first structural defect of a non-empty
+    step log: each episode's records are contiguous, its steps run 1, 2,
+    3, ... and its last record, and only that one, is terminated or
+    truncated.
     """
 
-    def at(index: int, message: str) -> str:
+    def defect(index: int, message: str) -> AuditFailure:
         record = records[index]
         where = f"episode {record['episode']}, step {record.get('step')}"
-        return f"record {index} ({where}): {message}"
+        return AuditFailure(f"audit failure at record {index} ({where}): {message}")
 
     def ends(record: dict) -> bool:
         return bool(record.get("terminated") or record.get("truncated"))
@@ -414,31 +411,29 @@ def _structure_defect(records: list[dict]) -> str | None:
         episode = record["episode"]
         if index == 0 or episode != records[index - 1]["episode"]:
             if index and not ends(records[index - 1]):
-                return at(index - 1, "episode ends without terminated or truncated")
+                raise defect(index - 1, "episode ends without terminated or truncated")
             if episode in seen:
-                return at(index, "episode resumes after another episode")
+                raise defect(index, "episode resumes after another episode")
             seen.add(episode)
             expected = 1
         elif ends(records[index - 1]):
-            return at(index, "record after the episode's last step")
+            raise defect(index, "record after the episode's last step")
         else:
             expected += 1
         step = record.get("step")
         if type(step) is not int or step != expected:
-            return at(index, f"expected step {expected}")
-    if records and not ends(records[-1]):
-        return at(len(records) - 1, "episode ends without terminated or truncated")
-    return None
+            raise defect(index, f"expected step {expected}")
+    if not ends(records[-1]):
+        raise defect(len(records) - 1, "episode ends without terminated or truncated")
 
 
-def cmd_init_config(args) -> int:
+def cmd_init_config(args) -> None:
     text = default_config_text()
     if args.out is not None:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}")
     else:
         print(text, end="")
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -454,13 +449,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        _COMMANDS[args.command](args)
+    except AuditFailure as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_AUDIT
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

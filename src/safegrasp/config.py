@@ -42,7 +42,9 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .env import EnvConfig, RewardConfig, SceneConfig, Scenario, _as_reward_mode, _as_scenario
+from .env import (
+    EnvConfig, GraspEnv, RewardConfig, SceneConfig, Scenario, _as_reward_mode, _as_scenario,
+)
 from .kinematics import ArmModel
 from .tqc import TqcConfig
 
@@ -63,8 +65,6 @@ class RunConfig:
     arm: ArmModel = field(default_factory=ArmModel.default_ur5)
 
     def build_env(self):
-        from .env import GraspEnv
-
         return GraspEnv(
             arm=self.arm,
             scene_config=self.scene,

@@ -125,9 +125,7 @@ def build_report(inputs: FsaInput) -> FsaReport:
     )
 
 
-def inputs_from_episodes(
-    records: list[EpisodeRecord], safe_state_probability_mass: float = 0.0
-) -> FsaInput:
+def inputs_from_episodes(records: list[EpisodeRecord]) -> FsaInput:
     """Classify failures from episode records: collisions + speed violations."""
     if not records:
         raise ValueError("at least one episode record is required")
@@ -135,11 +133,7 @@ def inputs_from_episodes(
     failures = int(
         sum(r.violations.collision + r.violations.speed for r in records)
     )
-    return FsaInput(
-        total_steps=total,
-        failure_count=failures,
-        safe_state_probability_mass=safe_state_probability_mass,
-    )
+    return FsaInput(total_steps=total, failure_count=failures)
 
 
 def format_report_text(report: FsaReport) -> str:

@@ -124,19 +124,16 @@ class AdamState:
         self.t = 0
 
 
-def adam_update(
-    params: dict,
-    grads: dict,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1.0e-8,
-):
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1.0e-8
+
+
+def adam_update(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """Bias-corrected adaptive-moment step (updates arrays in place)."""
     state.t += 1
-    correction1 = 1.0 - beta1**state.t
-    correction2 = 1.0 - beta2**state.t
+    correction1 = 1.0 - ADAM_BETA1**state.t
+    correction2 = 1.0 - ADAM_BETA2**state.t
     for name, arr in params.items():
         grad = np.asarray(grads[name], dtype=np.float64)
         if grad.shape != arr.shape:
@@ -145,14 +142,13 @@ def adam_update(
             )
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * grad * grad
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
         m_hat = m / correction1
         v_hat = v / correction2
-        arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return params, state
+        arr -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

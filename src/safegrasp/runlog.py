@@ -54,12 +54,11 @@ class EpisodeLogWriter:
     """Append-only JSONL writer; attach to an environment via
     ``env.set_log_writer``."""
 
-    def __init__(self, path, header: dict | None = None):
+    def __init__(self, path, header: dict):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("w", encoding="utf-8")
-        if header is not None:
-            self._fh.write(dumps_canonical({"type": "header", **header}) + "\n")
+        self._fh.write(dumps_canonical({"type": "header", **header}) + "\n")
 
     def write_step(self, record: dict) -> None:
         self._fh.write(dumps_canonical(record) + "\n")

@@ -97,18 +97,17 @@ class Trainer:
         cfg = self.config
         env = cfg.build_env()
         log_path = self.out_dir / "eval" / f"eval_{block:04d}.jsonl"
-        writer = EpisodeLogWriter(log_path, header=log_header(cfg, cfg.scenario.value))
         policy = self.agent.actor_snapshot()
-        records = rollout_episodes(
-            env,
-            lambda obs: policy.select_action(obs.vector),
-            episodes=self.eval_episodes,
-            base_seed=derive_seed(cfg.seed, EVAL_SEED_STREAM, block),
-            stream=EVAL_SEED_STREAM,
-            scenario=cfg.scenario,
-            log_writer=writer,
-        )
-        writer.close()
+        with EpisodeLogWriter(log_path, header=log_header(cfg, cfg.scenario.value)) as writer:
+            records = rollout_episodes(
+                env,
+                lambda obs: policy.select_action(obs.vector),
+                episodes=self.eval_episodes,
+                base_seed=derive_seed(cfg.seed, EVAL_SEED_STREAM, block),
+                stream=EVAL_SEED_STREAM,
+                scenario=cfg.scenario,
+                log_writer=writer,
+            )
         summary = summarize(records)
         summary["block"] = block
         self.eval_history.append(summary)

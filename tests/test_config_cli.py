@@ -702,6 +702,48 @@ class TestReplayHeader:
         assert len(err.splitlines()) == 1
 
 
+def tamper_a_reward(header, records):
+    records[4]["reward"] += 1e-9
+    return 1, "audit failure at record 4 "
+
+
+def add_an_event_key(header, records):
+    records[4]["events"]["typo"] = 1
+    return 2, "unknown event fields: ['typo']"
+
+
+def drop_the_seed(header, records):
+    del header["seed"]
+    return 2, "log header: 'seed' must be an integer"
+
+
+def cut_the_last_episode_end(header, records):
+    records.pop()
+    return 1, "episode ends without terminated or truncated"
+
+
+@pytest.mark.parametrize(
+    "edit", [cut_the_last_episode_end, tamper_a_reward, add_an_event_key, drop_the_seed]
+)
+def test_assess_refuses_what_replay_refuses(scripted_eval_dir, tmp_path, capsys, edit):
+    """``assess --log`` runs the ``replay`` audit: the same exit code and
+    one-line message, and no report for a refused log."""
+    lines = next(scripted_eval_dir.glob("eval_*.jsonl")).read_text().splitlines()
+    header, *records = [json.loads(line) for line in lines]
+    code, message = edit(header, records)
+    tampered = tmp_path / "tampered.jsonl"
+    body = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in [header, *records]]
+    tampered.write_text("\n".join(body) + "\n")
+    assert run_cli("replay", "--log", tampered) == code
+    replay_err = capsys.readouterr().err
+    out = tmp_path / "out"
+    assert run_cli("assess", "--log", tampered, "--out", out) == code
+    err = capsys.readouterr().err
+    assert err == replay_err
+    assert message in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 class TestBadNumbers:
     """A count below 1, or a disturbance that is not finite, shrinks the cube
     to nothing or moves the table or the cube of any episode out of the
