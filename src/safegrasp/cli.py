@@ -351,7 +351,10 @@ def _audited_records(path: Path, config_path: Path | None = None) -> list[dict]:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: invalid reward header: {exc}") from None
     else:
-        raise ConfigError("log has no reward header; supply --config")
+        raise ConfigError(
+            f"{path}: log header has no 'reward' table; add the run's [reward] "
+            "values to the header (replay also takes --config <ini>)"
+        )
     for index, record in enumerate(records):
         try:
             events = TransitionEvents.from_dict(record["events"])

@@ -9,6 +9,8 @@ atoms with an asymmetric Huber quantile loss.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -421,6 +423,12 @@ class ScriptedGraspPolicy:
     (m/s) so a clean run produces no velocity violations; with an obstacle
     present the controller climbs over it before traversing.  The defaults
     are those of the env, scene and reward configurations.
+
+    An action is computed on Python floats from one ``tolist()`` of the
+    observation.  The two roundings that can flip a branch or the step cap
+    stay numpy's: each norm is ``sqrt(v.dot(v))`` on a float64 3-vector, as
+    ``np.linalg.norm`` computes it, and the horizontal distance is
+    ``np.hypot`` (libm's ``hypot``, which ``math.hypot`` is not).
     """
 
     def __init__(
@@ -432,45 +440,67 @@ class ScriptedGraspPolicy:
         eef_radius: float = SceneConfig.eef_radius,
         speed_limit: float = RewardConfig.collision_velocity_threshold,
     ):
+        half = tuple(obstacle_half_extents) if np.iterable(obstacle_half_extents) else ()
+        if len(half) != 3 or not all(_finite_real(h) for h in half):
+            raise ValueError(
+                f"obstacle_half_extents must be 3 finite numbers, got {obstacle_half_extents!r}"
+            )
+        for name, value in (
+            ("action_scale", action_scale),
+            ("dt", dt),
+            ("grasp_radius", grasp_radius),
+            ("eef_radius", eef_radius),
+            ("speed_limit", speed_limit),
+        ):
+            if not (_finite_real(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         self.action_scale = action_scale
         self.step_cap = 0.96 * speed_limit * dt  # stay under the reduced-speed limit
         self.grasp_radius = grasp_radius
-        self.obstacle_half = np.asarray(obstacle_half_extents, dtype=np.float64)
+        self.obstacle_half = tuple(float(h) for h in half)
         self.eef_radius = eef_radius
 
     def __call__(self, obs) -> np.ndarray:
-        if obs.grasped:
-            delta = np.array([0.0, 0.0, self.step_cap])
-            return self._command(delta, close=True)
-        eef = obs.eef_position
-        cube = obs.cube_position
-        target = cube.copy()
-        horizontal = float(np.hypot(cube[0] - eef[0], cube[1] - eef[1]))
-        if horizontal > 0.004:
+        v = obs.vector.tolist()
+        if v[16]:  # grasped
+            return self._command(0.0, 0.0, self.step_cap, close=True)
+        ex, ey, ez = v[0:3]
+        cx, cy, cz = v[7:10]
+        tx, ty, tz = cx, cy, cz
+        if np.hypot(cx - ex, cy - ey) > 0.004:
             # cruise above the cube before descending onto it
-            target[2] = cube[2] + 0.08
-        obstacle = obs.obstacle_position
-        if np.any(obstacle != 0.0):
-            safe_z = obstacle[2] + self.obstacle_half[2] + self.eef_radius + 0.05
-            blocking = (
-                eef[0] < obstacle[0] + self.obstacle_half[0] + 0.03
-                and cube[0] > obstacle[0]
-            )
-            if blocking:
-                if eef[2] < safe_z - 0.005:
-                    target = np.array([eef[0], eef[1], safe_z])
+            tz = cz + 0.08
+        ox, oy, oz = v[13:16]
+        if ox != 0.0 or oy != 0.0 or oz != 0.0:
+            half_x, _, half_z = self.obstacle_half
+            safe_z = oz + half_z + self.eef_radius + 0.05
+            if ex < ox + half_x + 0.03 and cx > ox:  # the obstacle blocks the way
+                if ez < safe_z - 0.005:
+                    tx, ty, tz = ex, ey, safe_z
                 else:
-                    target = np.array([cube[0], cube[1], max(safe_z, cube[2] + 0.08)])
-        delta = target - eef
-        close = float(np.linalg.norm(cube - eef)) <= 0.8 * self.grasp_radius
-        return self._command(delta, close)
+                    tx, ty, tz = cx, cy, max(safe_z, cz + 0.08)
+        rel = np.array((cx - ex, cy - ey, cz - ez))
+        close = math.sqrt(rel.dot(rel)) <= 0.8 * self.grasp_radius
+        return self._command(tx - ex, ty - ey, tz - ez, close)
 
-    def _command(self, delta: np.ndarray, close: bool) -> np.ndarray:
-        norm = float(np.linalg.norm(delta))
+    def _command(self, dx: float, dy: float, dz: float, close: bool) -> np.ndarray:
+        delta = np.array((dx, dy, dz))
+        norm = math.sqrt(delta.dot(delta))
         if norm > self.step_cap:
-            delta = delta * (self.step_cap / norm)
-        act = np.clip(delta / self.action_scale, -1.0, 1.0)
-        return np.array([act[0], act[1], act[2], 1.0 if close else -1.0])
+            shrink = self.step_cap / norm
+            dx, dy, dz = dx * shrink, dy * shrink, dz * shrink
+        scale = self.action_scale
+        # max before min, value first: a NaN passes through, as np.clip lets it
+        return np.array((
+            min(max(dx / scale, -1.0), 1.0),
+            min(max(dy / scale, -1.0), 1.0),
+            min(max(dz / scale, -1.0), 1.0),
+            1.0 if close else -1.0,
+        ))
+
+
+def _finite_real(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 class RandomPolicy:

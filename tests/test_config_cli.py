@@ -744,6 +744,29 @@ def test_assess_refuses_what_replay_refuses(scripted_eval_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_log_without_reward_table_names_the_log(scripted_eval_dir, tmp_path, capsys):
+    """A header without ``reward`` exits 2 from both readers with one line
+    that names the log; ``replay --config`` then scores it, while assess's
+    ``--config`` stays its run config and cannot."""
+    lines = next(scripted_eval_dir.glob("eval_*.jsonl")).read_text().splitlines()
+    header = json.loads(lines[0])
+    del header["reward"]
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    bare = tmp_path / "bare.jsonl"
+    bare.write_text("\n".join(lines) + "\n")
+    ini = tmp_path / "run.ini"
+    ini.write_text(default_config_text())
+    for argv in (("replay",), ("assess", "--out", tmp_path / "out"),
+                 ("assess", "--out", tmp_path / "out", "--config", ini)):
+        assert run_cli(*argv, "--log", bare) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bare}: log header has no 'reward' table; ")
+        assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+    assert run_cli("replay", "--log", bare, "--config", ini) == 0
+    assert capsys.readouterr().out.startswith("audit ok: ")
+
+
 class TestBadNumbers:
     """A count below 1, or a disturbance that is not finite, shrinks the cube
     to nothing or moves the table or the cube of any episode out of the

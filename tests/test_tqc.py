@@ -1,5 +1,6 @@
 """TQC agent: truncation, quantile loss, actor density, replay, training."""
 
+import collections
 import copy
 
 import numpy as np
@@ -8,8 +9,10 @@ from scipy import stats
 
 from safegrasp.autodiff import Tensor
 from safegrasp import kernels
-from safegrasp.env import GraspEnv
+from safegrasp.env import GraspEnv, Observation
 from safegrasp.nn import forward, forward_tape
+from safegrasp.rollout import rollout_episodes
+from safegrasp.runlog import EpisodeLogWriter
 from safegrasp.tqc import (
     ActorSnapshot,
     RandomPolicy,
@@ -22,6 +25,7 @@ from safegrasp.tqc import (
     quantile_huber_loss,
     truncated_target,
 )
+from safegrasp.world import DisturbanceSpec
 
 
 def small_config(**overrides) -> TqcConfig:
@@ -594,12 +598,89 @@ class TestTrainStep:
         assert clone.updates == agent.updates
 
 
+def numpy_scripted_reference(policy, obs, hits=None) -> np.ndarray:
+    """Reference ``ScriptedGraspPolicy`` action, on numpy 3-vectors.
+
+    This is the controller's earlier numpy form, with ``policy``'s settings.
+    When ``hits`` (a ``collections.Counter``) is given, it counts each branch
+    the action took.
+    """
+    hits = collections.Counter() if hits is None else hits
+    if obs.grasped:
+        hits["grasped"] += 1
+        delta = np.array([0.0, 0.0, policy.step_cap])
+        return _numpy_scripted_command(policy, delta, True, hits)
+    half = np.asarray(policy.obstacle_half, dtype=np.float64)
+    eef = obs.eef_position
+    cube = obs.cube_position
+    target = cube.copy()
+    horizontal = float(np.hypot(cube[0] - eef[0], cube[1] - eef[1]))
+    if horizontal > 0.004:
+        hits["cruise"] += 1
+        target[2] = cube[2] + 0.08
+    else:
+        hits["descend"] += 1
+    obstacle = obs.obstacle_position
+    if np.any(obstacle != 0.0):
+        safe_z = obstacle[2] + half[2] + policy.eef_radius + 0.05
+        blocking = eef[0] < obstacle[0] + half[0] + 0.03 and cube[0] > obstacle[0]
+        if blocking:
+            if eef[2] < safe_z - 0.005:
+                hits["blocked below safe_z"] += 1
+                target = np.array([eef[0], eef[1], safe_z])
+            else:
+                hits["blocked above safe_z"] += 1
+                target = np.array([cube[0], cube[1], max(safe_z, cube[2] + 0.08)])
+    delta = target - eef
+    close = float(np.linalg.norm(cube - eef)) <= 0.8 * policy.grasp_radius
+    hits["close" if close else "far"] += 1
+    return _numpy_scripted_command(policy, delta, close, hits)
+
+
+def _numpy_scripted_command(policy, delta, close, hits):
+    norm = float(np.linalg.norm(delta))
+    if norm > policy.step_cap:
+        hits["over step_cap"] += 1
+        delta = delta * (policy.step_cap / norm)
+    else:
+        hits["under step_cap"] += 1
+    scaled = delta / policy.action_scale
+    if np.any(np.abs(scaled) > 1.0):
+        hits["clipped"] += 1
+    act = np.clip(scaled, -1.0, 1.0)
+    return np.array([act[0], act[1], act[2], 1.0 if close else -1.0])
+
+
+def scripted_test_observations(rng, count):
+    """``count`` seeded observations around the scripted controller's
+    branches: cube near and far, an obstacle between the tool and the cube
+    with the tool below and above its clearance height, grasped, and one in
+    fifty with a NaN component."""
+    for _ in range(count):
+        v = np.zeros(17)
+        eef = rng.uniform([0.3, -0.3, 0.02], [0.7, 0.3, 0.35])
+        spread = rng.choice([0.001, 0.003, 0.006, 0.02, 0.3])
+        cube = eef + rng.normal(0.0, spread, 3)
+        v[0:3] = eef
+        v[3:6] = rng.normal(0.0, 0.1, 3)
+        v[6] = rng.uniform()
+        v[7:10] = cube
+        v[10:13] = cube - eef
+        if rng.random() < 0.5:
+            # x between just behind the tool and the cube blocks the way
+            low, high = sorted((eef[0] - 0.08, cube[0]))
+            v[13:16] = (rng.uniform(low, high), rng.uniform(-0.1, 0.1),
+                        rng.uniform(0.0, 0.3))
+        v[16] = rng.random() < 0.1
+        if rng.random() < 0.02:
+            v[rng.integers(17)] = np.nan
+        yield Observation(v)
+
+
 class TestPolicies:
     def test_scripted_moves_toward_cube(self, env):
         obs = env.reset(seed=40)
         # place a synthetic observation with the cube 0.1 m away on +x
-        from safegrasp.env import Observation
-
         obs = Observation(
             [0.4, 0.0, 0.1]  # eef position
             + [0.0, 0.0, 0.0]  # eef velocity
@@ -614,8 +695,6 @@ class TestPolicies:
         assert action[3] == -1.0  # too far to close
 
     def test_scripted_closes_within_grasp_radius(self):
-        from safegrasp.env import Observation
-
         obs = Observation(
             [0.5, 0.0, 0.1]  # eef position
             + [0.0, 0.0, 0.0]  # eef velocity
@@ -651,6 +730,106 @@ class TestPolicies:
             if result.terminated or result.truncated:
                 break
         assert not collided
+
+    def test_scripted_matches_numpy_reference_bit_for_bit(self):
+        # the second policy's step cap (0.048 m) exceeds its action scale
+        # (0.02 m), so its actions also reach the clip
+        for policy in (
+            ScriptedGraspPolicy(),
+            ScriptedGraspPolicy(speed_limit=1.0, obstacle_half_extents=(0.04, 0.1, 0.06)),
+        ):
+            hits = collections.Counter()
+            nan_actions = 0
+            for obs in scripted_test_observations(np.random.default_rng(20), 12_000):
+                action = policy(obs)
+                expected = numpy_scripted_reference(policy, obs, hits)
+                assert action.dtype == np.float64 and action.shape == (4,)
+                assert action.tobytes() == expected.tobytes(), obs.vector
+                nan_actions += bool(np.isnan(action).any())
+            branches = ["grasped", "cruise", "descend", "blocked below safe_z",
+                        "blocked above safe_z", "close", "far", "over step_cap",
+                        "under step_cap"]
+            if policy.step_cap > policy.action_scale:
+                branches.append("clipped")
+            for branch in branches:
+                assert hits[branch] >= 50, (branch, hits)
+            assert nan_actions >= 50
+
+    def test_scripted_nan_observation_gives_nan_action(self):
+        values = [0.5, 0.0, 0.1, 0.0, 0.0, 0.0, 1.0, 0.6, 0.0, 0.1,
+                  0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        values[0] = np.nan
+        obs = Observation(values)
+        policy = ScriptedGraspPolicy()
+        action = policy(obs)
+        assert np.isnan(action[0]) and action[3] == -1.0
+        assert action.tobytes() == numpy_scripted_reference(policy, obs).tobytes()
+
+    @pytest.mark.parametrize(
+        "cube_xy,cruise",
+        # np.hypot and math.hypot round these 0.004 m offsets apart
+        [((0.4979024206464683, 0.0034059008875241006), False),
+         ((0.5020961032805136, 0.0034068095099990905), True)],
+    )
+    def test_scripted_cruise_threshold_rounds_like_libm_hypot(self, cube_xy, cruise):
+        values = [0.5, 0.0, 0.1, 0.0, 0.0, 0.0, 1.0, *cube_xy, 0.1,
+                  cube_xy[0] - 0.5, cube_xy[1], 0.0, 0.0, 0.0, 0.0, 0.0]
+        obs = Observation(values)
+        policy = ScriptedGraspPolicy()
+        hits = collections.Counter()
+        expected = numpy_scripted_reference(policy, obs, hits)
+        assert hits["cruise"] == int(cruise)
+        assert policy(obs).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("scenario", ["normal", "obstacle"])
+    @pytest.mark.parametrize("disturbance", [None, DisturbanceSpec(0.075, 0.005)])
+    def test_scripted_step_log_matches_reference(self, tmp_path, scenario, disturbance):
+        policy = ScriptedGraspPolicy()
+        logs = []
+        for name, act in (
+            ("scalar", policy),
+            ("reference", lambda obs: numpy_scripted_reference(policy, obs)),
+        ):
+            path = tmp_path / f"{name}.jsonl"
+            with EpisodeLogWriter(path, header={"seed": 5, "scenario": scenario}) as writer:
+                (episode,) = rollout_episodes(
+                    GraspEnv(), act, episodes=1, base_seed=5, scenario=scenario,
+                    disturbance=disturbance, log_writer=writer,
+                )
+            logs.append(path.read_bytes())
+        assert episode.steps > 1
+        assert logs[0] == logs[1]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"obstacle_half_extents": (0.025, 0.2)},
+            {"obstacle_half_extents": (0.025, 0.2, 0.025, 0.1)},
+            {"obstacle_half_extents": (0.025, float("nan"), 0.025)},
+            {"obstacle_half_extents": (0.025, 0.2, float("inf"))},
+            {"obstacle_half_extents": 0.025},
+            {"obstacle_half_extents": ("0.025", "0.2", "0.025")},
+            {"action_scale": 0.0},
+            {"action_scale": -0.02},
+            {"action_scale": float("nan")},
+            {"dt": 0.0},
+            {"dt": float("inf")},
+            {"grasp_radius": -0.01},
+            {"eef_radius": 0.0},
+            {"speed_limit": 0.0},
+            {"speed_limit": float("nan")},
+        ],
+        ids=repr,
+    )
+    def test_scripted_refuses_bad_settings(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            ScriptedGraspPolicy(**kwargs)
+
+    def test_scripted_accepts_any_three_finite_extents(self):
+        for extents in ((0, 0, 0), np.array([0.03, 0.1, 0.02]), [-0.01, 0.2, 0.025]):
+            policy = ScriptedGraspPolicy(obstacle_half_extents=extents)
+            assert policy.obstacle_half == tuple(float(h) for h in extents)
 
     def test_random_policy_seeded(self):
         a = RandomPolicy(seed=1)
