@@ -1,8 +1,9 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A :class:`Tensor` wraps a float64 array and records the operations applied to
-it; ``backward()`` on a scalar result accumulates exact gradients into every
-reachable tensor created with ``requires_grad=True``.  Graph recording is
+it; ``backward()`` on a scalar result, or ``backward(grad)`` from a given
+cotangent, accumulates exact gradients into every reachable tensor created
+with ``requires_grad=True``.  Graph recording is
 skipped entirely when no operand requires gradients, so the same code path
 doubles as a plain (and cheap) numpy forward evaluator.
 
@@ -47,18 +48,38 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents, vjps) -> "Tensor":
-        tracked = [
-            (p, v) for p, v in zip(parents, vjps) if p.requires_grad
-        ]
-        out = Tensor(data, requires_grad=bool(tracked))
+        # op results are float64 already; reductions give numpy scalars
+        out = Tensor.__new__(Tensor)
+        out.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
+        out.grad = None
+        tracked = [(p, v) for p, v in zip(parents, vjps) if p.requires_grad]
+        out.requires_grad = bool(tracked)
         if tracked:
             out._parents = tuple(p for p, _ in tracked)
             out._vjps = tuple(v for _, v in tracked)
+        else:
+            out._parents = out._vjps = ()
         return out
 
-    def backward(self) -> None:
-        if self.data.size != 1:
-            raise ValueError("backward() requires a scalar tensor")
+    def backward(self, grad=None) -> None:
+        """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
+
+        Without ``grad`` the tensor must be a scalar and the seed is 1;
+        otherwise ``grad`` (copied) is the cotangent of ``self``.  Only leaves
+        keep a gradient: each inner node's ``grad`` is released once passed
+        on, so a second ``backward`` on the same graph adds to the leaves
+        exactly what a backward through a freshly built copy would.
+        """
+        if grad is None:
+            if self.data.size != 1:
+                raise ValueError("backward() requires a scalar tensor")
+            seed = np.ones_like(self.data)
+        else:
+            seed = np.array(grad, dtype=np.float64)
+            if seed.shape != self.data.shape:
+                raise ValueError(
+                    f"grad has shape {seed.shape}, the tensor {self.data.shape}"
+                )
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -74,15 +95,26 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        if self.grad is None:
+            self.grad = seed
+        else:
+            self.grad += seed
         for node in reversed(topo):
-            if node.grad is None:
+            own = node.grad
+            if own is None or not node._parents:
                 continue
+            node.grad = None
+            taken = False
             for parent, vjp in zip(node._parents, node._vjps):
-                contribution = vjp(node.grad)
+                contribution = vjp(own)
                 if parent.grad is None:
-                    # take ownership only of freshly allocated arrays
-                    if contribution is node.grad or contribution.base is not None:
+                    # take fresh arrays, and this node's own array once;
+                    # copy views and any later pass-through of it
+                    if contribution is own:
+                        if taken:
+                            contribution = contribution.copy()
+                        taken = True
+                    elif contribution.base is not None:
                         contribution = contribution.copy()
                     parent.grad = contribution
                 else:
@@ -236,11 +268,3 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
 
         vjps.append(vjp)
     return Tensor._make(data, tuple(tensors), tuple(vjps))
-
-
-def custom_unary(parent: Tensor, out_data: np.ndarray, grad_fn) -> Tensor:
-    """Build a tensor from a custom op with a precomputed local gradient.
-
-    ``grad_fn(g)`` must map the output cotangent to the parent cotangent.
-    """
-    return Tensor._make(np.asarray(out_data, dtype=np.float64), (parent,), (grad_fn,))

@@ -264,7 +264,7 @@ def sphere_box_signed_distance(point, center, half):
 # ---------------------------------------------------------------------------
 
 def quantile_huber_loss_grad(
-    preds: np.ndarray, targets: np.ndarray, fractions: np.ndarray
+    preds: np.ndarray, targets: np.ndarray, fractions: np.ndarray, with_loss: bool = True
 ):
     """Asymmetric Huber quantile loss (kappa=1) and d(loss)/d(preds).
 
@@ -284,6 +284,10 @@ def quantile_huber_loss_grad(
     quadratic sums keep their precision when returns are large.  Cost is
     O(N B M log K + B K log K) for N critics, B samples, M quantiles and K
     atoms, against O(N B M K) for pairwise loops.
+
+    Returns ``(loss, grad)``.  With ``with_loss=False`` the loss is ``None``
+    and the ``t^2`` prefix sums and loss sums are skipped; the gradient is
+    the same array bit for bit.
     """
     n_crit, batch, n_quant = preds.shape
     n_atoms = targets.shape[1]
@@ -296,12 +300,10 @@ def quantile_huber_loss_grad(
     atoms = padded[:, :n_atoms]
     center = atoms.mean(axis=1, keepdims=True)
     centred = atoms - center
-    # prefix sums of t and t^2 in the same layout: entry b * width + i sums
-    # the i smallest atoms of row b
+    # prefix sums of t (and, for the loss, t^2) in the same layout: entry
+    # b * width + i sums the i smallest atoms of row b
     sum1 = np.zeros((batch, width))
-    sum2 = np.zeros((batch, width))
     np.cumsum(centred, axis=1, out=sum1[:, 1 : n_atoms + 1])
-    np.cumsum(centred * centred, axis=1, out=sum2[:, 1 : n_atoms + 1])
 
     # atoms below z - 1, below z, and at most z + 1 (= below its successor)
     queries = np.stack([preds - 1.0, preds, np.nextafter(preds + 1.0, np.inf)])
@@ -315,22 +317,26 @@ def quantile_huber_loss_grad(
         step >>= 1
     counts = pos - row_start
 
-    # per boundary: sum of u and of u^2 over the atoms below it
+    # per boundary: sum of u over the atoms below it; huber(u) is -u - 1/2
+    # below u = -1, u^2 / 2 up to u = 1 and u - 1/2 above, so its slope is
+    # -1, u and 1 on those pieces
     y = preds - center
     below1 = sum1.take(pos)
     lin = below1 - counts * y
-    quad = sum2.take(pos) - y * (below1 + lin)
-    (n1, n2, n3), (l1, l2, l3), (q1, q2, q3) = counts, lin, quad
-    lin_all = sum1[:, n_atoms : n_atoms + 1] - n_atoms * y
-    # huber(u) is -u - 1/2 below u = -1, u^2 / 2 up to u = 1 and u - 1/2
-    # above; its slope is -1, u and 1 on those pieces
-    loss_below = 0.5 * (q2 - q1 - n1) - l1
-    loss_above = 0.5 * (q3 - q2 - (n_atoms - n3)) + (lin_all - l3)
+    (n1, n2, n3), (l1, l2, l3) = counts, lin
     grad_below = l2 - l1 - n1
     grad_above = l3 - l2 + (n_atoms - n3)
 
     scale = 1.0 / (n_crit * batch * n_quant * n_atoms)
-    loss = float(np.sum((1.0 - fractions) * loss_below + fractions * loss_above))
     grad = -((1.0 - fractions) * grad_below + fractions * grad_above) * scale
+    if not with_loss:
+        return None, grad
+    # the same for u^2, read off prefix sums of t^2
+    sum2 = np.zeros((batch, width))
+    np.cumsum(centred * centred, axis=1, out=sum2[:, 1 : n_atoms + 1])
+    q1, q2, q3 = sum2.take(pos) - y * (below1 + lin)
+    lin_all = sum1[:, n_atoms : n_atoms + 1] - n_atoms * y
+    loss_below = 0.5 * (q2 - q1 - n1) - l1
+    loss_above = 0.5 * (q3 - q2 - (n_atoms - n3)) + (lin_all - l3)
+    loss = float(np.sum((1.0 - fractions) * loss_below + fractions * loss_above))
     return loss * scale, grad
-

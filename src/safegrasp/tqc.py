@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kernels
-from .autodiff import Tensor, concat, custom_unary
+from .autodiff import Tensor, concat
 from .env import EnvConfig, RewardConfig, SceneConfig
 from .nn import AdamState, Mlp, adam_update, forward, forward_tape, init_mlp_params
 from .nn import load_checkpoint, save_checkpoint
@@ -25,6 +25,7 @@ LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 LOG_2PI = float(np.log(2.0 * np.pi))
 SQUASH_EPS = 1.0e-6
+DIAGNOSTICS_EVERY = 100  # train_step reports on updates 100, 200, ...
 
 
 @dataclass(frozen=True)
@@ -279,7 +280,8 @@ class TqcAgent:
             entropy_term=self.alpha * next_logp[:, None],
         )
 
-    def _critic_update(self, obs, act, targets) -> float:
+    def _critic_update(self, obs, act, targets, with_loss: bool) -> float | None:
+        """One critic step; returns the loss value only when asked for it."""
         tensors = {
             name: Tensor(arr, requires_grad=True)
             for name, arr in self.critic_params.items()
@@ -287,15 +289,17 @@ class TqcAgent:
         inp = Tensor(np.concatenate([obs, act], axis=-1))
         preds = forward_tape(self.critic_net, tensors, inp)
         loss_value, grad = kernels.quantile_huber_loss_grad(
-            np.ascontiguousarray(preds.data), np.ascontiguousarray(targets), self._taus
+            np.ascontiguousarray(preds.data),
+            np.ascontiguousarray(targets),
+            self._taus,
+            with_loss=with_loss,
         )
-        loss = custom_unary(preds, np.float64(loss_value), lambda g: g * grad)
-        loss.backward()
+        preds.backward(grad)
         grads = {name: t.grad for name, t in tensors.items()}
         adam_update(
             self.critic_params, grads, self._critic_adam, self.config.learning_rate
         )
-        return float(loss_value)
+        return loss_value
 
     def _actor_update(self, obs) -> tuple[float, np.ndarray]:
         tensors = {
@@ -345,17 +349,26 @@ class TqcAgent:
             target += tau * self.critic_params[name]
 
     def train_step(self, buffer: ReplayBuffer) -> dict | None:
-        """One critic, actor and temperature update plus the target blend."""
+        """One critic, actor and temperature update plus the target blend.
+
+        Returns the diagnostics of updates ``DIAGNOSTICS_EVERY``,
+        ``2 * DIAGNOSTICS_EVERY``, ... and ``None`` otherwise (and when the
+        buffer holds less than a batch); the critic loss is computed only
+        for those reports.
+        """
         cfg = self.config
         if len(buffer) < cfg.batch_size:
             return None
+        report = (self.updates + 1) % DIAGNOSTICS_EVERY == 0
         obs, act, rew, next_obs, term = buffer.sample(cfg.batch_size, self._train_rng)
         targets = self._td_targets(rew, next_obs, term)
-        critic_loss = self._critic_update(obs, act, targets)
+        critic_loss = self._critic_update(obs, act, targets, with_loss=report)
         actor_loss, logp = self._actor_update(obs)
         self._alpha_update(logp)
         self._soft_update()
         self.updates += 1
+        if not report:
+            return None
         return {
             "update": self.updates,
             "critic_loss": critic_loss,

@@ -42,8 +42,6 @@ from .runlog import (
 from .tqc import ReplayBuffer, TqcAgent
 from .env import ACTION_DIM, OBSERVATION_DIM
 
-DIAGNOSTICS_EVERY = 100  # updates per diagnostics record
-
 
 def _episode_summary(index: int, rec) -> dict:
     return {
@@ -169,7 +167,7 @@ class Trainer:
                 step += 1
                 if step >= tqc.warmup_steps and step % tqc.train_freq == 0:
                     diag = self.agent.train_step(self.buffer)
-                    if diag and diag["update"] % DIAGNOSTICS_EVERY == 0:
+                    if diag is not None:
                         diag["buffer_size"] = len(self.buffer)
                         diag_fh.write(dumps_canonical(diag) + "\n")
                 if every and step % every == 0 and step < self.total_steps:

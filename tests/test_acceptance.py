@@ -444,7 +444,7 @@ RUN_TRAINING = os.environ.get("SAFEGRASP_RUN_TRAINING_ACCEPTANCE", "") == "1"
 @pytest.mark.skipif(
     not RUN_TRAINING,
     reason=(
-        "desk-scale directional training check (~1 h on one core); "
+        "desk-scale directional training check (~20 min of learner time on one core); "
         "set SAFEGRASP_RUN_TRAINING_ACCEPTANCE=1 to run"
     ),
 )

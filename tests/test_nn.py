@@ -136,6 +136,118 @@ class TestAutodiffOps:
         with pytest.raises(ValueError):
             (x * 2.0).backward()
 
+    def test_backward_grad_must_match_the_tensor_shape(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        with pytest.raises(ValueError, match="shape"):
+            (x * 2.0).backward(np.ones(4))
+
+
+CRITIC = Mlp((21, 64, 64, 25))  # the default critic width
+
+
+def critic_inputs(seed: int):
+    """Ensemble parameters, a batch of inputs and an output cotangent."""
+    rng = np.random.default_rng(seed)
+    params = init_mlp_params(CRITIC, rng, ensemble=2)
+    x = rng.normal(size=(32, 21))
+    cotangent = rng.normal(size=(2, 32, 25)) * 1e-3
+    return params, x, cotangent
+
+
+def tape_critic(leaves: dict, x: np.ndarray) -> Tensor:
+    return forward_tape(CRITIC, leaves, Tensor(x))
+
+
+def fresh_leaves(params: dict) -> dict:
+    return {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
+
+
+def leaf_bytes(leaves: dict) -> dict:
+    return {name: t.grad.tobytes() for name, t in leaves.items()}
+
+
+class TestBackwardFromCotangent:
+    def test_matches_a_scalar_node_with_that_local_gradient(self):
+        # the loss route the critic update took before: a scalar node whose
+        # only vector-Jacobian product multiplies by the given cotangent
+        params, x, cotangent = critic_inputs(20)
+        leaves = fresh_leaves(params)
+        tape_critic(leaves, x).backward(cotangent)
+        direct = leaf_bytes(leaves)
+        leaves = fresh_leaves(params)
+        preds = tape_critic(leaves, x)
+        loss = Tensor._make(np.float64(0.5), (preds,), (lambda g: g * cotangent,))
+        loss.backward()
+        assert leaf_bytes(leaves) == direct
+
+    def test_leaves_the_callers_array_alone(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.full(3, 2.0), requires_grad=True)
+        g = np.array([1.0, 2.0, 3.0])
+        ((a + b) + a).backward(g)
+        assert np.array_equal(g, [1.0, 2.0, 3.0])
+        assert not np.shares_memory(a.grad, g) and not np.shares_memory(b.grad, g)
+        assert np.array_equal(a.grad, 2.0 * g)
+        assert np.array_equal(b.grad, g)
+
+    def test_pass_through_gradients_are_not_aliased(self):
+        # a + b hands the same cotangent array to both parents
+        a = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+        b = Tensor(np.ones((2, 2)), requires_grad=True)
+        (a + b).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 5.0
+        assert np.array_equal(b.grad, np.ones((2, 2)))
+        # the same below a node with a second consumer
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = Tensor(np.ones(3), requires_grad=True)
+        h = x + y
+        ((h + h) * 3.0).sum().backward()
+        assert not np.shares_memory(x.grad, y.grad)
+        assert np.array_equal(x.grad, np.full(3, 6.0))
+        assert np.array_equal(y.grad, np.full(3, 6.0))
+
+    def test_leaf_on_two_paths_accumulates(self):
+        rng = np.random.default_rng(21)
+        x_data = rng.normal(size=(3, 4))
+        w_data = rng.normal(size=(4, 4))
+        x = Tensor(x_data, requires_grad=True)
+        w = Tensor(w_data, requires_grad=True)
+        # x enters through a pass-through add, a product and a matmul
+        loss = ((x + x @ w) * x).sum()
+        loss.backward()
+
+        def loss_value():
+            return float(np.sum((x_data + x_data @ w_data) * x_data))
+
+        assert np.allclose(x.grad, finite_difference(loss_value, x_data), atol=1e-6)
+        assert np.allclose(w.grad, finite_difference(loss_value, w_data), atol=1e-6)
+        doubled = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        (doubled + doubled).backward(np.array([0.5, 4.0]))
+        assert np.array_equal(doubled.grad, [1.0, 8.0])
+
+    @pytest.mark.parametrize("scalar", [True, False], ids=["scalar", "cotangent"])
+    def test_second_backward_adds_what_a_fresh_graph_would(self, scalar):
+        params, x, cotangent = critic_inputs(22)
+
+        def root_and_seed(leaves):
+            preds = tape_critic(leaves, x)
+            return ((preds * cotangent).sum(), None) if scalar else (preds, cotangent)
+
+        leaves = fresh_leaves(params)
+        root, seed = root_and_seed(leaves)
+        root.backward(seed)
+        root.backward(seed)
+        again = fresh_leaves(params)
+        for _ in range(2):
+            root, seed = root_and_seed(again)
+            root.backward(seed)
+        assert leaf_bytes(leaves) == leaf_bytes(again)
+        once = fresh_leaves(params)
+        root, seed = root_and_seed(once)
+        root.backward(seed)
+        assert leaf_bytes(leaves) != leaf_bytes(once)
+
 
 class TestForward:
     def test_zero_parameters_zero_output(self):

@@ -14,6 +14,7 @@ from safegrasp.nn import forward, forward_tape
 from safegrasp.rollout import rollout_episodes
 from safegrasp.runlog import EpisodeLogWriter
 from safegrasp.tqc import (
+    DIAGNOSTICS_EVERY,
     ActorSnapshot,
     RandomPolicy,
     ReplayBuffer,
@@ -180,6 +181,12 @@ def assert_kernel_matches_loops(preds, targets, taus):
     assert ref_loss > 0.0
     assert abs(loss - ref_loss) <= 1e-12 * ref_loss
     assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+    # without the loss, the very same gradient bytes
+    no_loss, bare_grad = kernels.quantile_huber_loss_grad(
+        preds, targets, taus, with_loss=False
+    )
+    assert no_loss is None
+    assert bare_grad.tobytes() == grad.tobytes()
 
 
 class TestQuantileHuberLoss:
@@ -477,14 +484,11 @@ class TestTrainStep:
             name: Tensor(arr, requires_grad=True)
             for name, arr in agent.critic_params.items()
         }
-        from safegrasp.autodiff import custom_unary
-
         preds_t = forward_tape(agent.critic_net, tensors, Tensor(inp))
-        loss, grad = kernels.quantile_huber_loss_grad(
+        _, grad = kernels.quantile_huber_loss_grad(
             np.ascontiguousarray(preds_t.data), targets, taus
         )
-        loss_t = custom_unary(preds_t, np.float64(loss), lambda g: g * grad)
-        loss_t.backward()
+        preds_t.backward(grad)
 
         h = 1e-5
         worst = 0.0
@@ -572,14 +576,38 @@ class TestTrainStep:
         buf = ReplayBuffer(6, 2, 4096)
         rng = np.random.default_rng(3)
         fill_buffer(buf, rng, 600, obs_dim=6, act_dim=2)
+        reports = []
         for i in range(10_000):
             diag = agent.train_step(buf)
-            assert np.isfinite(diag["critic_loss"])
-            assert np.isfinite(diag["actor_loss"])
-            assert np.isfinite(diag["alpha"])
+            if diag is not None:
+                reports.append(diag["update"])
+                assert np.isfinite(diag["critic_loss"])
+                assert np.isfinite(diag["actor_loss"])
+                assert np.isfinite(diag["alpha"])
+        assert reports == list(range(100, 10_001, 100))
         for params in (agent.actor_params, agent.critic_params, agent.target_params):
             for name, arr in params.items():
                 assert np.all(np.isfinite(arr))
+
+    def test_reports_exactly_on_every_hundredth_update(self):
+        agent = TqcAgent(4, 2, small_config(batch_size=16), seed=14)
+        buf = ReplayBuffer(4, 2, 256)
+        rng = np.random.default_rng(15)
+        fill_buffer(buf, rng, 10, obs_dim=4, act_dim=2)
+        assert agent.train_step(buf) is None  # below a batch: no update
+        assert agent.updates == 0
+        fill_buffer(buf, rng, 54, obs_dim=4, act_dim=2)
+        reports = {}
+        for _ in range(2 * DIAGNOSTICS_EVERY + 50):
+            diag = agent.train_step(buf)
+            if diag is not None:
+                reports[agent.updates] = diag
+        assert DIAGNOSTICS_EVERY == 100
+        assert sorted(reports) == [100, 200]
+        for update, diag in reports.items():
+            assert sorted(diag) == ["actor_loss", "alpha", "critic_loss", "update"]
+            assert diag["update"] == update
+            assert all(type(diag[key]) is float for key in diag if key != "update")
 
     def test_save_load_round_trip(self, tmp_path):
         agent = TqcAgent(6, 3, small_config(), seed=10)
