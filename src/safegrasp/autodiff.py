@@ -228,22 +228,22 @@ class Tensor:
             np.clip(self.data, low, high), (self,), (lambda g, m=mask: g * m,)
         )
 
-    def sum(self, axis=None, keepdims: bool = False):
-        data = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        data = self.data.sum(axis=axis)
 
-        def vjp(g, axis=axis, keepdims=keepdims, shape=self.data.shape):
-            if axis is not None and not keepdims:
+        def vjp(g, axis=axis, shape=self.data.shape):
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             return np.broadcast_to(g, shape).copy()
 
         return Tensor._make(data, (self,), (vjp,))
 
-    def mean(self, axis=None, keepdims: bool = False):
-        data = self.data.mean(axis=axis, keepdims=keepdims)
+    def mean(self, axis=None):
+        data = self.data.mean(axis=axis)
         count = self.data.size / data.size
 
-        def vjp(g, axis=axis, keepdims=keepdims, shape=self.data.shape, n=count):
-            if axis is not None and not keepdims:
+        def vjp(g, axis=axis, shape=self.data.shape, n=count):
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             return np.broadcast_to(g, shape) / n
 

@@ -74,6 +74,10 @@ class AuditFailure(Exception):
 
 SCENARIOS = tuple(scenario.value for scenario in Scenario)
 DISTURBANCE_KEYS = {"surface_height_delta", "object_size_delta"}
+# the events logged as numbers; every other event is a flag
+NUMBER_EVENTS = {
+    name for name, value in TransitionEvents().as_dict().items() if type(value) is float
+}
 
 
 def _timestamp() -> str:
@@ -159,8 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="recompute with this config's reward table instead of the log header",
     )
 
-    p_init = add_parser("init-config", help="print the default config file")
-    p_init.add_argument("--out", type=Path, default=None, help="write to a file instead")
+    add_parser("init-config", help="print the default config file")
     return parser
 
 
@@ -358,10 +361,11 @@ def _audited_records(path: Path, config_path: Path | None = None) -> list[dict]:
     for index, record in enumerate(records):
         try:
             events = TransitionEvents.from_dict(record["events"])
-        except ValueError as exc:
+            _check_types(record)
+            expected = compute_reward(events, reward_config)
+            logged = float(record["reward"])
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: step record {index}: {exc}") from None
-        expected = compute_reward(events, reward_config)
-        logged = float(record["reward"])
         if expected != logged:
             raise AuditFailure(
                 f"audit failure at record {index} "
@@ -370,6 +374,20 @@ def _audited_records(path: Path, config_path: Path | None = None) -> list[dict]:
             )
     _check_structure(records)
     return records
+
+
+def _check_types(record: dict) -> None:
+    """Raise ``ValueError`` unless each logged event flag, and ``terminated``
+    and ``truncated`` when present, is a bool and each event measure a number."""
+    for key, value in record["events"].items():
+        if key in NUMBER_EVENTS:
+            if type(value) not in (int, float):
+                raise ValueError(f"event {key!r} must be a number")
+        elif type(value) is not bool:
+            raise ValueError(f"event {key!r} must be a bool")
+    for key in ("terminated", "truncated"):
+        if type(record.get(key, False)) is not bool:
+            raise ValueError(f"{key!r} must be a bool")
 
 
 def _check_header(path: Path, header: dict) -> None:
@@ -384,7 +402,10 @@ def _check_header(path: Path, header: dict) -> None:
         (
             type(disturbance) is dict
             and set(disturbance) == DISTURBANCE_KEYS
-            and all(type(v) in (int, float) and math.isfinite(v) for v in disturbance.values()),
+            and all(
+                type(v) in (int, float) and -math.inf < v < math.inf
+                for v in disturbance.values()
+            ),
             f"'disturbance' must map {sorted(DISTURBANCE_KEYS)} to finite numbers",
         ),
     )
@@ -431,12 +452,7 @@ def _check_structure(records: list[dict]) -> None:
 
 
 def cmd_init_config(args) -> None:
-    text = default_config_text()
-    if args.out is not None:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+    print(default_config_text(), end="")
 
 
 _COMMANDS = {

@@ -40,8 +40,6 @@ from enum import Enum
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-import numpy as np
-
 from .env import (
     EnvConfig, GraspEnv, RewardConfig, SceneConfig, Scenario, _as_reward_mode, _as_scenario,
 )
@@ -63,6 +61,10 @@ class RunConfig:
     scene: SceneConfig = field(default_factory=SceneConfig)
     tqc: TqcConfig = field(default_factory=TqcConfig)
     arm: ArmModel = field(default_factory=ArmModel.default_ur5)
+
+    def __post_init__(self):
+        if not self.seed >= 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
     def build_env(self):
         return GraspEnv(
@@ -120,7 +122,7 @@ def _schema(cls) -> dict:
 
 # INI section -> RunConfig field; the field's dataclass is the section's
 # schema.  [reward] leaves out ``mode`` (an enum, set by [run] reward_mode)
-# and [kinematics] the DH and limit arrays (set by the joint rows).
+# and [kinematics] the DH and limit tables (set by the joint rows).
 _SECTIONS = {
     "reward": "reward",
     "env": "env",
@@ -147,12 +149,12 @@ def load_config(path=None) -> RunConfig:
     if path is None:
         return RunConfig()
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        # not parser.read, which skips a path it cannot open (missing, a directory)
+        with path.open(encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
     unknown = set(parser.sections()) - set(_SCHEMAS)
@@ -180,13 +182,14 @@ def load_config(path=None) -> RunConfig:
             values["reward"]["mode"] = run.pop("reward_mode")
         config = RunConfig(**run)
         arm = values["arm"]
-        rows = np.hstack([config.arm.dh, config.arm.joint_limits])
-        for i, key in enumerate(_JOINT_KEYS):
-            if key in arm:
-                rows[i] = arm.pop(key)
-        arm.update(dh=rows[:, :4], joint_limits=rows[:, 4:])
+        rows = [
+            arm.pop(key, dh + limits)
+            for key, dh, limits in zip(_JOINT_KEYS, config.arm.dh, config.arm.joint_limits)
+        ]
+        arm.update(dh=[row[:4] for row in rows], joint_limits=[row[4:] for row in rows])
         for attr, overrides in values.items():
             setattr(config, attr, replace(getattr(config, attr), **overrides))
+        config.build_env()  # solves the home position, or refuses it
         return config
     except ConfigError:
         raise
@@ -197,13 +200,13 @@ def load_config(path=None) -> RunConfig:
 def apply_overrides(
     config: RunConfig, seed: int | None = None, scenario=None, reward_mode=None
 ) -> RunConfig:
-    """Fold command-line overrides into a loaded configuration."""
+    """A copy of a loaded configuration with the command-line overrides."""
     if seed is not None:
-        config.seed = int(seed)
+        config = replace(config, seed=int(seed))
     if scenario is not None:
-        config.scenario = _as_scenario(scenario)
+        config = replace(config, scenario=_as_scenario(scenario))
     if reward_mode is not None:
-        config.reward = replace(config.reward, mode=reward_mode)
+        config = replace(config, reward=replace(config.reward, mode=reward_mode))
     return config
 
 
@@ -227,9 +230,8 @@ def default_config_text() -> str:
         lines += ["", f"[{name}]"]
         if name == "kinematics":
             lines.append("; per-joint rows: a d alpha theta_offset limit_min limit_max")
-            rows = np.hstack([defaults.dh, defaults.joint_limits]).tolist()
-            for key, row in zip(_JOINT_KEYS, rows):
-                lines.append(f"{key} = {' '.join(repr(v) for v in row)}")
+            for key, dh, limits in zip(_JOINT_KEYS, defaults.dh, defaults.joint_limits):
+                lines.append(f"{key} = {' '.join(repr(v) for v in dh + limits)}")
         for f in fields(defaults):
             if f.name not in _SCHEMAS[name]:
                 continue

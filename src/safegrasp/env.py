@@ -171,6 +171,26 @@ class SceneConfig:
             raise ValueError("eef_radius must be positive")
         if not self.contact_stiffness > 0.0 or not self.cube_stiffness > 0.0:
             raise ValueError("contact stiffnesses must be positive")
+        # a box resting on the table anywhere in its sampling region lies
+        # inside the workspace, so only a disturbance can move a reset's
+        # scene out of it
+        lo, hi = self.workspace_min, self.workspace_max
+        half = self.cube_half_extent
+        for name, region_min, region_max, (hx, hy, hz) in (
+            ("cube", self.cube_region_min, self.cube_region_max, (half, half, half)),
+            ("obstacle", self.obstacle_region_min, self.obstacle_region_max,
+             self.obstacle_half_extents),
+        ):
+            cz = self.table_height + hz
+            spans = zip(region_min, region_max, (hx, hy), lo, hi)
+            if not (
+                all(low <= a - h and a <= b and b + h <= high for a, b, h, low, high in spans)
+                and lo[2] <= cz - hz and cz + hz <= hi[2]
+            ):
+                raise ValueError(
+                    f"the {name}, resting on the table anywhere in its sampling "
+                    "region, must lie inside the workspace"
+                )
 
 
 def _parse_action(action) -> tuple:
@@ -352,7 +372,7 @@ class GraspEnv:
         self.reward_config = (
             reward_config if reward_config is not None else RewardConfig()
         )
-        self._home_q: tuple | None = None
+        self._home_q = self._solve_home()
         self._log_writer = None
         self._episode_index = -1
         self._done = True
@@ -364,20 +384,15 @@ class GraspEnv:
         """Attach an object with a ``write_step(record: dict)`` method."""
         self._log_writer = writer
 
-    def _resolve_home(self) -> tuple:
-        if self._home_q is None:
-            result = inverse_kinematics(
-                self.arm,
-                np.asarray(self.scene_config.home_position, dtype=np.float64),
-                np.asarray(READY_SEED, dtype=np.float64),
+    def _solve_home(self) -> tuple:
+        home = self.scene_config.home_position
+        result = inverse_kinematics(self.arm, home, READY_SEED)
+        if not result.converged:
+            raise ValueError(
+                f"home position {home} is not reachable with the configured arm: "
+                f"status={result.status.value}, residual={result.residual:.4g}"
             )
-            if not result.converged:
-                raise ValueError(
-                    "home position is not reachable with the configured arm: "
-                    f"status={result.status.value}, residual={result.residual:.4g}"
-                )
-            self._home_q = result.joint_values
-        return self._home_q
+        return result.joint_values
 
     def _sample_scene(self, rng: np.random.Generator, scenario: Scenario) -> Scene:
         cfg = self.scene_config
@@ -420,7 +435,7 @@ class GraspEnv:
 
     def reset(
         self,
-        seed: int | None = None,
+        seed: int,
         scenario: Scenario | str = Scenario.NORMAL,
         disturbance: DisturbanceSpec | None = None,
     ) -> Observation:
@@ -432,7 +447,7 @@ class GraspEnv:
         self._scene = scene
         self._scenario = scenario
         # env state as Python floats: joints, tool point, tool velocity
-        self._q = self._resolve_home()
+        self._q = self._home_q
         self._frames = None  # fk_frames' (origins, zaxes) of _q, when known
         self._eef = tuple(eef_position(self.arm, self._q).tolist())
         self._eef_velocity = (0.0, 0.0, 0.0)

@@ -2,8 +2,8 @@
 
 The FK kernel is the DH chain in scalar form and the IK kernel iterates on
 it: floats, tuples and lists with ``math`` functions, no numpy calls.  They
-take the arm's precomputed ``dh_rows``/``limit_rows`` and tuples of floats
-(see :class:`safegrasp.kinematics.ArmModel`).  ``quantile_huber_loss_grad``
+take the arm's precomputed ``dh_rows``, its ``joint_limits`` and tuples of
+floats (see :class:`safegrasp.kinematics.ArmModel`).  ``quantile_huber_loss_grad``
 is an exact sort/prefix-sum form (sorted target rows, a vectorised binary
 search for the region boundaries of each prediction, closed-form sums per
 region) that never builds the (critic, sample, quantile, atom) array; the
@@ -101,7 +101,7 @@ def ik_dls(
 ):
     """Position-only damped-least-squares IK, iterates projected to limits.
 
-    ``dh`` and ``limits`` are the arm's ``dh_rows`` and ``limit_rows``
+    ``dh`` and ``limits`` are the arm's ``dh_rows`` and ``joint_limits``
     (six ``(lower, upper)`` pairs); ``q_seed`` and ``target`` are tuples of
     six and three floats.  ``seed_frames`` is the ``(origins, zaxes)`` pair
     ``fk_frames`` gives for ``q_seed``, when the caller has it: iteration 0

@@ -42,38 +42,28 @@ class IkStatus(Enum):
 
 @dataclass(frozen=True)
 class ArmModel:
-    """Serial-arm description: DH rows, joint limits and the speed limit.
+    """Serial-arm description: DH table, joint limits and the speed limit.
 
-    ``dh_rows`` and ``limit_rows`` are derived once from ``dh`` and
-    ``joint_limits`` as tuples of Python floats, in the argument form of
-    :func:`safegrasp.kernels.fk_frames` and :func:`safegrasp.kernels.ik_dls`:
-    ``(a, d, cos alpha, sin alpha, theta_offset)`` and ``(lower, upper)``
-    per joint.
+    ``dh`` and ``joint_limits`` are stored as tuples of float tuples, so an
+    arm compares and hashes by value.  ``dh_rows`` is derived once from
+    ``dh`` in the argument form of :func:`safegrasp.kernels.fk_frames`:
+    ``(a, d, cos alpha, sin alpha, theta_offset)`` per joint.
     """
 
-    dh: np.ndarray  # (6, 4) rows of a, d, alpha, theta_offset
-    joint_limits: np.ndarray  # (6, 2) min/max in rad
+    dh: tuple  # six rows of a, d, alpha, theta_offset
+    joint_limits: tuple  # six rows of min, max in rad
     max_joint_speed: float = 2.97  # rad/s, per-joint command rejection threshold
     ik_damping: float = 0.05
     ik_tolerance: float = 1.0e-4
     ik_max_iterations: int = 200
     dh_rows: tuple = field(init=False, repr=False, compare=False)
-    limit_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dh = np.ascontiguousarray(np.asarray(self.dh, dtype=np.float64))
-        limits = np.ascontiguousarray(
-            np.asarray(self.joint_limits, dtype=np.float64)
-        )
-        if dh.shape != (6, 4):
-            raise ValueError(f"dh must have shape (6, 4), got {dh.shape}")
-        if limits.shape != (6, 2):
-            raise ValueError(
-                f"joint_limits must have shape (6, 2), got {limits.shape}"
-            )
-        if not np.all(np.isfinite(dh)) or not np.all(np.isfinite(limits)):
+        dh = _float_rows("dh", self.dh, 4)
+        limits = _float_rows("joint_limits", self.joint_limits, 2)
+        if not all(math.isfinite(v) for row in dh + limits for v in row):
             raise ValueError("arm model parameters must be finite")
-        if not np.all(limits[:, 0] < limits[:, 1]):
+        if not all(lo < hi for lo, hi in limits):
             raise ValueError("each joint limit must satisfy min < max")
         if not self.max_joint_speed > 0.0:
             raise ValueError("max_joint_speed must be positive")
@@ -87,23 +77,29 @@ class ArmModel:
         object.__setattr__(self, "joint_limits", limits)
         dh_rows = tuple(
             (a, d, math.cos(alpha), math.sin(alpha), offset)
-            for a, d, alpha, offset in dh.tolist()
+            for a, d, alpha, offset in dh
         )
         object.__setattr__(self, "dh_rows", dh_rows)
-        object.__setattr__(self, "limit_rows", tuple(map(tuple, limits.tolist())))
 
     @classmethod
     def default_ur5(cls, **overrides) -> "ArmModel":
         # continuous joints are bounded to +-2*pi to keep IK iterates bounded
-        limits = np.tile((-TWO_PI, TWO_PI), (6, 1))
-        return cls(dh=np.array(UR5_DH), joint_limits=limits, **overrides)
+        return cls(dh=UR5_DH, joint_limits=((-TWO_PI, TWO_PI),) * 6, **overrides)
 
     def within_limits(self, q) -> bool:
-        return _within(self.limit_rows, kernels.float_tuple(q, 6))
+        return _within(self.joint_limits, kernels.float_tuple(q, 6))
 
 
-def _within(limit_rows: tuple, values: tuple) -> bool:
-    for v, (lo, hi) in zip(values, limit_rows):
+def _float_rows(name: str, value, width: int) -> tuple:
+    """A six-row table as a tuple of ``width``-float tuples."""
+    table = np.asarray(value, dtype=np.float64)
+    if table.shape != (6, width):
+        raise ValueError(f"{name} must have shape (6, {width}), got {table.shape}")
+    return tuple(map(tuple, table.tolist()))
+
+
+def _within(joint_limits: tuple, values: tuple) -> bool:
+    for v, (lo, hi) in zip(values, joint_limits):
         if not lo <= v <= hi:
             return False
     return True
@@ -166,12 +162,12 @@ def inverse_kinematics(model: ArmModel, target, seed, seed_frames=None) -> IkRes
     from; the solver then starts from it instead of repeating that FK.
     """
     seed_values = kernels.float_tuple(seed, 6)
-    if not _within(model.limit_rows, seed_values):
+    if not _within(model.joint_limits, seed_values):
         raise ValueError("IK seed must lie within joint limits")
     target = kernels.float_tuple(target, 3)
     q_best, residual, iterations, clamped, converged, frames = kernels.ik_dls(
         model.dh_rows,
-        model.limit_rows,
+        model.joint_limits,
         seed_values,
         target,
         model.ik_damping,

@@ -189,7 +189,7 @@ def load_checkpoint(path):
         header = json.loads(blob[start:end])
         meta = header["meta"]
         shapes = [(str(name), tuple(int(n) for n in shape)) for name, shape in header["arrays"]]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise ValueError(f"{path} has a malformed header") from exc
     if not isinstance(meta, dict) or any(n < 0 for _, shape in shapes for n in shape):
         raise ValueError(f"{path} has a malformed header")

@@ -85,37 +85,55 @@ def read_log(path) -> tuple[dict, list[dict]]:
     record: a JSON object with an integer ``episode``, an ``events`` object
     and a numeric ``reward``.
     Each line is decoded on its own, so a malformed line is refused even
-    where the lines around it would re-join into valid JSON.
+    where the lines around it would re-join into valid JSON.  A line that
+    is not UTF-8, not JSON, or JSON that Python cannot hold (nested too
+    deep, an integer of too many digits) is a ``LogFormatError`` too.
     """
     header: dict = {}
     records: list[dict] = []
     append = records.append
     decode = _DECODER.decode
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
                 record = decode(line)
-            except json.JSONDecodeError as exc:
-                raise LogFormatError(f"{path}:{line_no}: invalid JSON: {exc}") from None
-            if type(record) is not dict:
-                raise LogFormatError(f"{path}:{line_no}: not a JSON object")
-            if record.get("type") == "header":
-                if records or header:
-                    raise LogFormatError(f"{path}:{line_no}: header after the first record")
-                header = record
-                continue
-            if type(record.get("events")) is not dict:
-                raise LogFormatError(f"{path}:{line_no}: step record has no 'events' object")
-            if type(record.get("reward")) not in (int, float):
-                raise LogFormatError(f"{path}:{line_no}: step record has no numeric 'reward'")
-            if type(record.get("episode")) is not int:
-                raise LogFormatError(f"{path}:{line_no}: step record has no integer 'episode'")
-            append(record)
+                if type(record) is not dict:
+                    raise LogFormatError(f"{path}:{line_no}: not a JSON object")
+                if record.get("type") == "header":
+                    if records or header:
+                        raise LogFormatError(f"{path}:{line_no}: header after the first record")
+                    header = record
+                    continue
+                if type(record.get("events")) is not dict:
+                    raise LogFormatError(f"{path}:{line_no}: step record has no 'events' object")
+                if type(record.get("reward")) not in (int, float):
+                    raise LogFormatError(f"{path}:{line_no}: step record has no numeric 'reward'")
+                if type(record.get("episode")) is not int:
+                    raise LogFormatError(f"{path}:{line_no}: step record has no integer 'episode'")
+                append(record)
+    except LogFormatError:
+        raise
+    except UnicodeDecodeError:
+        # the text reader decodes ahead of the line it yields: find the line
+        raise LogFormatError(f"{path}:{_undecodable_line(path)}: not UTF-8 text") from None
+    except (ValueError, RecursionError) as exc:
+        raise LogFormatError(f"{path}:{line_no}: invalid JSON: {exc}") from None
     return header, records
+
+
+def _undecodable_line(path: Path) -> int:
+    """Number of the first line of ``path`` that is not UTF-8."""
+    with path.open("rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return line_no
 
 
 @dataclass

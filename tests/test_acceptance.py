@@ -2,9 +2,11 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.
 
-Criterion 10 (the directional desk-scale training comparison) runs for
-roughly an hour on one CPU core and is therefore gated behind
-``SAFEGRASP_RUN_TRAINING_ACCEPTANCE=1``; everything else runs by default.
+Criterion 10 (the directional desk-scale training comparison) trains six
+200k-step runs: about 20 min of learner time on one CPU core, plus env
+steps and evaluation (the whole test has not been timed).  It is therefore
+gated behind ``SAFEGRASP_RUN_TRAINING_ACCEPTANCE=1``; everything else runs
+by default.
 """
 
 import itertools

@@ -1,6 +1,9 @@
 """Configuration loading, log IO, and the command-line surface."""
 
 import configparser
+import contextlib
+import copy
+import io
 import json
 import os
 import shlex
@@ -11,13 +14,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import safegrasp
 from safegrasp.cli import _build_parser, main
 from safegrasp.config import ConfigError, RunConfig, default_config_text, load_config
 from safegrasp.env import EnvConfig, GraspEnv, RewardConfig, RewardMode, SceneConfig
 from safegrasp.kinematics import ArmModel
-from safegrasp.nn import load_checkpoint, save_checkpoint
+from safegrasp.nn import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 from safegrasp import runlog
 from safegrasp.runlog import (
     EpisodeLogWriter,
@@ -41,16 +46,13 @@ class TestConfig:
     def test_default_text_round_trips(self, tmp_path):
         path = tmp_path / "default.ini"
         path.write_text(default_config_text())
-        config = load_config(path)
-        base = RunConfig()
-        for f in fields(RunConfig):
-            if f.name != "arm":
-                assert getattr(config, f.name) == getattr(base, f.name), f.name
-        for f in fields(ArmModel):
-            if f.compare:
-                assert np.array_equal(
-                    getattr(config.arm, f.name), getattr(base.arm, f.name)
-                ), f.name
+        assert load_config(path) == RunConfig()
+
+    def test_run_configs_compare_by_value(self):
+        assert RunConfig() == RunConfig()
+        assert RunConfig(seed=1) != RunConfig()
+        tight = replace(ArmModel.default_ur5(), joint_limits=((-1.0, 1.0),) * 6)
+        assert RunConfig(arm=tight) != RunConfig()
 
     def test_default_text_names_every_field(self):
         parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
@@ -195,8 +197,8 @@ class TestConfig:
         path = tmp_path / "arm.ini"
         path.write_text("[kinematics]\njoint2 = -0.5 0 0 0 -3.0 3.0\n")
         config = load_config(path)
-        assert config.arm.dh[1, 0] == -0.5
-        assert tuple(config.arm.joint_limits[1]) == (-3.0, 3.0)
+        assert config.arm.dh[1][0] == -0.5
+        assert config.arm.joint_limits[1] == (-3.0, 3.0)
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
@@ -482,7 +484,9 @@ class TestCli:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
-        "argv", [("bench",), ("assess", "--no-disturb")], ids=["bench", "no-disturb"]
+        "argv",
+        [("bench",), ("assess", "--no-disturb"), ("init-config", "--out", os.devnull)],
+        ids=["bench", "no-disturb", "init-config-out"],
     )
     def test_removed_command_and_flag_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -580,7 +584,17 @@ MALFORMED_LOGS = {
     "header_only": HEADER + "\n",
     "second_header": f"{HEADER}\n{HEADER}\n{STEP}\n",
     "late_header": f"{HEADER}\n{STEP}\n{HEADER}\n",
+    # lines Python cannot decode: surrogate escapes stand for the raw bytes
+    "invalid_utf8": f"{HEADER}\n\udcff\udcfe\n",
+    "deep_nesting": f"{HEADER}\n{'[' * 100_000}{']' * 100_000}\n",
+    "long_integer": HEADER + "\n" + STEP.replace("-0.25", "9" * 5000) + "\n",
 }
+
+
+def write_log(path: Path, text: str) -> Path:
+    """Write a log's text, each surrogate escape as the byte it stands for."""
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    return path
 
 
 
@@ -808,6 +822,55 @@ class TestBadNumbers:
         assert not out.exists()
 
 
+# config file text (surrogate escapes stand for raw bytes), extra flags, and
+# what the one-line message names
+BAD_CONFIGS = {
+    "invalid_utf8": ("[run]\nseed = 1\n\udcff\udcfe\n", (), "cannot parse"),
+    "negative_seed_file": ("[run]\nseed = -5\n", (), "seed must be a non-negative integer"),
+    "negative_seed_flag": ("", ("--seed", "-5"), "seed must be a non-negative integer"),
+    "unreachable_home": (
+        "[scene]\nhome_position = 5.0 5.0 5.0\n", (), "home position (5.0, 5.0, 5.0)"
+    ),
+    "cube_region_off_workspace": (
+        "[scene]\ncube_region_min = 0.45 -0.5\n", (), "the cube, resting on the table"
+    ),
+}
+
+
+class TestBadConfig:
+    """A config file or seed that cannot make a run exits 2 with one line
+    naming it before any file is written; a scene config is not reported as
+    a disturbance."""
+
+    COMMANDS = {
+        "train": ("train", "--steps", "10"),
+        "evaluate": ("evaluate", "--policy", "random", "--episodes", "2"),
+        "assess": ("assess", "--policy", "random", "--episodes", "2"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_exit_2_with_one_line(self, tmp_path, capsys, case, command):
+        text, flags, message = BAD_CONFIGS[case]
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(text.encode("utf-8", "surrogateescape"))
+        out = tmp_path / "out"
+        argv = (*self.COMMANDS[command], "--config", ini, *flags, "--out", out)
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and not err.startswith("error: --disturb")
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_directory_is_not_a_config_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ("evaluate", "--policy", "random", "--config", tmp_path, "--out", out)
+        assert run_cli(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
 class TestMalformedLogs:
     """A log the audit commands cannot read is a usage error (exit 2) with a
     one-line message, not a traceback or an audit failure (exit 1)."""
@@ -815,8 +878,7 @@ class TestMalformedLogs:
     @pytest.mark.parametrize("command", ["replay", "assess"])
     @pytest.mark.parametrize("case", sorted(MALFORMED_LOGS))
     def test_exit_2_with_one_line(self, tmp_path, case, command):
-        log = tmp_path / f"{case}.jsonl"
-        log.write_text(MALFORMED_LOGS[case])
+        log = write_log(tmp_path / f"{case}.jsonl", MALFORMED_LOGS[case])
         argv = [command, "--log", log]
         if command == "assess":
             argv += ["--out", tmp_path / "out"]
@@ -849,14 +911,30 @@ class TestMalformedLogs:
             ("non_int_episode", "2: step record has no integer 'episode'"),
             ("second_header", "2: header after the first record"),
             ("late_header", "3: header after the first record"),
+            ("invalid_utf8", "2: not UTF-8 text"),
         ],
     )
     def test_message_text(self, tmp_path, case, message):
-        log = tmp_path / "log.jsonl"
-        log.write_text(MALFORMED_LOGS[case])
+        log = write_log(tmp_path / "log.jsonl", MALFORMED_LOGS[case])
         with pytest.raises(runlog.LogFormatError) as info:
             read_log(log)
         assert str(info.value) == f"{log}:{message}"
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [("deep_nesting", "maximum recursion depth"), ("long_integer", "4300 digits")],
+    )
+    def test_undecodable_json_names_the_line(self, tmp_path, case, message):
+        log = write_log(tmp_path / "log.jsonl", MALFORMED_LOGS[case])
+        with pytest.raises(runlog.LogFormatError) as info:
+            read_log(log)
+        assert str(info.value).startswith(f"{log}:2: invalid JSON: ")
+        assert message in str(info.value)
+
+    def test_undecodable_line_is_found_past_the_read_ahead(self, tmp_path):
+        log = write_log(tmp_path / "log.jsonl", HEADER + f"\n{STEP}" * 3000 + "\n\udcff\n")
+        with pytest.raises(runlog.LogFormatError, match=r"log\.jsonl:3002: not UTF-8 text$"):
+            read_log(log)
 
     @pytest.mark.parametrize(
         "text,message",
@@ -874,6 +952,118 @@ class TestMalformedLogs:
         assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+def retyped(key: str, value: str) -> str:
+    """A one-step log whose step record holds ``key`` (an event, or
+    ``terminated``/``truncated``) with the JSON text ``value``."""
+    if key in ("terminated", "truncated"):
+        step = STEP.replace('"step":1', f'"step":1,"{key}":{value}')
+        step = step.replace(',"terminated":false', "") if key == "terminated" else step
+    else:
+        step = STEP.replace('"events":{}', f'"events":{{"{key}":{value}}}')
+    return f"{HEADER}\n{step}\n"
+
+
+class TestMistypedRecords:
+    """A step record whose event or end flag has the wrong JSON type exits 2
+    with one line naming the record and the key: a flag is a bool, a
+    measure a number (not a bool)."""
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("distance_d", '"0.3"'),
+            ("distance_d", "null"),
+            ("distance_d", "[1]"),
+            ("distance_d", "true"),
+            ("collision_force", "{}"),
+            ("collision_impact_speed", "false"),
+            ("grasp_success", '"false"'),
+            ("lift_success", "1"),
+            ("ik_failure", "null"),
+            ("terminated", '"yes"'),
+            ("terminated", "1"),
+            ("truncated", "null"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["replay", "assess"])
+    def test_exit_2_with_one_line(self, tmp_path, capsys, command, key, value):
+        log = write_log(tmp_path / "log.jsonl", retyped(key, value))
+        argv = [command, "--log", log]
+        if command == "assess":
+            argv += ["--out", tmp_path / "out"]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {log}: step record 0: ")
+        assert repr(key) in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_well_typed_record_passes_the_type_check(self, tmp_path, capsys):
+        # an int measure is a number: the audit goes on to the reward
+        log = write_log(tmp_path / "log.jsonl", retyped("distance_d", "0"))
+        assert run_cli("replay", "--log", log) == 1
+        assert "logged reward -0.25 != recomputed" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_log(tmp_path_factory) -> list[dict]:
+    """The header and step records of a valid log: two random-policy
+    episodes of at most four steps."""
+    out = tmp_path_factory.mktemp("small_log")
+    ini = out / "short.ini"
+    ini.write_text("[env]\nmax_steps = 4\n")
+    argv = ("evaluate", "--policy", "random", "--episodes", "2", "--seed", "3")
+    assert run_cli(*argv, "--config", ini, "--out", out) == 0
+    (log,) = out.glob("eval_*.jsonl")
+    return [json.loads(line) for line in log.read_text().splitlines()]
+
+
+# mutations of one value: JSON values of other types, and two raw texts
+# that Python's decoder cannot hold, spliced in through a placeholder
+RETYPED = (None, True, False, 0, -1, 2.5, 10**400, float("nan"), "0.3", "false", [1], {})
+RAW_TEXTS = {"deep": "[" * 100_000 + "]" * 100_000, "long": "9" * 5000}
+
+
+def mutated(data, records: list[dict]) -> bytes:
+    """``records`` as JSONL with one drawn mutation: a value retyped or
+    replaced by a raw text, a key dropped, the file cut, or invalid UTF-8
+    spliced in."""
+    kind = data.draw(st.sampled_from(["retype", "drop", "cut", "utf8", *RAW_TEXTS]))
+    records = copy.deepcopy(records)
+    if kind not in ("cut", "utf8"):
+        record = data.draw(st.sampled_from(records))
+        holder = data.draw(
+            st.sampled_from([record, *(v for v in record.values() if type(v) is dict)])
+        )
+        key = data.draw(st.sampled_from(sorted(holder)))
+        if kind == "drop":
+            del holder[key]
+        elif kind == "retype":
+            holder[key] = data.draw(st.sampled_from(RETYPED))
+        else:
+            holder[key] = f"<{kind}>"
+    blob = "".join(json.dumps(record) + "\n" for record in records).encode()
+    for name, text in RAW_TEXTS.items():
+        blob = blob.replace(f'"<{name}>"'.encode(), text.encode())
+    if kind in ("cut", "utf8"):
+        at = data.draw(st.integers(0, len(blob)))
+        blob = blob[:at] if kind == "cut" else blob[:at] + b"\xff\xfe" + blob[at:]
+    return blob
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_replay_of_a_mutated_log_exits_with_a_code(small_log, tmp_path_factory, data):
+    """Whatever the mutation, ``replay`` returns 0, 1 or 2, and a refusal is
+    one line: it never raises."""
+    log = tmp_path_factory.getbasetemp() / "mutated.jsonl"
+    log.write_bytes(mutated(data, small_log))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["replay", "--log", str(log)])
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) == (code != 0)
+
+
 class TestBadCheckpoint:
     """An unreadable checkpoint, or one whose arrays do not fit its own
     config, is a usage error (exit 2) with a one-line message, not a
@@ -886,6 +1076,7 @@ class TestBadCheckpoint:
         "truncated": ("truncated",),
         "misshapen": ("critics/w0", "(2, 21, 9)", "(2, 21, 8)"),
         "missing": ("no array 'targets/w0'",),
+        "deep_header": ("malformed header",),
     }
 
     @staticmethod
@@ -893,6 +1084,10 @@ class TestBadCheckpoint:
         path = tmp_path / f"{case}.ckpt"
         if case == "junk":
             path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
+            return path
+        if case == "deep_header":
+            header = b"[" * 100_000 + b"]" * 100_000
+            path.write_bytes(CHECKPOINT_MAGIC + len(header).to_bytes(8, "little") + header)
             return path
         agent = TqcAgent(17, 4, TqcConfig(hidden_sizes=(8, 8)), seed=0)
         agent.save(path)

@@ -62,10 +62,11 @@ def matmul4(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def matrix_fk_frames(dh: np.ndarray, q: np.ndarray, matmul=matmul4):
     """Reference FK: one 4x4 DH matrix per joint, chained with ``matmul``.
 
-    ``dh`` is a (6, 4) array of ``a, d, alpha, theta_offset``; returns the
+    ``dh`` is a (6, 4) table of ``a, d, alpha, theta_offset``; returns the
     end-effector rotation (3, 3), the frame origins (7, 3) and the joint z
     axes (7, 3), index 0 being the base frame.
     """
+    dh = np.asarray(dh)
     t = np.eye(4)
     origins = np.zeros((7, 3))
     zaxes = np.zeros((7, 3))
@@ -95,6 +96,7 @@ def matrix_ik_dls(dh, limits, q_seed, target, damping, tolerance, max_iterations
     difference in the FK into different iterates, so a comparison against
     a BLAS-rounded chain would test the BLAS build rather than the kernel.
     """
+    limits = np.asarray(limits)
     q = q_seed.copy()
     best_q = q_seed.copy()
     best_p = np.full(3, np.nan)
@@ -208,7 +210,7 @@ class TestInverseKinematics:
 
     def test_beyond_reach_is_unreachable(self, arm):
         # farther than the sum of all link offsets
-        total_reach = np.sum(np.abs(arm.dh[:, :2]))
+        total_reach = np.sum(np.abs(np.asarray(arm.dh)[:, :2]))
         target = np.array([1.5 * total_reach, 0.0, 0.0])
         seed = np.zeros(6)
         result = inverse_kinematics(arm, target, seed=seed)
@@ -292,7 +294,7 @@ def ik_dls_pairs():
     tight = ArmModel(
         dh=arm.dh, joint_limits=np.tile((-1.0, 1.0), (6, 1)), ik_max_iterations=60
     )
-    reach = float(np.sum(np.abs(arm.dh[:, :2])))
+    reach = float(np.sum(np.abs(np.asarray(arm.dh)[:, :2])))
     cases = []
     for _ in range(600):  # reachable targets, free seeds
         target = eef_position(arm, rng.uniform(-np.pi, np.pi, 6))
@@ -341,7 +343,7 @@ class TestKernelsAgainstMatrixReference:
             args = (model.ik_damping, model.ik_tolerance, model.ik_max_iterations)
             q, res, iters, clamped, converged, frames = kernels.ik_dls(
                 model.dh_rows,
-                model.limit_rows,
+                model.joint_limits,
                 tuple(seed.tolist()),
                 tuple(target.tolist()),
                 *args,
@@ -367,7 +369,7 @@ class TestKernelsAgainstMatrixReference:
         for model, seed, target in ik_dls_pairs():
             args = (
                 model.dh_rows,
-                model.limit_rows,
+                model.joint_limits,
                 tuple(seed.tolist()),
                 tuple(target.tolist()),
                 model.ik_damping,
@@ -441,6 +443,27 @@ class TestCheckSpeed:
 
 
 class TestArmModel:
+    def test_tables_are_float_tuples(self, arm):
+        for table, width in ((arm.dh, 4), (arm.joint_limits, 2)):
+            assert type(table) is tuple and len(table) == 6
+            for row in table:
+                assert type(row) is tuple and len(row) == width
+                assert all(type(v) is float for v in row)
+
+    def test_arrays_and_tuples_give_one_arm(self, arm):
+        from_arrays = ArmModel(
+            dh=np.array(arm.dh), joint_limits=np.array(arm.joint_limits)
+        )
+        assert from_arrays == arm
+        assert hash(from_arrays) == hash(arm)
+        assert from_arrays.dh_rows == arm.dh_rows
+
+    def test_hash_follows_the_values(self, arm):
+        assert hash(ArmModel.default_ur5()) == hash(arm)
+        assert {arm, ArmModel.default_ur5()} == {arm}
+        slower = ArmModel.default_ur5(max_joint_speed=1.0)
+        assert slower != arm and len({arm, slower}) == 2
+
     def test_requires_six_joints(self):
         with pytest.raises(ValueError):
             ArmModel(dh=np.zeros((5, 4)), joint_limits=np.tile((-1, 1), (5, 1)))
