@@ -37,23 +37,22 @@ else:
 import argparse
 import functools
 import json
-import math
 import sys
 from datetime import datetime
 from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, RunConfig, apply_overrides, default_config_text, load_config
-from .env import RewardConfig, RewardMode, Scenario, TransitionEvents, compute_reward
+from .env import RewardMode, Scenario
 from .fsa import build_report, format_report_text, inputs_from_episodes
 from .metrics import summarize
-from .rollout import (
-    ASSESSMENT_SEED_STREAM, EVAL_SEED_STREAM, derive_seed, log_header, rollout_episodes,
-)
+from .rollout import ASSESSMENT_SEED_STREAM, EVAL_SEED_STREAM, derive_seed, rollout_episodes
 from .runlog import (
+    AuditFailure,
     EpisodeLogWriter,
     LogFormatError,
-    read_log,
+    audit_log,
+    log_header,
     records_to_episodes,
     replace_atomically,
     write_json_atomically,
@@ -67,17 +66,7 @@ EXIT_AUDIT = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-
-class AuditFailure(Exception):
-    """A logged reward or episode that the audit refuses (exit 1), in one line."""
-
-
 SCENARIOS = tuple(scenario.value for scenario in Scenario)
-DISTURBANCE_KEYS = {"surface_height_delta", "object_size_delta"}
-# the events logged as numbers; every other event is a flag
-NUMBER_EVENTS = {
-    name for name, value in TransitionEvents().as_dict().items() if type(value) is float
-}
 
 
 def _timestamp() -> str:
@@ -309,7 +298,7 @@ def cmd_assess(args) -> None:
     config = _load_run_config(args)
     out_dir = _out_dir(args, config)
     if args.log is not None:
-        episodes = records_to_episodes(_audited_records(args.log))
+        episodes = records_to_episodes(audit_log(args.log))
     else:
         scenarios = SCENARIOS if args.scenarios == "both" else (args.scenarios,)
         episodes, _ = _logged_rollouts(
@@ -324,131 +313,13 @@ def cmd_assess(args) -> None:
 
 
 def cmd_replay(args) -> None:
-    records = _audited_records(args.log, args.config)
+    reward_config = None if args.config is None else load_config(args.config).reward
+    records = audit_log(args.log, reward_config)
     episodes = records_to_episodes(records)
     print(
         f"audit ok: {len(records)} step records, {len(episodes)} episodes, "
         "rewards reproducible from events, episodes complete"
     )
-
-
-def _audited_records(path: Path, config_path: Path | None = None) -> list[dict]:
-    """The step records of a log that passes the audit: a log that cannot be
-    read or scored is a ``ConfigError``; a reward that its events, scored by
-    ``config_path``'s reward table or else the header's, do not reproduce,
-    or an episode that is not whole, is an ``AuditFailure``."""
-    if not path.exists():
-        raise ConfigError(f"log file not found: {path}")
-    try:
-        header, records = read_log(path)
-    except LogFormatError as exc:
-        raise ConfigError(str(exc)) from None
-    if not records:
-        raise ConfigError(f"log file contains no step records: {path}")
-    _check_header(path, header)
-    if config_path is not None:
-        reward_config = load_config(config_path).reward
-    elif "reward" in header:
-        try:
-            reward_config = RewardConfig.from_dict(header["reward"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: invalid reward header: {exc}") from None
-    else:
-        raise ConfigError(
-            f"{path}: log header has no 'reward' table; add the run's [reward] "
-            "values to the header (replay also takes --config <ini>)"
-        )
-    for index, record in enumerate(records):
-        try:
-            events = TransitionEvents.from_dict(record["events"])
-            _check_types(record)
-            expected = compute_reward(events, reward_config)
-            logged = float(record["reward"])
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"{path}: step record {index}: {exc}") from None
-        if expected != logged:
-            raise AuditFailure(
-                f"audit failure at record {index} "
-                f"(episode {record.get('episode')}, step {record.get('step')}): "
-                f"logged reward {logged!r} != recomputed {expected!r}"
-            )
-    _check_structure(records)
-    return records
-
-
-def _check_types(record: dict) -> None:
-    """Raise ``ValueError`` unless each logged event flag, and ``terminated``
-    and ``truncated`` when present, is a bool and each event measure a number."""
-    for key, value in record["events"].items():
-        if key in NUMBER_EVENTS:
-            if type(value) not in (int, float):
-                raise ValueError(f"event {key!r} must be a number")
-        elif type(value) is not bool:
-            raise ValueError(f"event {key!r} must be a bool")
-    for key in ("terminated", "truncated"):
-        if type(record.get(key, False)) is not bool:
-            raise ValueError(f"{key!r} must be a bool")
-
-
-def _check_header(path: Path, header: dict) -> None:
-    """Refuse (exit 2) a log header without an integer ``seed`` and a known
-    ``scenario``, or with a ``policy`` that is not a string or a
-    ``disturbance`` that is not two finite numbers."""
-    disturbance = header.get("disturbance", dict.fromkeys(DISTURBANCE_KEYS, 0.0))
-    checks = (
-        (type(header.get("seed")) is int, "'seed' must be an integer"),
-        (header.get("scenario") in SCENARIOS, f"'scenario' must be one of {SCENARIOS}"),
-        (type(header.get("policy", "")) is str, "'policy' must be a string"),
-        (
-            type(disturbance) is dict
-            and set(disturbance) == DISTURBANCE_KEYS
-            and all(
-                type(v) in (int, float) and -math.inf < v < math.inf
-                for v in disturbance.values()
-            ),
-            f"'disturbance' must map {sorted(DISTURBANCE_KEYS)} to finite numbers",
-        ),
-    )
-    for ok, message in checks:
-        if not ok:
-            raise ConfigError(f"{path}: log header: {message}")
-
-
-def _check_structure(records: list[dict]) -> None:
-    """Raise ``AuditFailure`` at the first structural defect of a non-empty
-    step log: each episode's records are contiguous, its steps run 1, 2,
-    3, ... and its last record, and only that one, is terminated or
-    truncated.
-    """
-
-    def defect(index: int, message: str) -> AuditFailure:
-        record = records[index]
-        where = f"episode {record['episode']}, step {record.get('step')}"
-        return AuditFailure(f"audit failure at record {index} ({where}): {message}")
-
-    def ends(record: dict) -> bool:
-        return bool(record.get("terminated") or record.get("truncated"))
-
-    seen = set()
-    expected = 0
-    for index, record in enumerate(records):
-        episode = record["episode"]
-        if index == 0 or episode != records[index - 1]["episode"]:
-            if index and not ends(records[index - 1]):
-                raise defect(index - 1, "episode ends without terminated or truncated")
-            if episode in seen:
-                raise defect(index, "episode resumes after another episode")
-            seen.add(episode)
-            expected = 1
-        elif ends(records[index - 1]):
-            raise defect(index, "record after the episode's last step")
-        else:
-            expected += 1
-        step = record.get("step")
-        if type(step) is not int or step != expected:
-            raise defect(index, f"expected step {expected}")
-    if not ends(records[-1]):
-        raise defect(len(records) - 1, "episode ends without terminated or truncated")
 
 
 def cmd_init_config(args) -> None:
@@ -472,7 +343,7 @@ def main(argv=None) -> int:
     except AuditFailure as exc:
         print(exc, file=sys.stderr)
         return EXIT_AUDIT
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, LogFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

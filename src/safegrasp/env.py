@@ -191,6 +191,18 @@ class SceneConfig:
                     f"the {name}, resting on the table anywhere in its sampling "
                     "region, must lie inside the workspace"
                 )
+        # both boxes rest on the table, so only x and y can part them: an
+        # obstacle centred in [max(o_min, c_max - s), min(o_max, c_min + s)]
+        # on both axes overlaps every cube placement
+        if all(
+            max(o_lo, c_hi - s) <= min(o_hi, c_lo + s)
+            for o_lo, o_hi, c_lo, c_hi, s in zip(
+                self.obstacle_region_min, self.obstacle_region_max,
+                self.cube_region_min, self.cube_region_max,
+                [half + h for h in self.obstacle_half_extents],
+            )
+        ):
+            raise ValueError("some obstacle placement overlaps every cube placement")
 
 
 def _parse_action(action) -> tuple:

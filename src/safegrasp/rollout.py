@@ -62,24 +62,6 @@ def rollout_episodes(
     return records_to_episodes(sink)
 
 
-def log_header(config, scenario: str, policy=None, disturbance=None) -> dict:
-    """Header of a step log: what ``replay`` and ``assess --log`` need to
-    audit it, plus the policy and disturbance when the caller names them."""
-    header = {
-        "seed": config.seed,
-        "scenario": scenario,
-        "reward": config.reward.as_dict(),
-    }
-    if policy is not None:
-        header["policy"] = policy
-    if disturbance is not None:
-        header["disturbance"] = {
-            "surface_height_delta": disturbance.surface_height_delta,
-            "object_size_delta": disturbance.object_size_delta,
-        }
-    return header
-
-
 class RecordSink:
     """In-memory step-record writer for ``env.set_log_writer``.
 

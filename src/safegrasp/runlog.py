@@ -1,23 +1,38 @@
 """JSON-Lines episode logs: one header record, then one record per step.
 
-The header carries the run configuration needed to audit the log later
-(reward coefficients, mode, seed, scenario).  Serialisation is canonical
-(sorted keys, compact separators, repr-round-trip floats), so identical runs
+This module owns the log format: it writes every header (``log_header``),
+reads a log back (``read_log``) and audits it (``audit_log``).  The header
+carries the run configuration needed to audit the log later (reward
+coefficients, mode, seed, scenario).  Serialisation is canonical (sorted
+keys, compact separators, repr-round-trip floats), so identical runs
 produce byte-identical logs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
+from .env import RewardConfig, Scenario, TransitionEvents, compute_reward
+from .world import DisturbanceSpec
 
 # one encoder and one decoder serve every record: ``json.dumps`` with options
-# builds a new encoder per call, and ``json.loads`` re-checks its arguments
+# builds a new encoder per call, and ``json.loads`` re-checks its arguments.
+# JSON has no NaN or Infinity: the decoder reads those tokens as null, which
+# no number check accepts, so ``read_log`` refuses such a reward and
+# ``audit_log`` such an event measure or header value
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_DECODER = json.JSONDecoder()
+_DECODER = json.JSONDecoder(parse_constant=lambda name: None)
+
+_SCENARIOS = tuple(scenario.value for scenario in Scenario)
+_DISTURBANCE_KEYS = frozenset(f.name for f in fields(DisturbanceSpec))
+# the events logged as numbers; every other event is a flag
+_NUMBER_EVENTS = frozenset(
+    name for name, value in TransitionEvents().as_dict().items() if type(value) is float
+)
 
 
 def dumps_canonical(record: dict) -> str:
@@ -50,6 +65,17 @@ def write_json_atomically(path, doc) -> None:
     replace_atomically(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
+def log_header(config, scenario: str, policy=None, disturbance=None) -> dict:
+    """Header of a step log: what ``audit_log`` needs to audit it, plus the
+    policy and disturbance when the caller names them."""
+    header = {"seed": config.seed, "scenario": scenario, "reward": config.reward.as_dict()}
+    if policy is not None:
+        header["policy"] = policy
+    if disturbance is not None:
+        header["disturbance"] = asdict(disturbance)
+    return header
+
+
 class EpisodeLogWriter:
     """Append-only JSONL writer; attach to an environment via
     ``env.set_log_writer``."""
@@ -75,7 +101,11 @@ class EpisodeLogWriter:
 
 
 class LogFormatError(ValueError):
-    """A log line that is not a header or a step record; names file and line."""
+    """A log that cannot be read or scored; the one-line message names the file."""
+
+
+class AuditFailure(Exception):
+    """A logged reward or episode that the audit refuses, in one line."""
 
 
 def read_log(path) -> tuple[dict, list[dict]]:
@@ -123,6 +153,110 @@ def read_log(path) -> tuple[dict, list[dict]]:
     except (ValueError, RecursionError) as exc:
         raise LogFormatError(f"{path}:{line_no}: invalid JSON: {exc}") from None
     return header, records
+
+
+def audit_log(path, reward_config: RewardConfig | None = None) -> list[dict]:
+    """The step records of a log that passes the ``replay`` audit, scored
+    by ``reward_config`` or else by the header's reward table.
+
+    A log that cannot be read or scored is a ``LogFormatError``; a reward
+    that its events do not reproduce, or an episode that is not whole, is an
+    ``AuditFailure``.  One pass checks each record against the previous one
+    (contiguous episodes, steps 1, 2, 3, ..., an end on the last step only),
+    then its keys and types, then its reward, so the defect reported is the
+    one at the lowest record index.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise LogFormatError(f"log file not found: {path}")
+    header, records = read_log(path)
+    if not records:
+        raise LogFormatError(f"log file contains no step records: {path}")
+    _check_header(path, header)
+    if reward_config is None:
+        if "reward" not in header:
+            raise LogFormatError(
+                f"{path}: log header has no 'reward' table; add the run's [reward] "
+                "values to the header (replay also takes --config <ini>)"
+            )
+        try:
+            reward_config = RewardConfig.from_dict(header["reward"])
+        except (TypeError, ValueError) as exc:
+            raise LogFormatError(f"{path}: invalid reward header: {exc}") from None
+
+    def defect(index: int, message: str) -> AuditFailure:
+        record = records[index]
+        where = f"episode {record['episode']}, step {record.get('step')}"
+        return AuditFailure(f"audit failure at record {index} ({where}): {message}")
+
+    seen = set()
+    previous = {"episode": None, "terminated": True}  # an ended episode before the first
+    for index, record in enumerate(records):
+        episode = record["episode"]
+        if episode != previous["episode"]:
+            if not _ends(previous):
+                raise defect(index - 1, "episode ends without terminated or truncated")
+            if episode in seen:
+                raise defect(index, "episode resumes after another episode")
+            seen.add(episode)
+            expected_step = 1
+        elif _ends(previous):
+            raise defect(index, "record after the episode's last step")
+        else:
+            expected_step += 1
+        step = record.get("step")
+        if type(step) is not int or step != expected_step:
+            raise defect(index, f"expected step {expected_step}")
+        try:
+            events = TransitionEvents.from_dict(record["events"])
+            for key, value in record["events"].items():
+                if key in _NUMBER_EVENTS:
+                    if not _is_finite_number(value):
+                        raise ValueError(f"event {key!r} must be a finite number")
+                elif type(value) is not bool:
+                    raise ValueError(f"event {key!r} must be a bool")
+            for key in ("terminated", "truncated"):
+                if type(record.get(key, False)) is not bool:
+                    raise ValueError(f"{key!r} must be a bool")
+            expected = compute_reward(events, reward_config)
+            logged = float(record["reward"])
+        except (ValueError, OverflowError) as exc:
+            raise LogFormatError(f"{path}: step record {index}: {exc}") from None
+        if expected != logged:
+            raise defect(index, f"logged reward {logged!r} != recomputed {expected!r}")
+        previous = record
+    if not _ends(previous):
+        raise defect(len(records) - 1, "episode ends without terminated or truncated")
+    return records
+
+
+def _check_header(path: Path, header: dict) -> None:
+    """Refuse a header without a non-negative integer ``seed`` and a known
+    ``scenario``, or with a ``policy`` that is not a string or a
+    ``disturbance`` that is not the ``DisturbanceSpec`` fields as finite numbers."""
+    seed = header.get("seed")
+    disturbance = header.get("disturbance", dict.fromkeys(_DISTURBANCE_KEYS, 0.0))
+    for ok, message in (
+        (type(seed) is int and seed >= 0, "'seed' must be an integer >= 0"),
+        (header.get("scenario") in _SCENARIOS, f"'scenario' must be one of {_SCENARIOS}"),
+        (type(header.get("policy", "")) is str, "'policy' must be a string"),
+        (
+            type(disturbance) is dict
+            and set(disturbance) == _DISTURBANCE_KEYS
+            and all(_is_finite_number(v) for v in disturbance.values()),
+            f"'disturbance' must map {sorted(_DISTURBANCE_KEYS)} to finite numbers",
+        ),
+    ):
+        if not ok:
+            raise LogFormatError(f"{path}: log header: {message}")
+
+
+def _is_finite_number(value) -> bool:
+    return type(value) in (int, float) and -math.inf < value < math.inf
+
+
+def _ends(record: dict) -> bool:
+    return bool(record.get("terminated") or record.get("truncated"))
 
 
 def _undecodable_line(path: Path) -> int:

@@ -30,12 +30,12 @@ from .rollout import (
     RecordSink,
     derive_seed,
     episode_steps,
-    log_header,
     rollout_episodes,
 )
 from .runlog import (
     EpisodeLogWriter,
     dumps_canonical,
+    log_header,
     records_to_episodes,
     write_json_atomically,
 )

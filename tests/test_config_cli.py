@@ -588,6 +588,8 @@ MALFORMED_LOGS = {
     "invalid_utf8": f"{HEADER}\n\udcff\udcfe\n",
     "deep_nesting": f"{HEADER}\n{'[' * 100_000}{']' * 100_000}\n",
     "long_integer": HEADER + "\n" + STEP.replace("-0.25", "9" * 5000) + "\n",
+    # JSON has no Infinity: the reward is not a number
+    "infinite_reward": HEADER + "\n" + STEP.replace("-0.25", "Infinity") + "\n",
 }
 
 
@@ -670,6 +672,25 @@ class TestReplayStructure:
             f"(episode {record['episode']}, step {record['step']}): {message}\n"
         )
 
+    def test_lowest_record_index_defect_is_reported(self, scripted_eval_dir, tmp_path, capsys):
+        """The audit checks each record in one pass, its structure first: a
+        structure defect is reported before a mistyped event in the same
+        record and a tampered reward in a later one."""
+        lines = next(scripted_eval_dir.glob("eval_*.jsonl")).read_text().splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        index, message = drop_a_step(records)
+        records[index]["events"]["lift_success"] = 1
+        records[-1]["reward"] += 1.0
+        body = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
+        tampered = tmp_path / "tampered.jsonl"
+        tampered.write_text("\n".join([lines[0], *body]) + "\n")
+        assert run_cli("replay", "--log", tampered) == 1
+        record = records[index]
+        assert capsys.readouterr().err == (
+            f"audit failure at record {index} "
+            f"(episode {record['episode']}, step {record['step']}): {message}\n"
+        )
+
 MISSING = object()  # a header field to delete
 
 
@@ -697,6 +718,7 @@ class TestReplayHeader:
             ("disturbance", {"surface_height_delta": "0", "object_size_delta": 0.0}),
             ("disturbance", {"surface_height_delta": False, "object_size_delta": 0.0}),
             ("disturbance", [0.0, 0.0]),
+            ("seed", -1),
         ],
         ids=lambda v: "missing" if v is MISSING else None,
     )
@@ -834,6 +856,12 @@ BAD_CONFIGS = {
     "cube_region_off_workspace": (
         "[scene]\ncube_region_min = 0.45 -0.5\n", (), "the cube, resting on the table"
     ),
+    # the obstacle region lies over the whole cube region
+    "cube_region_under_obstacle": (
+        "[scene]\ncube_region_min = 0.36 -0.04\ncube_region_max = 0.38 0.04\n",
+        (),
+        "some obstacle placement overlaps every cube placement",
+    ),
 }
 
 
@@ -912,6 +940,7 @@ class TestMalformedLogs:
             ("second_header", "2: header after the first record"),
             ("late_header", "3: header after the first record"),
             ("invalid_utf8", "2: not UTF-8 text"),
+            ("infinite_reward", "2: step record has no numeric 'reward'"),
         ],
     )
     def test_message_text(self, tmp_path, case, message):
@@ -966,7 +995,8 @@ def retyped(key: str, value: str) -> str:
 class TestMistypedRecords:
     """A step record whose event or end flag has the wrong JSON type exits 2
     with one line naming the record and the key: a flag is a bool, a
-    measure a number (not a bool)."""
+    measure a finite number (not a bool, ``NaN``, or a literal such as
+    ``1e400`` that decodes to infinity)."""
 
     @pytest.mark.parametrize(
         "key,value",
@@ -975,6 +1005,8 @@ class TestMistypedRecords:
             ("distance_d", "null"),
             ("distance_d", "[1]"),
             ("distance_d", "true"),
+            ("distance_d", "NaN"),
+            ("distance_d", "1e400"),
             ("collision_force", "{}"),
             ("collision_impact_speed", "false"),
             ("grasp_success", '"false"'),
