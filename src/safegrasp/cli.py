@@ -46,7 +46,7 @@ from .config import ConfigError, RunConfig, apply_overrides, default_config_text
 from .env import RewardMode, Scenario
 from .fsa import build_report, format_report_text, inputs_from_episodes
 from .metrics import summarize
-from .rollout import ASSESSMENT_SEED_STREAM, EVAL_SEED_STREAM, derive_seed, rollout_episodes
+from .rollout import ASSESSMENT_SEED_STREAM, EVAL_SEED_STREAM, rollout_episodes
 from .runlog import (
     AuditFailure,
     EpisodeLogWriter,
@@ -195,18 +195,12 @@ def _resolve_policy(kind: str, checkpoint, config: RunConfig, seed: int):
     return RandomPolicy(seed=seed)
 
 
-def _disturbance(args, config: RunConfig, scenarios, stream: int, episodes: int):
-    """``--disturb-surface`` and ``--disturb-object`` as a spec, refused
-    unless both are finite and every episode's scene stays in the workspace.
-    The scenes are built by resetting a spare env, so the rollout env's
-    episode numbers do not move."""
-    env = config.build_env()
+def _disturbance(args, config: RunConfig) -> DisturbanceSpec:
+    """``--disturb-surface`` and ``--disturb-object`` as a spec that the
+    scene config admits."""
     try:
         disturbance = DisturbanceSpec(args.disturb_surface, args.disturb_object)
-        for scenario in scenarios:
-            for index in range(episodes):
-                seed = derive_seed(config.seed, stream, index)
-                env.reset(seed=seed, scenario=scenario, disturbance=disturbance)
+        config.scene.check_disturbance(disturbance)
     except ValueError as exc:
         raise ConfigError(f"--disturb-surface/--disturb-object: {exc}") from None
     return disturbance
@@ -226,7 +220,7 @@ def _logged_rollouts(
             f"--episodes {args.episodes} does not split evenly over "
             f"{len(scenarios)} scenarios"
         )
-    disturbance = _disturbance(args, config, scenarios, stream, per_scenario)
+    disturbance = _disturbance(args, config)
     episodes, paths = [], []
     for scenario in scenarios:
         name = log_name.format(scenario=scenario)

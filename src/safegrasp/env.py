@@ -27,7 +27,6 @@ from .world import (
     Body,
     DisturbanceSpec,
     Scene,
-    apply_disturbance,
     detect_collisions,
     signed_clearances,
 )
@@ -165,23 +164,46 @@ class SceneConfig:
         for f in fields(self):
             if not np.all(np.isfinite(getattr(self, f.name))):
                 raise ValueError(f"{f.name} must be finite")
-        if not self.cube_half_extent > 0.0:
-            raise ValueError("cube_half_extent must be positive")
         if not self.eef_radius > 0.0:
             raise ValueError("eef_radius must be positive")
         if not self.contact_stiffness > 0.0 or not self.cube_stiffness > 0.0:
             raise ValueError("contact stiffnesses must be positive")
-        # a box resting on the table anywhere in its sampling region lies
-        # inside the workspace, so only a disturbance can move a reset's
-        # scene out of it
-        lo, hi = self.workspace_min, self.workspace_max
-        half = self.cube_half_extent
-        for name, region_min, region_max, (hx, hy, hz) in (
-            ("cube", self.cube_region_min, self.cube_region_max, (half, half, half)),
-            ("obstacle", self.obstacle_region_min, self.obstacle_region_max,
-             self.obstacle_half_extents),
+        self.check_disturbance(DisturbanceSpec())
+        # both boxes rest on the table, so only x and y can part them: an
+        # obstacle centred in [max(o_min, c_max - s), min(o_max, c_min + s)]
+        # on both axes overlaps every cube placement
+        if all(
+            max(o_lo, c_hi - s) <= min(o_hi, c_lo + s)
+            for o_lo, o_hi, c_lo, c_hi, s in zip(
+                self.obstacle_region_min, self.obstacle_region_max,
+                self.cube_region_min, self.cube_region_max,
+                [self.cube_half_extent + h for h in self.obstacle_half_extents],
+            )
         ):
-            cz = self.table_height + hz
+            raise ValueError("some obstacle placement overlaps every cube placement")
+
+    def check_disturbance(self, spec: DisturbanceSpec) -> None:
+        """Refuse ``spec`` unless every scene a reset builds under it lies in
+        the workspace.
+
+        The expressions are the ones ``GraspEnv._sample_scene`` uses: the
+        table rises by the surface delta, and the cube grows by half the
+        object delta and rests on the raised table anywhere in its sampling
+        region, while the obstacle rests on the nominal table.
+        """
+        table = self.table_height + spec.surface_height_delta
+        half = self.cube_half_extent + 0.5 * spec.object_size_delta
+        if not half > 0.0:
+            raise ValueError("cube_half_extent plus half the object delta must be positive")
+        lo, hi = self.workspace_min, self.workspace_max
+        if not lo[2] <= table <= hi[2]:
+            raise ValueError("the table height must lie inside the workspace")
+        for name, surface, region_min, region_max, (hx, hy, hz) in (
+            ("cube", table, self.cube_region_min, self.cube_region_max, (half, half, half)),
+            ("obstacle", self.table_height, self.obstacle_region_min,
+             self.obstacle_region_max, self.obstacle_half_extents),
+        ):
+            cz = surface + hz
             spans = zip(region_min, region_max, (hx, hy), lo, hi)
             if not (
                 all(low <= a - h and a <= b and b + h <= high for a, b, h, low, high in spans)
@@ -191,18 +213,6 @@ class SceneConfig:
                     f"the {name}, resting on the table anywhere in its sampling "
                     "region, must lie inside the workspace"
                 )
-        # both boxes rest on the table, so only x and y can part them: an
-        # obstacle centred in [max(o_min, c_max - s), min(o_max, c_min + s)]
-        # on both axes overlaps every cube placement
-        if all(
-            max(o_lo, c_hi - s) <= min(o_hi, c_lo + s)
-            for o_lo, o_hi, c_lo, c_hi, s in zip(
-                self.obstacle_region_min, self.obstacle_region_max,
-                self.cube_region_min, self.cube_region_max,
-                [half + h for h in self.obstacle_half_extents],
-            )
-        ):
-            raise ValueError("some obstacle placement overlaps every cube placement")
 
 
 def _parse_action(action) -> tuple:
@@ -406,7 +416,15 @@ class GraspEnv:
             )
         return result.joint_values
 
-    def _sample_scene(self, rng: np.random.Generator, scenario: Scenario) -> Scene:
+    def _sample_scene(
+        self,
+        rng: np.random.Generator,
+        scenario: Scenario,
+        disturbance: DisturbanceSpec,
+    ) -> Scene:
+        """A reset scene: the cube and the obstacle are placed on the nominal
+        table, then the table rises by the surface delta, and the cube grows
+        by half the object delta and rests on it; the obstacle stays put."""
         cfg = self.scene_config
         half = float(cfg.cube_half_extent)
         obstacle_center = None
@@ -431,17 +449,19 @@ class GraspEnv:
                 "could not place the cube clear of the obstacle; check the "
                 "configured sampling regions"
             )
+        table = cfg.table_height + disturbance.surface_height_delta
+        grown = half + 0.5 * disturbance.object_size_delta
         return Scene(
-            table_height=cfg.table_height,
+            table_height=table,
             workspace_min=cfg.workspace_min,
             workspace_max=cfg.workspace_max,
-            cube_center=cube_center,
-            cube_half_extents=(half, half, half),
+            cube_center=(cx, cy, table + grown),
+            cube_half_extents=(grown, grown, grown),
             obstacle_center=obstacle_center,
             obstacle_half_extents=obstacle_half,
             contact_stiffness=cfg.contact_stiffness,
             cube_stiffness=cfg.cube_stiffness,
-        ).validate_containment()
+        )
 
     # -- episode API -------------------------------------------------------
 
@@ -452,12 +472,11 @@ class GraspEnv:
         disturbance: DisturbanceSpec | None = None,
     ) -> Observation:
         scenario = _as_scenario(scenario)
-        rng = np.random.default_rng(seed)
-        scene = self._sample_scene(rng, scenario)
-        if disturbance is not None:
-            scene = apply_disturbance(scene, disturbance)
-        self._scene = scene
-        self._scenario = scenario
+        if disturbance is None:
+            disturbance = DisturbanceSpec()
+        else:
+            self.scene_config.check_disturbance(disturbance)
+        self._scene = self._sample_scene(np.random.default_rng(seed), scenario, disturbance)
         # env state as Python floats: joints, tool point, tool velocity
         self._q = self._home_q
         self._frames = None  # fk_frames' (origins, zaxes) of _q, when known

@@ -16,7 +16,7 @@ import os
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
-from .env import RewardConfig, Scenario, TransitionEvents, compute_reward
+from .env import ACTION_DIM, RewardConfig, Scenario, TransitionEvents, compute_reward
 from .world import DisturbanceSpec
 
 # one encoder and one decoder serve every record: ``json.dumps`` with options
@@ -29,6 +29,12 @@ _DECODER = json.JSONDecoder(parse_constant=lambda name: None)
 
 _SCENARIOS = tuple(scenario.value for scenario in Scenario)
 _DISTURBANCE_KEYS = frozenset(f.name for f in fields(DisturbanceSpec))
+# the keys of a step record, as the env writes them, and the length of each
+# list of numbers among them
+_STEP_KEYS = frozenset(
+    ("episode", "step", "action", "reward", "terminated", "truncated", "events", "eef", "cube")
+)
+_VECTOR_KEYS = (("action", ACTION_DIM), ("eef", 3), ("cube", 3))
 # the events logged as numbers; every other event is a flag
 _NUMBER_EVENTS = frozenset(
     name for name, value in TransitionEvents().as_dict().items() if type(value) is float
@@ -218,6 +224,17 @@ def audit_log(path, reward_config: RewardConfig | None = None) -> list[dict]:
             for key in ("terminated", "truncated"):
                 if type(record.get(key, False)) is not bool:
                     raise ValueError(f"{key!r} must be a bool")
+            for key, size in _VECTOR_KEYS:
+                value = record.get(key)
+                if not (
+                    type(value) is list
+                    and len(value) == size
+                    and all(_is_finite_number(v) for v in value)
+                ):
+                    raise ValueError(f"{key!r} must be a list of {size} finite numbers")
+            unknown = record.keys() - _STEP_KEYS
+            if unknown:
+                raise ValueError(f"unknown key {min(unknown)!r}")
             expected = compute_reward(events, reward_config)
             logged = float(record["reward"])
         except (ValueError, OverflowError) as exc:

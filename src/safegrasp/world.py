@@ -1,4 +1,4 @@
-"""Scene geometry, end-effector collision detection and disturbance injection.
+"""Scene geometry, end-effector collision detection and the disturbance spec.
 
 The end effector is modelled as a single sphere at the tool point; contacts
 against the table plane, the cube, the optional bar obstacle and the inner
@@ -12,12 +12,16 @@ reduced speed of 0.25 m/s maps exactly onto the 100 N hard-failure threshold,
 which keeps the two runtime limits mutually consistent.  The manipulated cube
 is a light object and carries its own, much softer stiffness: pushing it
 around is penalised, not force-lethal.
+
+A ``DisturbanceSpec`` (raised surface, enlarged cube) only describes the
+assessment disturbance: ``SceneConfig.check_disturbance`` decides whether
+it is admitted, and ``GraspEnv.reset`` builds the disturbed scene.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -101,25 +105,6 @@ class Scene:
             raise ValueError("obstacle half extents must be positive")
         if not self.contact_stiffness > 0.0 or not self.cube_stiffness > 0.0:
             raise ValueError("contact stiffnesses must be positive")
-
-    def validate_containment(self) -> "Scene":
-        """Check the resting geometry fits the workspace.
-
-        This is a reset/disturbance-time invariant: a cube carried by the
-        tool point may travel anywhere the tool does.
-        """
-        boxes = [(self.cube_center, self.cube_half_extents)]
-        if self.obstacle_present:
-            boxes.append((self.obstacle_center, self.obstacle_half_extents))
-        for center, half in boxes:
-            for c, h, lo, hi in zip(center, half, self.workspace_min, self.workspace_max):
-                if c - h < lo or c + h > hi:
-                    raise ValueError("scene object escapes the workspace bounds")
-        if not (
-            self.workspace_min[2] <= self.table_height <= self.workspace_max[2]
-        ):
-            raise ValueError("table height escapes the workspace bounds")
-        return self
 
     @property
     def obstacle_present(self) -> bool:
@@ -247,19 +232,3 @@ def signed_clearances(scene: Scene, eef_center, eef_radius: float) -> dict[Body,
         out[Body.OBSTACLE] = sd - eef_radius
     return out
 
-
-def apply_disturbance(scene: Scene, spec: DisturbanceSpec) -> Scene:
-    """Raise the surface and enlarge the cube; the cube is re-seated.
-
-    The obstacle is deliberately left untouched: the disturbance protocol
-    perturbs the work surface and the manipulated object only.
-    """
-    grow = 0.5 * spec.object_size_delta
-    disturbed = replace(
-        scene,
-        table_height=scene.table_height + spec.surface_height_delta,
-        cube_half_extents=tuple(h + grow for h in scene.cube_half_extents),
-    )
-    cx, cy, _ = disturbed.cube_center
-    rest = disturbed.cube_rest_height()
-    return disturbed.with_cube_center((cx, cy, rest)).validate_containment()

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 import safegrasp
 from safegrasp.cli import _build_parser, main
 from safegrasp.config import ConfigError, RunConfig, default_config_text, load_config
-from safegrasp.env import EnvConfig, GraspEnv, RewardConfig, RewardMode, SceneConfig
+from safegrasp.env import (
+    EnvConfig, GraspEnv, RewardConfig, RewardMode, SceneConfig, TransitionEvents,
+)
 from safegrasp.kinematics import ArmModel
 from safegrasp.nn import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 from safegrasp import runlog
@@ -569,7 +571,10 @@ def run_cli_process(*argv) -> subprocess.CompletedProcess:
 
 
 HEADER = '{"reward":{"mode":"sd-drl"},"scenario":"normal","seed":0,"type":"header"}'
-STEP = '{"episode":0,"events":{},"reward":-0.25,"step":1,"terminated":false}'
+STEP = (
+    '{"action":[0.0,0.0,0.0,0.0],"cube":[0.5,0.0,-0.075],"eef":[0.3,0.0,0.15],'
+    '"episode":0,"events":{},"reward":-0.25,"step":1,"terminated":false}'
+)
 MALFORMED_LOGS = {
     "invalid_json": f"{HEADER}\n{STEP}\n{{not json\n",
     "trailing_data": f"{HEADER}\n{STEP} {{}}\n",
@@ -805,8 +810,9 @@ def test_log_without_reward_table_names_the_log(scripted_eval_dir, tmp_path, cap
 
 class TestBadNumbers:
     """A count below 1, or a disturbance that is not finite, shrinks the cube
-    to nothing or moves the table or the cube of any episode out of the
-    workspace, exits 2 with one line before any output."""
+    to nothing or lets the table or the cube of some reset scene leave the
+    workspace, exits 2 with one line before any output, whatever the
+    episode count and seed."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -819,9 +825,16 @@ class TestBadNumbers:
             ("evaluate", "--policy", "random", "--disturb-surface", "nan"),
             ("evaluate", "--policy", "random", "--disturb-object", "inf"),
             ("evaluate", "--policy", "random", "--disturb-surface", "5"),
-            # episode 0's cube fits; a later one, sampled near the edge, does not
+            # a cube sampled near the region's edge would not fit: refused
+            # even where no sampled episode comes near it
             ("evaluate", "--policy", "random", "--seed", "7", "--episodes", "30",
              "--disturb-object", "0.3"),
+            ("evaluate", "--policy", "random", "--seed", "7", "--episodes", "1",
+             "--disturb-object", "0.3"),
+            ("assess", "--policy", "random", "--seed", "3", "--episodes", "2",
+             "--disturb-object", "0.28"),
+            ("assess", "--policy", "random", "--seed", "3", "--episodes", "500",
+             "--disturb-object", "0.28"),
             # a cube shrunk to zero or negative size
             ("evaluate", "--policy", "random", "--disturb-object", "-0.05"),
             ("evaluate", "--policy", "random", "--disturb-object", "-0.06"),
@@ -842,6 +855,11 @@ class TestBadNumbers:
         assert err.startswith("error: --")
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_largest_admitted_object_delta_runs(self, tmp_path):
+        argv = ("assess", "--policy", "random", "--seed", "3", "--episodes", "2",
+                "--disturb-object", "0.27")
+        assert run_cli(*argv, "--out", tmp_path) == 0
 
 
 # config file text (surrogate escapes stand for raw bytes), extra flags, and
@@ -931,7 +949,8 @@ class TestMalformedLogs:
                 "3: invalid JSON: Expecting property name enclosed in double quotes: "
                 "line 1 column 2 (char 1)",
             ),
-            ("trailing_data", "2: invalid JSON: Extra data: line 1 column 70 (char 69)"),
+            ("trailing_data",
+             f"2: invalid JSON: Extra data: line 1 column {len(STEP) + 2} (char {len(STEP) + 1})"),
             ("not_an_object", "3: not a JSON object"),
             ("missing_events", "2: step record has no 'events' object"),
             ("string_reward", "2: step record has no numeric 'reward'"),
@@ -981,14 +1000,16 @@ class TestMalformedLogs:
         assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
-def retyped(key: str, value: str) -> str:
-    """A one-step log whose step record holds ``key`` (an event, or
-    ``terminated``/``truncated``) with the JSON text ``value``."""
-    if key in ("terminated", "truncated"):
-        step = STEP.replace('"step":1', f'"step":1,"{key}":{value}')
-        step = step.replace(',"terminated":false', "") if key == "terminated" else step
-    else:
-        step = STEP.replace('"events":{}', f'"events":{{"{key}":{value}}}')
+def retyped(key: str, value: str | None) -> str:
+    """A one-step log whose step record holds ``key`` (an event, or a
+    top-level key of the record) with the JSON text ``value``, or lacks
+    ``key`` when ``value`` is None."""
+    record = json.loads(STEP)
+    holder = record["events"] if key in TransitionEvents().as_dict() else record
+    holder.pop(key, None)
+    if value is not None:
+        holder[key] = "<value>"
+    step = json.dumps(record, separators=(",", ":")).replace('"<value>"', value or "")
     return f"{HEADER}\n{step}\n"
 
 
@@ -996,7 +1017,9 @@ class TestMistypedRecords:
     """A step record whose event or end flag has the wrong JSON type exits 2
     with one line naming the record and the key: a flag is a bool, a
     measure a finite number (not a bool, ``NaN``, or a literal such as
-    ``1e400`` that decodes to infinity)."""
+    ``1e400`` that decodes to infinity).  So does a record whose ``action``
+    is not a list of 4 finite numbers, whose ``eef`` or ``cube`` is not a
+    list of 3, or that holds a key the env does not write."""
 
     @pytest.mark.parametrize(
         "key,value",
@@ -1015,6 +1038,16 @@ class TestMistypedRecords:
             ("terminated", '"yes"'),
             ("terminated", "1"),
             ("truncated", "null"),
+            ("action", '[null,"x",null]'),
+            ("action", "[0.0,0.0,0.0]"),
+            ("action", "[true,0.0,0.0,0.0]"),
+            ("action", "[0.0,NaN,0.0,0.0]"),
+            ("eef", '"nowhere"'),
+            ("eef", "[0.3,0.0,0.15,1.0]"),
+            ("cube", None),
+            ("cube", '{"x":0.5}'),
+            ("extra", "{}"),
+            ("type", '"step"'),
         ],
     )
     @pytest.mark.parametrize("command", ["replay", "assess"])
@@ -1027,6 +1060,24 @@ class TestMistypedRecords:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {log}: step record 0: ")
         assert repr(key) in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_edited_eval_log_exits_2(self, tmp_path, capsys, scripted_eval_dir):
+        """One record of a written log with a bad ``action`` and ``eef``, no
+        ``cube`` and an extra key: the first bad key is named."""
+        (source,) = scripted_eval_dir.glob("eval_*.jsonl")
+        lines = source.read_text().splitlines()
+        record = json.loads(lines[6])
+        record.update(action=[None, "x", None], eef="nowhere", extra=1)
+        del record["cube"]
+        lines[6] = json.dumps(record)
+        log = write_log(tmp_path / "log.jsonl", "\n".join(lines) + "\n")
+        for argv in (("replay",), ("assess", "--out", tmp_path / "out")):
+            assert run_cli(*argv, "--log", log) == 2
+            err = capsys.readouterr().err
+            assert err == (
+                f"error: {log}: step record 5: 'action' must be a list of 4 finite numbers\n"
+            )
         assert not (tmp_path / "out").exists()
 
     def test_well_typed_record_passes_the_type_check(self, tmp_path, capsys):

@@ -252,6 +252,44 @@ class TestReset:
             Observation(np.zeros(15))
 
 
+def assert_in_workspace(scene) -> None:
+    lo, hi = scene.workspace_min, scene.workspace_max
+    assert lo[2] <= scene.table_height <= hi[2]
+    boxes = [(scene.cube_center, scene.cube_half_extents)]
+    if scene.obstacle_present:
+        boxes.append((scene.obstacle_center, scene.obstacle_half_extents))
+    for center, half in boxes:
+        for c, h, low, high in zip(center, half, lo, hi):
+            assert low <= c - h and c + h <= high
+
+
+class TestDisturbanceAdmission:
+    """``SceneConfig.check_disturbance`` alone decides whether a disturbance
+    is admitted, in closed form: an admitted one gives no reset scene that
+    leaves the workspace, whatever the seed."""
+
+    def test_object_delta_bound_of_the_default_config(self):
+        # the cube region reaches x = 0.62 and the workspace x = 0.78: a
+        # half extent of 0.025 + 0.135 fits, one of 0.025 + 0.14 does not
+        config = SceneConfig()
+        config.check_disturbance(DisturbanceSpec(0.0, 0.27))
+        with pytest.raises(ValueError, match="the cube, resting on the table"):
+            config.check_disturbance(DisturbanceSpec(0.0, 0.28))
+
+    @pytest.mark.parametrize("scenario", ["normal", "obstacle"])
+    @pytest.mark.parametrize(
+        "spec",
+        [(0.075, 0.005), (0.0, 0.27), (-0.08, 0.0), (0.45, 0.0), (0.2, -0.049)],
+        ids=str,
+    )
+    def test_admitted_scenes_lie_in_the_workspace(self, env, scenario, spec):
+        disturbance = DisturbanceSpec(*spec)
+        env.scene_config.check_disturbance(disturbance)
+        for seed in range(300):
+            env.reset(seed=seed, scenario=scenario, disturbance=disturbance)
+            assert_in_workspace(env.scene)
+
+
 class TestStepPipeline:
     def test_step_before_reset_raises(self):
         with pytest.raises(RuntimeError):

@@ -1,4 +1,4 @@
-"""Scene geometry: contacts, forces, disturbance injection."""
+"""Scene geometry: contacts, forces, disturbed reset scenes."""
 
 import itertools
 
@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safegrasp.env import GraspEnv, Scenario
+from safegrasp.env import GraspEnv, Scenario, SceneConfig
 from safegrasp.world import (
     Body,
     ContactReport,
     DisturbanceSpec,
     Scene,
-    apply_disturbance,
     contact_force,
     detect_collisions,
     signed_clearances,
@@ -141,50 +140,64 @@ class TestContactForce:
 
 
 class TestApplyDisturbance:
+    """A reset applies a disturbance to the scene it samples: the table rises,
+    the cube grows and rests on it, the obstacle stays put."""
+
     def test_documented_protocol_values(self):
-        scene = make_scene()
-        disturbed = apply_disturbance(scene, DisturbanceSpec(0.075, 0.005))
-        # exactly the arithmetic of one application, no other rounding
-        assert disturbed.table_height == scene.table_height + 0.075
-        assert disturbed.cube_half_extents == tuple(
-            h + 0.5 * 0.005 for h in scene.cube_half_extents
-        )
-        # cube re-seated on the raised surface
-        assert disturbed.cube_center[2] == (
-            disturbed.table_height + disturbed.cube_half_extents[2]
-        )
+        env = GraspEnv()
+        for scenario in Scenario:
+            scene = env._sample_scene(np.random.default_rng(5), scenario, DisturbanceSpec())
+            disturbed = env._sample_scene(
+                np.random.default_rng(5), scenario, DisturbanceSpec(0.075, 0.005)
+            )
+            # exactly the arithmetic of one application, no other rounding
+            assert disturbed.table_height == scene.table_height + 0.075
+            assert disturbed.cube_half_extents == tuple(
+                h + 0.5 * 0.005 for h in scene.cube_half_extents
+            )
+            # cube re-seated on the raised surface, at the same x and y
+            assert disturbed.cube_center == scene.cube_center[:2] + (
+                disturbed.table_height + disturbed.cube_half_extents[2],
+            )
+            assert disturbed.obstacle_center == scene.obstacle_center
+            assert disturbed.obstacle_half_extents == scene.obstacle_half_extents
 
     def test_zero_disturbance_is_identity(self):
-        scene = make_scene()
-        same = apply_disturbance(scene, DisturbanceSpec(0.0, 0.0))
-        assert_scenes_equal(scene, same)
+        env = GraspEnv()
+        for scenario in Scenario:
+            env.reset(seed=9, scenario=scenario)
+            plain = env.scene
+            env.reset(seed=9, scenario=scenario, disturbance=DisturbanceSpec(0.0, 0.0))
+            assert env.scene == plain
 
     def test_escaping_workspace_raises(self):
-        scene = make_scene()
-        with pytest.raises(ValueError):
-            apply_disturbance(scene, DisturbanceSpec(0.60, 0.0))
+        env = GraspEnv()
+        with pytest.raises(ValueError, match="must lie inside the workspace"):
+            env.reset(seed=0, disturbance=DisturbanceSpec(0.60, 0.0))
+        with pytest.raises(ValueError, match="must lie inside the workspace"):
+            SceneConfig().check_disturbance(DisturbanceSpec(0.60, 0.0))
 
     def test_cube_shrunk_to_nothing_raises(self):
         # 0.025 m nominal half extents shrink by half the size delta
         with pytest.raises(ValueError, match="half extents must be positive"):
             make_scene(cube_half_extents=np.full(3, 0.025 - 0.5 * 0.05))
-        with pytest.raises(ValueError, match="half extents must be positive"):
-            apply_disturbance(make_scene(), DisturbanceSpec(0.0, -0.06))
-
-
-def assert_scenes_equal(a: Scene, b: Scene) -> None:
-    assert a.table_height == b.table_height
-    assert np.array_equal(a.workspace_min, b.workspace_min)
-    assert np.array_equal(a.workspace_max, b.workspace_max)
-    assert np.array_equal(a.cube_center, b.cube_center)
-    assert np.array_equal(a.cube_half_extents, b.cube_half_extents)
+        env = GraspEnv()
+        for delta in (-0.05, -0.06):
+            with pytest.raises(ValueError, match="half the object delta must be positive"):
+                env.reset(seed=0, disturbance=DisturbanceSpec(0.0, delta))
 
 
 class TestSceneInvariants:
     def test_resting_geometry_must_fit_workspace(self):
-        scene = make_scene(cube_center=np.array([0.9, 0.0, -0.075]))
-        with pytest.raises(ValueError):
-            scene.validate_containment()
+        # the scene config refuses, before any reset, a cube or an obstacle
+        # that can rest outside the workspace, or a table outside it
+        for overrides in (
+            dict(cube_region_max=(0.9, 0.15)),
+            dict(obstacle_region_min=(0.34, -0.25)),
+            dict(table_height=-0.2),
+        ):
+            with pytest.raises(ValueError, match="must lie inside the workspace"):
+                SceneConfig(**overrides)
 
     def test_carried_cube_may_leave_bounds(self):
         # a held cube follows the tool point; no containment check applies
@@ -356,11 +369,10 @@ def env_scenes():
     rng = np.random.default_rng(31)
     scenes = {}
     for scenario in Scenario:
-        for label, spec in (("nominal", None), ("disturbed", DisturbanceSpec(0.075, 0.005))):
-            scene = env._sample_scene(rng, scenario)
-            if spec is not None:
-                scene = apply_disturbance(scene, spec)
-            scenes[f"{scenario.value}-{label}"] = scene
+        for label, spec in (
+            ("nominal", DisturbanceSpec()), ("disturbed", DisturbanceSpec(0.075, 0.005))
+        ):
+            scenes[f"{scenario.value}-{label}"] = env._sample_scene(rng, scenario, spec)
     return scenes
 
 
