@@ -15,12 +15,6 @@ error, 3 IO failure.
 from __future__ import annotations
 
 import ctypes
-import os
-
-# pin BLAS threading before numpy loads: keeps runs bit-reproducible on
-# multi-core hosts (no effect if numpy is already imported)
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
 
 # keep up to 64 MiB of free heap top instead of returning it to the OS after
 # each learner update, which the next update would fault back in page by

@@ -166,30 +166,20 @@ class SceneConfig:
                 raise ValueError(f"{f.name} must be finite")
         if not self.eef_radius > 0.0:
             raise ValueError("eef_radius must be positive")
+        if not all(h > 0.0 for h in self.obstacle_half_extents):
+            raise ValueError("obstacle_half_extents must be positive")
         if not self.contact_stiffness > 0.0 or not self.cube_stiffness > 0.0:
             raise ValueError("contact stiffnesses must be positive")
         self.check_disturbance(DisturbanceSpec())
-        # both boxes rest on the table, so only x and y can part them: an
-        # obstacle centred in [max(o_min, c_max - s), min(o_max, c_min + s)]
-        # on both axes overlaps every cube placement
-        if all(
-            max(o_lo, c_hi - s) <= min(o_hi, c_lo + s)
-            for o_lo, o_hi, c_lo, c_hi, s in zip(
-                self.obstacle_region_min, self.obstacle_region_max,
-                self.cube_region_min, self.cube_region_max,
-                [self.cube_half_extent + h for h in self.obstacle_half_extents],
-            )
-        ):
-            raise ValueError("some obstacle placement overlaps every cube placement")
 
     def check_disturbance(self, spec: DisturbanceSpec) -> None:
         """Refuse ``spec`` unless every scene a reset builds under it lies in
-        the workspace.
+        the workspace, with room for the cube clear of the obstacle.
 
         The expressions are the ones ``GraspEnv._sample_scene`` uses: the
-        table rises by the surface delta, and the cube grows by half the
-        object delta and rests on the raised table anywhere in its sampling
-        region, while the obstacle rests on the nominal table.
+        table rises by the surface delta, the cube grows by half the object
+        delta, and both boxes rest on the raised table anywhere in their
+        sampling regions.
         """
         table = self.table_height + spec.surface_height_delta
         half = self.cube_half_extent + 0.5 * spec.object_size_delta
@@ -198,12 +188,12 @@ class SceneConfig:
         lo, hi = self.workspace_min, self.workspace_max
         if not lo[2] <= table <= hi[2]:
             raise ValueError("the table height must lie inside the workspace")
-        for name, surface, region_min, region_max, (hx, hy, hz) in (
-            ("cube", table, self.cube_region_min, self.cube_region_max, (half, half, half)),
-            ("obstacle", self.table_height, self.obstacle_region_min,
-             self.obstacle_region_max, self.obstacle_half_extents),
+        for name, region_min, region_max, (hx, hy, hz) in (
+            ("cube", self.cube_region_min, self.cube_region_max, (half, half, half)),
+            ("obstacle", self.obstacle_region_min, self.obstacle_region_max,
+             self.obstacle_half_extents),
         ):
-            cz = surface + hz
+            cz = table + hz
             spans = zip(region_min, region_max, (hx, hy), lo, hi)
             if not (
                 all(low <= a - h and a <= b and b + h <= high for a, b, h, low, high in spans)
@@ -213,6 +203,41 @@ class SceneConfig:
                     f"the {name}, resting on the table anywhere in its sampling "
                     "region, must lie inside the workspace"
                 )
+        # resting on one table, only x and y can part the boxes: an obstacle
+        # centred in [max(o_min, c_max - s), min(o_max, c_min + s)] on both
+        # axes overlaps every placement of the grown cube
+        if all(
+            max(o_lo, c_hi - s) <= min(o_hi, c_lo + s)
+            for o_lo, o_hi, c_lo, c_hi, s in zip(
+                self.obstacle_region_min, self.obstacle_region_max,
+                self.cube_region_min, self.cube_region_max,
+                [half + h for h in self.obstacle_half_extents],
+            )
+        ):
+            raise ValueError("some obstacle placement overlaps every cube placement")
+
+
+def _draw_clear_of(rng: np.random.Generator, region_min, region_max, center, span) -> list:
+    """``[x, y]`` drawn uniformly from the region ``region_min..region_max``
+    minus the open box ``center +- span``: over the whole region if the box
+    misses it, else in one of the boxes left, right, below and above it,
+    picked by area (by length on a zero-width axis).  An admitted config keeps
+    one: ``SceneConfig.check_disturbance`` tests the bounds that keep a box."""
+    (lx, ly), (hx, hy) = region_min, region_max
+    (ox, oy), (sx, sy) = center, span
+    if ox + sx <= lx or ox - sx >= hx or oy + sy <= ly or oy - sy >= hy:
+        return rng.uniform(region_min, region_max).tolist()
+    x0, x1 = max(lx, ox - sx), min(hx, ox + sx)
+    boxes = [box for keep, box in (
+        (ox > lx + sx, ((lx, ly), (ox - sx, hy))),
+        (ox < hx - sx, ((ox + sx, ly), (hx, hy))),
+        (oy > ly + sy, ((x0, ly), (x1, oy - sy))),
+        (oy < hy - sy, ((x0, oy + sy), (x1, hy))),
+    ) if keep]
+    spanned = (hx > lx, hy > ly)
+    cumulative = np.cumsum([np.prod(np.subtract(high, low), where=spanned) for low, high in boxes])
+    pick = np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right")
+    return rng.uniform(*boxes[min(pick, len(boxes) - 1)]).tolist()
 
 
 def _parse_action(action) -> tuple:
@@ -422,35 +447,21 @@ class GraspEnv:
         scenario: Scenario,
         disturbance: DisturbanceSpec,
     ) -> Scene:
-        """A reset scene: the cube and the obstacle are placed on the nominal
-        table, then the table rises by the surface delta, and the cube grows
-        by half the object delta and rests on it; the obstacle stays put."""
+        """A reset scene: the table rises by the surface delta, the cube grows
+        by half the object delta, both boxes rest on the raised table, and the
+        cube is drawn clear of the obstacle (``_draw_clear_of``)."""
         cfg = self.scene_config
-        half = float(cfg.cube_half_extent)
-        obstacle_center = None
-        obstacle_half = None
-        if scenario is Scenario.STATIC_OBSTACLE:
-            obstacle_half = cfg.obstacle_half_extents
-            ox, oy = rng.uniform(cfg.obstacle_region_min, cfg.obstacle_region_max).tolist()
-            obstacle_center = (ox, oy, cfg.table_height + obstacle_half[2])
-        for _ in range(100):
-            cx, cy = rng.uniform(cfg.cube_region_min, cfg.cube_region_max).tolist()
-            cube_center = (cx, cy, cfg.table_height + half)
-            if obstacle_center is None:
-                break
-            # clear of the obstacle when the boxes are apart along some axis
-            if any(
-                abs(c - o) - (half + oh) > 0.0
-                for c, o, oh in zip(cube_center, obstacle_center, obstacle_half)
-            ):
-                break
-        else:
-            raise ValueError(
-                "could not place the cube clear of the obstacle; check the "
-                "configured sampling regions"
-            )
         table = cfg.table_height + disturbance.surface_height_delta
-        grown = half + 0.5 * disturbance.object_size_delta
+        grown = cfg.cube_half_extent + 0.5 * disturbance.object_size_delta
+        obstacle_center = obstacle_half = None
+        if scenario is Scenario.STATIC_OBSTACLE:
+            obstacle_half = hx, hy, hz = cfg.obstacle_half_extents
+            ox, oy = rng.uniform(cfg.obstacle_region_min, cfg.obstacle_region_max).tolist()
+            obstacle_center = (ox, oy, table + hz)
+            cx, cy = _draw_clear_of(rng, cfg.cube_region_min, cfg.cube_region_max,
+                                    (ox, oy), (grown + hx, grown + hy))
+        else:
+            cx, cy = rng.uniform(cfg.cube_region_min, cfg.cube_region_max).tolist()
         return Scene(
             table_height=table,
             workspace_min=cfg.workspace_min,

@@ -5,7 +5,7 @@ failures -- workcell-collision steps plus joint-speed-violation steps --
 and derives:
 
 * ``MTTF``: total operational steps divided by the failure count,
-* ``PFD``:  ``(1 - safe_state_probability_mass) / MTTF``,
+* ``PFD``:  ``1 / MTTF``, which lies in (0, 1] since ``MTTF >= 1``,
 * ``RRF``:  ``1 / PFD``,
 * a safety integrity level from decade bands of the PFD
   (``SIL k``: ``10^-(k+1) <= PFD < 10^-k``), reported next to the SIL-2
@@ -22,19 +22,11 @@ from dataclasses import asdict, dataclass, field
 from .rollout import ASSESSMENT_SEED_STREAM  # re-exported: the assessment rollouts' stream
 from .runlog import EpisodeRecord
 
-PFD_FLOOR = 1.0e-12  # reported when the observed behaviour is perfectly safe
-
 SIL2_RANGES = {
     "mttf": "> 100 steps",
     "pfd": "0.01 to 0.001",
     "rrf": "100 to 1000",
 }
-
-FORMULA_NOTE = (
-    "pfd computed as (1 - safe_state_probability_mass) / mttf; the "
-    "alternative product form (1 - mass) * (1 - mttf) is dimensionally "
-    "inconsistent for a step-valued mttf and is not used"
-)
 
 
 @dataclass(frozen=True)
@@ -43,15 +35,12 @@ class FsaInput:
 
     total_steps: int
     failure_count: int
-    safe_state_probability_mass: float = 0.0
 
     def __post_init__(self):
         if self.total_steps < 0 or self.failure_count < 0:
             raise ValueError("counts must be non-negative")
         if self.failure_count > self.total_steps:
             raise ValueError("failure_count cannot exceed total_steps")
-        if not 0.0 <= self.safe_state_probability_mass <= 1.0:
-            raise ValueError("safe_state_probability_mass must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -63,7 +52,6 @@ class FsaReport:
     mttf_is_lower_bound: bool
     inputs: FsaInput
     sil2_ranges: dict = field(default_factory=lambda: dict(SIL2_RANGES))
-    note: str = FORMULA_NOTE
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -79,11 +67,10 @@ def compute_mttf(inputs: FsaInput) -> float:
     return inputs.total_steps / inputs.failure_count
 
 
-def compute_pfd(inputs: FsaInput, mttf: float) -> float:
+def compute_pfd(mttf: float) -> float:
     if not mttf > 0.0:
         raise ValueError("mttf must be positive")
-    pfd = (1.0 - inputs.safe_state_probability_mass) / mttf
-    return float(min(1.0, max(PFD_FLOOR, pfd)))
+    return 1.0 / mttf
 
 
 def compute_rrf(pfd: float) -> float:
@@ -114,7 +101,7 @@ def assign_sil(pfd: float) -> int:
 
 def build_report(inputs: FsaInput) -> FsaReport:
     mttf = compute_mttf(inputs)
-    pfd = compute_pfd(inputs, mttf)
+    pfd = compute_pfd(mttf)
     return FsaReport(
         mttf=mttf,
         pfd=pfd,
@@ -158,7 +145,6 @@ def format_report_text(report: FsaReport) -> str:
     for row in rows:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     lines.append("")
-    lines.append(f"note: {report.note}")
     lines.append(
         "failures counted: workcell-collision steps + speed-violation steps "
         f"({report.inputs.failure_count} over {report.inputs.total_steps} steps)"

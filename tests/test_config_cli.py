@@ -553,14 +553,16 @@ class TestCli:
         assert metrics["safety_driven_success_rate"] == 1.0
 
 
-def run_python(*argv, timeout=120) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports safegrasp from this source tree."""
+def run_python(*argv, timeout=120, unset=()) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports safegrasp from this source tree,
+    with the environment variables named in ``unset`` removed."""
     src = str(Path(safegrasp.__file__).resolve().parents[1])
+    env = {name: value for name, value in os.environ.items() if name not in unset}
     return subprocess.run(
         [sys.executable, *map(str, argv)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**env, "PYTHONPATH": src},
         timeout=timeout,
     )
 
@@ -874,6 +876,12 @@ BAD_CONFIGS = {
     "cube_region_off_workspace": (
         "[scene]\ncube_region_min = 0.45 -0.5\n", (), "the cube, resting on the table"
     ),
+    # a reset would build an obstacle of negative width
+    "nonpositive_obstacle": (
+        "[scene]\nobstacle_half_extents = 0.025 -0.2 0.025\n",
+        (),
+        "obstacle_half_extents must be positive",
+    ),
     # the obstacle region lies over the whole cube region
     "cube_region_under_obstacle": (
         "[scene]\ncube_region_min = 0.36 -0.04\ncube_region_max = 0.38 0.04\n",
@@ -914,6 +922,56 @@ class TestBadConfig:
         assert run_cli(*argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("io error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+# a [scene] that leaves the cube only a 2 mm sliver of its region beside the
+# obstacle: x >= 0.618 m, with the obstacle 0.386 m wide at x = 0.40 m
+THIN_SLIVER_SCENE = (
+    "[scene]\nobstacle_half_extents = 0.193 0.2 0.025\n"
+    "obstacle_region_min = 0.40 -0.05\nobstacle_region_max = 0.40001 0.05\n"
+)
+
+
+class TestThinSliverScene:
+    """Every reset draws the cube from the free region, so a scene config
+    that leaves it a thin sliver runs to the end."""
+
+    def test_evaluate_runs_every_episode(self, tmp_path):
+        ini = tmp_path / "sliver.ini"
+        ini.write_text(THIN_SLIVER_SCENE)
+        out = tmp_path / "out"
+        argv = ("evaluate", "--config", ini, "--scenario", "obstacle", "--policy", "random",
+                "--episodes", "40", "--out", out)
+        assert run_cli(*argv) == 0
+        (log,) = out.glob("eval_*.jsonl")
+        _, records = read_log(log)
+        starts = [r["cube"][0] for r in records if r["step"] == 1]
+        assert len(starts) == 40 and min(starts) >= 0.618
+        assert run_cli("replay", "--log", log) == 0
+
+    def test_train_runs_to_the_end(self, tmp_path):
+        ini = tmp_path / "sliver.ini"
+        ini.write_text(
+            THIN_SLIVER_SCENE + "[tqc]\nbatch_size = 32\nhidden_sizes = 16 16\n"
+            "warmup_steps = 50\nreplay_capacity = 5000\n"
+        )
+        out = tmp_path / "run"
+        argv = ("train", "--config", ini, "--scenario", "obstacle", "--steps", "300",
+                "--eval-every", "2", "--eval-episodes", "1", "--out", out)
+        assert run_cli(*argv) == 0
+        assert json.loads((out / "metrics.json").read_text())["total_steps"] == 300
+
+    def test_a_grown_cube_with_no_room_is_refused(self, tmp_path, capsys):
+        ini = tmp_path / "sliver.ini"
+        ini.write_text(THIN_SLIVER_SCENE)
+        out = tmp_path / "out"
+        assert run_cli("assess", "--config", ini, "--policy", "random", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: --disturb-surface/--disturb-object: some obstacle placement "
+            "overlaps every cube placement\n"
+        )
         assert not out.exists()
 
 
@@ -1209,6 +1267,17 @@ def test_modules_import_without_warnings():
     )
     proc = run_python("-W", "error", "-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+def test_import_pins_blas_to_one_thread():
+    """Importing the package sets the BLAS thread variables before numpy
+    loads, so a fresh interpreter with none of them set runs one thread."""
+    code = "import os, safegrasp.cli\nprint(len(os.listdir('/proc/self/task')))"
+    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    proc = run_python("-c", code, unset=unset)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 class TestTrainerSmoke:

@@ -290,6 +290,116 @@ class TestDisturbanceAdmission:
             assert_in_workspace(env.scene)
 
 
+# item 6 of the roadmap: surface deltas x object deltas, in metres
+DISTURBANCE_GRID = list(
+    itertools.product((0.0, 0.025, 0.05, 0.075, 0.1), (0.0, 0.005, 0.01))
+)
+
+# scene configs the admission check passes, each leaving the cube a different
+# free region beside the obstacle
+SCENES = {
+    "default": {},
+    # the cube fits only in x >= 0.618 beside a 0.386 m wide obstacle
+    "thin_sliver": dict(
+        obstacle_half_extents=(0.193, 0.2, 0.025),
+        obstacle_region_min=(0.40, -0.05),
+        obstacle_region_max=(0.40001, 0.05),
+    ),
+    # a point and two lines, of which the obstacle covers parts
+    "point": dict(cube_region_min=(0.42, 0.30), cube_region_max=(0.42, 0.30)),
+    "x_line": dict(cube_region_min=(0.42, -0.30), cube_region_max=(0.42, 0.30)),
+    "y_line": dict(cube_region_min=(0.36, 0.26), cube_region_max=(0.62, 0.26)),
+    # a small obstacle inside the cube region: all four free boxes
+    "island": dict(
+        obstacle_half_extents=(0.02, 0.02, 0.025),
+        obstacle_region_min=(0.50, -0.05),
+        obstacle_region_max=(0.55, 0.05),
+    ),
+}
+
+
+class TestSceneDraw:
+    """A reset draws the cube from the free region, so under every admitted
+    config and disturbance it cannot fail: both boxes rest on the raised
+    table, inside the workspace, with the grown cube clear of the obstacle."""
+
+    def test_the_default_config_admits_the_disturbance_grid(self):
+        for cell in DISTURBANCE_GRID:
+            SceneConfig().check_disturbance(DisturbanceSpec(*cell))
+
+    @pytest.mark.parametrize("name", sorted(SCENES))
+    def test_every_reset_scene_is_sound(self, name):
+        env = GraspEnv(scene_config=SceneConfig(**SCENES[name]))
+        cfg = env.scene_config
+        admitted = 0
+        for surface, size in DISTURBANCE_GRID:
+            disturbance = DisturbanceSpec(surface, size)
+            try:
+                cfg.check_disturbance(disturbance)
+            except ValueError as exc:
+                assert str(exc) == "some obstacle placement overlaps every cube placement"
+                continue
+            admitted += 1
+            table = cfg.table_height + surface
+            grown = cfg.cube_half_extent + 0.5 * size
+            for seed in range(60):
+                env.reset(seed=seed, scenario="obstacle", disturbance=disturbance)
+                scene = env.scene
+                assert_in_workspace(scene)
+                assert scene.table_height == table
+                assert scene.cube_center[2] == table + grown
+                assert scene.obstacle_center[2] == table + scene.obstacle_half_extents[2]
+                assert any(
+                    abs(c - o) >= grown + h
+                    for c, o, h in zip(
+                        scene.cube_center[:2],
+                        scene.obstacle_center[:2],
+                        scene.obstacle_half_extents[:2],
+                    )
+                )
+        # beside the sliver only a cube of the nominal size fits
+        assert admitted == (5 if name == "thin_sliver" else len(DISTURBANCE_GRID))
+
+    def test_free_region_is_drawn_uniformly(self):
+        # a 0.10 x 0.10 footprint in the middle of a 0.30 x 0.30 region: the
+        # eight grid cells around it are free, and each must be hit as often
+        rng = np.random.default_rng(0)
+        cells = np.zeros((3, 3), dtype=int)
+        for _ in range(4000):
+            x, y = env_module._draw_clear_of(
+                rng, (0.0, 0.0), (0.3, 0.3), (0.15, 0.15), (0.05, 0.05)
+            )
+            cells[min(2, int(x / 0.1)), min(2, int(y / 0.1))] += 1
+        assert cells[1, 1] == 0
+        _, p_value = stats.chisquare(np.delete(cells.reshape(-1), 4))
+        assert p_value > 0.01
+
+    @pytest.mark.parametrize(
+        "region_min, region_max",
+        [((0.15, 0.0), (0.15, 0.3)), ((0.0, 0.15), (0.3, 0.15))],
+        ids=["x_line", "y_line"],
+    )
+    def test_a_line_region_is_drawn_on_both_sides(self, region_min, region_max):
+        rng = np.random.default_rng(1)
+        points = np.array([
+            env_module._draw_clear_of(rng, region_min, region_max, (0.15, 0.15), (0.05, 0.05))
+            for _ in range(400)
+        ])
+        along = points[:, 1] if region_min[0] == region_max[0] else points[:, 0]
+        assert np.all((along <= 0.1) | (along >= 0.2))
+        assert 120 < np.count_nonzero(along <= 0.1) < 280
+
+    def test_a_grown_cube_with_no_room_is_refused(self):
+        # beside the sliver, a cube 1 cm larger has nowhere to go
+        cfg = SceneConfig(**SCENES["thin_sliver"])
+        disturbance = DisturbanceSpec(0.0, 0.01)
+        match = "some obstacle placement overlaps every cube placement"
+        with pytest.raises(ValueError, match=match):
+            cfg.check_disturbance(disturbance)
+        with pytest.raises(ValueError, match=match):
+            GraspEnv(scene_config=cfg).reset(seed=0, disturbance=disturbance)
+
+
 class TestStepPipeline:
     def test_step_before_reset_raises(self):
         with pytest.raises(RuntimeError):

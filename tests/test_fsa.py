@@ -50,33 +50,32 @@ class TestMttf:
 class TestPfd:
     def test_reference_fixture_two_significant_figures(self):
         mttf = compute_mttf(FsaInput(59353, 100))
-        pfd = compute_pfd(FsaInput(59353, 100), mttf)
+        pfd = compute_pfd(mttf)
         assert pfd == pytest.approx(0.0016848, abs=2e-6)
         assert round(pfd, 4) == 0.0017
 
-    def test_perfectly_safe_mass_floors(self):
-        pfd = compute_pfd(FsaInput(100, 0, safe_state_probability_mass=1.0), 100.0)
-        assert pfd == 1.0e-12
-
     def test_direct_arithmetic(self):
-        assert compute_pfd(FsaInput(1000, 2), 500.0) == pytest.approx(0.002)
+        assert compute_pfd(500.0) == pytest.approx(0.002)
 
     def test_invalid_mttf(self):
         with pytest.raises(ValueError):
-            compute_pfd(FsaInput(10, 1), 0.0)
+            compute_pfd(0.0)
 
-    def test_monotone_in_mttf_and_mass(self):
-        base = FsaInput(1000, 10)
-        assert compute_pfd(base, 200.0) >= compute_pfd(base, 400.0)
-        low_mass = FsaInput(1000, 10, safe_state_probability_mass=0.2)
-        high_mass = FsaInput(1000, 10, safe_state_probability_mass=0.8)
-        assert compute_pfd(high_mass, 200.0) <= compute_pfd(low_mass, 200.0)
+    def test_failures_over_steps_lies_in_the_unit_interval(self):
+        # one over the steps when failure-free; no clamp is needed
+        assert build_report(FsaInput(1000, 1000)).pfd == 1.0
+        assert build_report(FsaInput(1000, 3)).pfd == 1.0 / (1000 / 3)
+        assert build_report(FsaInput(221, 0)).pfd == 1.0 / 221
+        assert build_report(FsaInput(1, 0)).pfd == 1.0
+
+    def test_monotone_in_mttf(self):
+        assert compute_pfd(200.0) >= compute_pfd(400.0)
 
     def test_zero_mass_gives_reciprocal_identity(self):
         # identity up to one rounding of the division
         for total in (417, 500, 59353, 7):
             mttf = float(total)
-            product = compute_pfd(FsaInput(total, 1), mttf) * mttf
+            product = compute_pfd(mttf) * mttf
             assert product == pytest.approx(1.0, abs=1e-15)
 
 
@@ -92,7 +91,7 @@ class TestRrf:
         # report keeps full precision so rrf stays the exact reciprocal
         assert compute_rrf(0.0013) == pytest.approx(769.2307692, abs=1e-6)
         mttf = 742.34
-        pfd = compute_pfd(FsaInput(74234, 100), mttf)
+        pfd = compute_pfd(mttf)
         assert compute_rrf(pfd) == pytest.approx(mttf)
 
     def test_rejects_nonpositive(self):
@@ -162,16 +161,13 @@ class TestReport:
         assert "100 to 1000" in text
         assert "> 100 steps" in text
         assert "593.53" in text
+        assert "note:" not in text
 
     def test_json_round_trip_fields(self):
         doc = build_report(FsaInput(1000, 2)).as_dict()
-        assert doc["inputs"] == {
-            "total_steps": 1000,
-            "failure_count": 2,
-            "safe_state_probability_mass": 0.0,
-        }
+        assert doc["inputs"] == {"total_steps": 1000, "failure_count": 2}
         assert doc["sil"] == 2
-        assert "note" in doc
+        assert "note" not in doc
 
 
 def episode(steps=100, collision=0, speed=0, **kwargs) -> EpisodeRecord:

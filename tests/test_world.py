@@ -139,9 +139,9 @@ class TestContactForce:
         assert contact_force(2.0 * speed, 400.0) == 2.0 * contact_force(speed, 400.0)
 
 
-class TestApplyDisturbance:
+class TestDisturbedScene:
     """A reset applies a disturbance to the scene it samples: the table rises,
-    the cube grows and rests on it, the obstacle stays put."""
+    the cube grows, and both boxes rest on the raised table."""
 
     def test_documented_protocol_values(self):
         env = GraspEnv()
@@ -155,12 +155,19 @@ class TestApplyDisturbance:
             assert disturbed.cube_half_extents == tuple(
                 h + 0.5 * 0.005 for h in scene.cube_half_extents
             )
-            # cube re-seated on the raised surface, at the same x and y
+            # both boxes re-seated on the raised surface, at the same x and y:
+            # at seed 5 the grown cube's footprint of the obstacle misses the
+            # cube region, so the draws are the same
             assert disturbed.cube_center == scene.cube_center[:2] + (
                 disturbed.table_height + disturbed.cube_half_extents[2],
             )
-            assert disturbed.obstacle_center == scene.obstacle_center
             assert disturbed.obstacle_half_extents == scene.obstacle_half_extents
+            if scene.obstacle_present:
+                assert disturbed.obstacle_center == scene.obstacle_center[:2] + (
+                    disturbed.table_height + disturbed.obstacle_half_extents[2],
+                )
+            else:
+                assert disturbed.obstacle_center is None
 
     def test_zero_disturbance_is_identity(self):
         env = GraspEnv()
