@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .kinematics import ArmModel, IkStatus, check_speed, eef_position, inverse_kinematics
 from .world import (
     DEFAULT_CONTACT_STIFFNESS,
@@ -33,6 +34,7 @@ from .world import (
 
 OBSERVATION_DIM = 17
 ACTION_DIM = 4
+_OBSERVATION_SHAPE = (OBSERVATION_DIM,)
 
 # seed configuration from which the home joint vector is solved
 READY_SEED = (0.0, -np.pi / 2.0, np.pi / 2.0, -np.pi / 2.0, -np.pi / 2.0, 0.0)
@@ -174,7 +176,8 @@ class SceneConfig:
 
     def check_disturbance(self, spec: DisturbanceSpec) -> None:
         """Refuse ``spec`` unless every scene a reset builds under it lies in
-        the workspace, with room for the cube clear of the obstacle.
+        the workspace, with room for the cube clear of the obstacle, and
+        leaves the tool at home out of contact with the table and obstacle.
 
         The expressions are the ones ``GraspEnv._sample_scene`` uses: the
         table rises by the surface delta, the cube grows by half the object
@@ -215,6 +218,25 @@ class SceneConfig:
             )
         ):
             raise ValueError("some obstacle placement overlaps every cube placement")
+        # the tool sphere starts at home clear of the table and of every
+        # obstacle placement, whose union is the obstacle box grown by half
+        # its sampling region on x and y; the expressions are the contact
+        # tests' own
+        home = kernels.float_tuple(self.home_position, 3)
+        radius = self.eef_radius
+        if not home[2] - table > radius:
+            raise ValueError("the tool at its home position must clear the table by eef_radius")
+        (ax, ay), (bx, by) = self.obstacle_region_min, self.obstacle_region_max
+        hx, hy, hz = self.obstacle_half_extents
+        reach, _, _, _ = kernels.sphere_box_signed_distance(
+            home,
+            (0.5 * (ax + bx), 0.5 * (ay + by), table + hz),
+            (hx + 0.5 * (bx - ax), hy + 0.5 * (by - ay), hz),
+        )
+        if not reach > radius:
+            raise ValueError(
+                "the tool at its home position must clear every obstacle placement by eef_radius"
+            )
 
 
 def _draw_clear_of(rng: np.random.Generator, region_min, region_max, center, span) -> list:
@@ -245,16 +267,16 @@ def _parse_action(action) -> tuple:
 
     A tool displacement in units of full deflection and the gripper command
     (``>= 0`` closes it, ``< 0`` opens it), each clamped to [-1, 1], so +-inf
-    becomes +-1.  A NaN component raises ``ValueError``.
+    becomes +-1 and -0.0 stays -0.0.  A NaN component raises ``ValueError``.
     """
     dx, dy, dz, gripper = np.asarray(action, dtype=np.float64).reshape(ACTION_DIM).tolist()
     if dx != dx or dy != dy or dz != dz or gripper != gripper:
         raise ValueError("action components must not be NaN")
     return (
-        min(1.0, max(-1.0, dx)),
-        min(1.0, max(-1.0, dy)),
-        min(1.0, max(-1.0, dz)),
-        min(1.0, max(-1.0, gripper)),
+        1.0 if dx > 1.0 else -1.0 if dx < -1.0 else dx,
+        1.0 if dy > 1.0 else -1.0 if dy < -1.0 else dy,
+        1.0 if dz > 1.0 else -1.0 if dz < -1.0 else dz,
+        1.0 if gripper > 1.0 else -1.0 if gripper < -1.0 else gripper,
     )
 
 
@@ -269,10 +291,10 @@ class Observation:
     __slots__ = ("vector",)
 
     def __init__(self, values):
-        vector = np.array(values, dtype=np.float64)
-        if vector.shape != (OBSERVATION_DIM,):
+        vector = np.array(values, np.float64)
+        if vector.shape != _OBSERVATION_SHAPE:
             raise ValueError(f"an observation holds {OBSERVATION_DIM} values")
-        vector.flags.writeable = False
+        vector.setflags(write=False)
         self.vector = vector
 
     eef_position = property(lambda self: self.vector[0:3])
@@ -358,7 +380,8 @@ def check_grasp(
     grasp_attempt_failed = False
     now_grasped = bool(already_grasped)
     if gripper_closing and not already_grasped:
-        offset = np.subtract(cube_center, eef_position)
+        (cx, cy, cz), (ex, ey, ez) = cube_center, eef_position
+        offset = np.array((cx - ex, cy - ey, cz - ez))
         distance = math.sqrt(offset.dot(offset))
         if distance <= grasp_radius:
             grasp_success = True
@@ -510,7 +533,7 @@ class GraspEnv:
         reward_cfg = self.reward_config
         scale = cfg.action_scale
         px, py, pz = self._eef
-        ik_failure = speed_violation = False
+        ik_failure = speed_violation = moved = False
 
         # 1-3: command shield -- IK then joint-speed check; rejected commands
         # leave the joint vector untouched
@@ -522,6 +545,7 @@ class GraspEnv:
         elif not check_speed(self._q, ik.joint_values, cfg.dt, self.arm).ok:
             speed_violation = True
         else:
+            moved = True
             self._q = ik.joint_values
             self._frames = ik.frames
             nx, ny, nz = self._eef = ik.tool_point
@@ -536,8 +560,8 @@ class GraspEnv:
 
         # 4: contacts at the (possibly unmoved) tool position
         collision_env = collision_cube = collision_obstacle = False
-        velocity_exceeded = False
-        force = impact_speed = 0.0
+        collision_velocity_exceeded = False
+        collision_force = collision_impact_speed = 0.0
         threshold = reward_cfg.collision_velocity_threshold
         radius = self.scene_config.eef_radius
         for report in detect_collisions(scene, eef, radius, velocity):
@@ -548,17 +572,19 @@ class GraspEnv:
             else:  # table or workspace wall
                 collision_env = True
             if report.impact_speed > threshold:
-                velocity_exceeded = True
-            if report.force > force:
-                force = report.force
-                impact_speed = report.impact_speed
+                collision_velocity_exceeded = True
+            if report.force > collision_force:
+                collision_force = report.force
+                collision_impact_speed = report.impact_speed
 
-        # near-body overspeed counter (no contact required)
+        # near-body overspeed counter (no contact required); a rejected
+        # command's velocity is zero, never over the positive threshold
         velocity_violation = False
-        speed = np.array(velocity)
-        if math.sqrt(speed.dot(speed)) > threshold:
-            clearances = signed_clearances(scene, eef, radius)
-            velocity_violation = min(clearances.values()) <= cfg.proximity_threshold
+        if moved:
+            speed = np.array(velocity)
+            if math.sqrt(speed.dot(speed)) > threshold:
+                clearances = signed_clearances(scene, eef, radius)
+                velocity_violation = min(clearances.values()) <= cfg.proximity_threshold
 
         # 5: gripper and grasp-state transition
         closing = gripper >= 0.0
@@ -585,39 +611,35 @@ class GraspEnv:
         # 6-7: score and terminate
         # numpy's dot, not a scalar sum: the distance reaches the record, and
         # np.linalg.norm rounds exactly so
-        relative = observation.cube_relative
+        relative = observation.vector[10:13]  # cube_relative
+        # the fields in declaration order: keywords cost more than the rest
+        # of the construction
         events = TransitionEvents(
-            distance_d=math.sqrt(relative.dot(relative)),
-            grasp_success=grasp_success,
-            lift_success=lift_success,
-            grasp_attempt_failed=grasp_attempt_failed,
-            speed_violation=speed_violation,
-            ik_failure=ik_failure,
-            collision_env=collision_env,
-            collision_cube=collision_cube,
-            collision_obstacle=collision_obstacle,
-            collision_velocity_exceeded=velocity_exceeded,
-            velocity_violation=velocity_violation,
-            collision_force=force,
-            collision_impact_speed=impact_speed,
+            math.sqrt(relative.dot(relative)),
+            grasp_success,
+            lift_success,
+            grasp_attempt_failed,
+            speed_violation,
+            ik_failure,
+            collision_env,
+            collision_cube,
+            collision_obstacle,
+            collision_velocity_exceeded,
+            velocity_violation,
+            collision_force,
+            collision_impact_speed,
         )
         reward = compute_reward(events, reward_cfg)
         terminated = (
             lift_success
             or collision_env
-            or force > reward_cfg.force_failure_threshold
+            or collision_force > reward_cfg.force_failure_threshold
         )
         self._step_count += 1
         truncated = not terminated and self._step_count >= cfg.max_steps
         self._done = terminated or truncated
 
-        result = StepResult(
-            observation=observation,
-            reward=reward,
-            terminated=terminated,
-            truncated=truncated,
-            events=events,
-        )
+        result = StepResult(observation, reward, terminated, truncated, events)
         if self._log_writer is not None:
             self._log_writer.write_step(self._step_record(act, result))
         return result
@@ -638,17 +660,14 @@ class GraspEnv:
 
     def _observation(self) -> Observation:
         scene = self._scene
-        ex, ey, ez = eef = self._eef
-        cx, cy, cz = cube = scene.cube_center
-        return Observation(
-            eef
-            + self._eef_velocity
-            + (self._aperture,)
-            + cube
-            + (cx - ex, cy - ey, cz - ez)
-            + (scene.obstacle_center or (0.0, 0.0, 0.0))
-            + (1.0 if self._grasped else 0.0,)
-        )
+        ex, ey, ez = self._eef
+        vx, vy, vz = self._eef_velocity
+        cx, cy, cz = scene.cube_center
+        ox, oy, oz = scene.obstacle_center or (0.0, 0.0, 0.0)
+        return Observation((
+            ex, ey, ez, vx, vy, vz, self._aperture, cx, cy, cz,
+            cx - ex, cy - ey, cz - ez, ox, oy, oz, 1.0 if self._grasped else 0.0,
+        ))
 
     def _step_record(self, act: tuple, result: StepResult) -> dict:
         return {

@@ -21,10 +21,12 @@ from .world import DisturbanceSpec
 
 # one encoder and one decoder serve every record: ``json.dumps`` with options
 # builds a new encoder per call, and ``json.loads`` re-checks its arguments.
+# A record is a tree of fresh dicts, lists and scalars, so the encoder skips
+# the circular-reference check, which writes the same bytes.
 # JSON has no NaN or Infinity: the decoder reads those tokens as null, which
 # no number check accepts, so ``read_log`` refuses such a reward and
 # ``audit_log`` such an event measure or header value
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 _DECODER = json.JSONDecoder(parse_constant=lambda name: None)
 
 _SCENARIOS = tuple(scenario.value for scenario in Scenario)

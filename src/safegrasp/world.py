@@ -135,27 +135,30 @@ def contact_force(impact_speed: float, stiffness: float) -> float:
     return stiffness * impact_speed
 
 
-def _report(
-    body: Body, penetration: float, velocity: tuple, normal: tuple, stiffness: float
-) -> ContactReport:
+def _report(body: Body, penetration: float, velocity, normal, stiffness: float) -> ContactReport:
     """A contact on ``body``; the impact is the approach speed along ``normal``.
 
     The dot product stays numpy's: a left-to-right scalar sum differs from it
     in the last bit on some edge and corner normals, and the value reaches the
-    step record.
+    step record.  The report is filled as the frozen dataclass's
+    ``__init__`` would fill it; the impact is >= 0 and every scene stiffness
+    positive, so the force is ``contact_force``'s without its checks.
     """
-    impact = max(0.0, -float(np.dot(velocity, normal)))
-    return ContactReport(
-        body=body,
-        penetration=penetration,
-        impact_speed=impact,
-        force=contact_force(impact, stiffness),
-    )
+    approach = float(np.array(velocity).dot(normal))
+    impact = -approach if approach < 0.0 else 0.0
+    report = object.__new__(ContactReport)
+    state = report.__dict__
+    state["body"] = body
+    state["penetration"] = penetration
+    state["impact_speed"] = impact
+    state["force"] = stiffness * impact
+    return report
 
 
-# inward normals of the low and of the high workspace wall, per axis
-_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-_NEGATIVE_AXES = ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
+# inward normals of the table and of the low and the high workspace wall, per axis
+_AXES = tuple(map(np.array, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))))
+_NEGATIVE_AXES = tuple(map(np.array, ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))))
+_UP = _AXES[2]
 
 
 def detect_collisions(
@@ -176,35 +179,43 @@ def detect_collisions(
     clearance = center[2] - scene.table_height
     if not clearance > eef_radius:
         reports.append(
-            _report(
-                Body.TABLE,
-                eef_radius - clearance,
-                velocity,
-                (0.0, 0.0, 1.0),
-                scene.contact_stiffness,
-            )
+            _report(Body.TABLE, eef_radius - clearance, velocity, _UP, scene.contact_stiffness)
         )
-    for body, point, half, stiffness in (
-        (Body.CUBE, scene.cube_center, scene.cube_half_extents, scene.cube_stiffness),
-        (Body.OBSTACLE, scene.obstacle_center, scene.obstacle_half_extents, scene.contact_stiffness),
-    ):
-        if point is None:
-            continue
-        sd, nx, ny, nz = kernels.sphere_box_signed_distance(center, point, half)
-        if sd > eef_radius:
-            continue
-        normal = (nx, ny, nz)
-        reports.append(_report(body, eef_radius - sd, velocity, normal, stiffness))
+    sd, nx, ny, nz = kernels.sphere_box_signed_distance(
+        center, scene.cube_center, scene.cube_half_extents
+    )
+    if not sd > eef_radius:
+        reports.append(
+            _report(Body.CUBE, eef_radius - sd, velocity, (nx, ny, nz), scene.cube_stiffness)
+        )
+    if scene.obstacle_center is not None:
+        sd, nx, ny, nz = kernels.sphere_box_signed_distance(
+            center, scene.obstacle_center, scene.obstacle_half_extents
+        )
+        if not sd > eef_radius:
+            reports.append(
+                _report(Body.OBSTACLE, eef_radius - sd, velocity, (nx, ny, nz),
+                        scene.contact_stiffness)
+            )
     # workspace bound: sphere touching the box walls from inside; the
-    # deepest wall wins, the first axis and the low wall on ties
+    # deepest wall wins, the first axis and the low wall on ties.  A sphere
+    # strictly inside all six walls, by the loop's own expressions, touches
+    # none of them
+    (x, y, z), lo, hi = center, scene.workspace_min, scene.workspace_max
+    if (
+        lo[0] - (x - eef_radius) < 0.0 and (x + eef_radius) - hi[0] < 0.0
+        and lo[1] - (y - eef_radius) < 0.0 and (y + eef_radius) - hi[1] < 0.0
+        and lo[2] - (z - eef_radius) < 0.0 and (z + eef_radius) - hi[2] < 0.0
+    ):
+        return reports
     pen_best = -math.inf
     normal = None
     for axis in range(3):
-        low_pen = scene.workspace_min[axis] - (center[axis] - eef_radius)
+        low_pen = lo[axis] - (center[axis] - eef_radius)
         if low_pen >= 0.0 and low_pen > pen_best:
             pen_best = low_pen
             normal = _AXES[axis]
-        high_pen = (center[axis] + eef_radius) - scene.workspace_max[axis]
+        high_pen = (center[axis] + eef_radius) - hi[axis]
         if high_pen >= 0.0 and high_pen > pen_best:
             pen_best = high_pen
             normal = _NEGATIVE_AXES[axis]

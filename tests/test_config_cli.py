@@ -842,6 +842,8 @@ class TestBadNumbers:
             ("evaluate", "--policy", "random", "--disturb-object", "-0.06"),
             ("assess", "--policy", "random", "--disturb-surface", "5"),
             ("assess", "--policy", "random", "--scenarios", "obstacle", "--disturb-surface", "-1"),
+            # a table raised into the tool's home sphere
+            ("assess", "--policy", "scripted", "--episodes", "2", "--disturb-surface", "0.25"),
             ("assess", "--policy", "random", "--episodes", "0"),
             ("assess", "--policy", "random", "--episodes", "-3"),
             # two scenarios by default: a count they do not split evenly
@@ -887,6 +889,14 @@ BAD_CONFIGS = {
         "[scene]\ncube_region_min = 0.36 -0.04\ncube_region_max = 0.38 0.04\n",
         (),
         "some obstacle placement overlaps every cube placement",
+    ),
+    # the tool sphere would start every episode inside the table
+    "home_in_the_table": (
+        "[scene]\nhome_position = 0.30 0.0 -0.085\n", (),
+        "the tool at its home position must clear the table",
+    ),
+    "tool_as_large_as_the_home_height": (
+        "[scene]\neef_radius = 0.5\n", (), "the tool at its home position must clear the table"
     ),
 }
 

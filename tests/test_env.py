@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,20 +13,23 @@ from scipy import stats
 from safegrasp import env as env_module
 from safegrasp import kernels
 from safegrasp.env import (
+    ACTION_DIM,
     EnvConfig,
     GraspEnv,
     Observation,
     RewardConfig,
     RewardMode,
     SceneConfig,
+    StepResult,
     TransitionEvents,
     check_grasp,
     compute_reward,
 )
-from safegrasp.kinematics import ArmModel
+from safegrasp.kinematics import ArmModel, IkStatus, check_speed, inverse_kinematics
 from safegrasp.rollout import RecordSink, episode_steps, rollout_episodes
+from safegrasp.runlog import dumps_canonical
 from safegrasp.tqc import RandomPolicy, ScriptedGraspPolicy
-from safegrasp.world import DisturbanceSpec
+from safegrasp.world import Body, DisturbanceSpec, Scene, detect_collisions, signed_clearances
 
 from conftest import drive_to
 
@@ -279,15 +284,72 @@ class TestDisturbanceAdmission:
     @pytest.mark.parametrize("scenario", ["normal", "obstacle"])
     @pytest.mark.parametrize(
         "spec",
-        [(0.075, 0.005), (0.0, 0.27), (-0.08, 0.0), (0.45, 0.0), (0.2, -0.049)],
+        [(0.075, 0.005), (0.0, 0.27), (-0.08, 0.0), (0.186, 0.0)],
         ids=str,
     )
     def test_admitted_scenes_lie_in_the_workspace(self, env, scenario, spec):
         disturbance = DisturbanceSpec(*spec)
         env.scene_config.check_disturbance(disturbance)
+        radius = env.scene_config.eef_radius
         for seed in range(300):
-            env.reset(seed=seed, scenario=scenario, disturbance=disturbance)
+            obs = env.reset(seed=seed, scenario=scenario, disturbance=disturbance)
             assert_in_workspace(env.scene)
+            # the tool starts clear of the table and the obstacle; the cube
+            # grown by an object delta of 0.27 m can reach it, which costs
+            # but does not end a step
+            reports = detect_collisions(env.scene, obs.eef_position, radius, np.zeros(3))
+            assert {r.body for r in reports} <= {Body.CUBE}
+
+    @pytest.mark.parametrize(
+        "spec, body",
+        [((0.45, 0.0), "the table"), ((0.2, -0.049), "every obstacle placement")],
+        ids=str,
+    )
+    def test_a_tool_starting_in_contact_is_refused(self, env, spec, body):
+        # each scene lies in the workspace, but the tool at home would touch
+        # the raised table, or an obstacle resting on it
+        match = f"the tool at its home position must clear {body}"
+        with pytest.raises(ValueError, match=match):
+            env.scene_config.check_disturbance(DisturbanceSpec(*spec))
+        with pytest.raises(ValueError, match=match):
+            env.reset(seed=0, scenario="obstacle", disturbance=DisturbanceSpec(*spec))
+
+    def test_home_table_clause(self):
+        # the contact test's own expression: a home sphere of radius 0.02 m
+        # exactly 0.02 m over the table touches it, one ulp higher it does not
+        home_z = 0.02
+        SceneConfig(table_height=0.0, home_position=(0.2, 0.0, float(np.nextafter(home_z, 1.0))))
+        match = "the tool at its home position must clear the table"
+        with pytest.raises(ValueError, match=match):
+            SceneConfig(table_height=0.0, home_position=(0.2, 0.0, home_z))
+        with pytest.raises(ValueError, match=match):
+            SceneConfig().check_disturbance(DisturbanceSpec(0.25, 0.0))
+        for overrides in (dict(home_position=(0.30, 0.0, -0.085)), dict(eef_radius=0.5)):
+            with pytest.raises(ValueError, match=match):
+                SceneConfig(**overrides)
+
+    def test_home_obstacle_clause(self):
+        # the obstacle placement nearest home (0.30, 0.0, 0.15) sits at the
+        # low x edge of its region: 0.186 m of surface rise leaves it clear of
+        # the home sphere, 0.187 m does not
+        config = SceneConfig()
+        config.check_disturbance(DisturbanceSpec(0.186, 0.0))
+        with pytest.raises(ValueError, match="must clear every obstacle placement"):
+            config.check_disturbance(DisturbanceSpec(0.187, 0.0))
+        half = config.obstacle_half_extents
+        for surface, touching in ((0.186, False), (0.187, True)):
+            table = config.table_height + surface
+            scene = Scene(
+                table_height=table,
+                workspace_min=config.workspace_min,
+                workspace_max=config.workspace_max,
+                cube_center=(0.6, 0.0, table + config.cube_half_extent),
+                cube_half_extents=(config.cube_half_extent,) * 3,
+                obstacle_center=(config.obstacle_region_min[0], 0.0, table + half[2]),
+                obstacle_half_extents=half,
+            )
+            reports = detect_collisions(scene, config.home_position, config.eef_radius, np.zeros(3))
+            assert [r.body for r in reports] == ([Body.OBSTACLE] if touching else [])
 
 
 # item 6 of the roadmap: surface deltas x object deltas, in metres
@@ -894,3 +956,273 @@ class TestSeedFrameReuse:
         monkeypatch.setattr(env_module, "inverse_kinematics", rebound)
         assert records() == plain
         assert sum(r["events"]["speed_violation"] for r in plain) > 10
+
+
+# -- the step as it stood before its per-step repacking was cut ------------
+# GraspEnv.step, verbatim, with ``self`` the env it steps; the three env
+# helpers whose code changed with it (the action clamp, the grasp test and
+# the observation build) are kept verbatim beside it and called by these
+# names.  The contact tests are pinned to their array form in test_world.py.
+
+
+def reference_parse_action(action) -> tuple:
+    dx, dy, dz, gripper = np.asarray(action, dtype=np.float64).reshape(ACTION_DIM).tolist()
+    if dx != dx or dy != dy or dz != dz or gripper != gripper:
+        raise ValueError("action components must not be NaN")
+    return (
+        min(1.0, max(-1.0, dx)),
+        min(1.0, max(-1.0, dy)),
+        min(1.0, max(-1.0, dz)),
+        min(1.0, max(-1.0, gripper)),
+    )
+
+
+def reference_check_grasp(
+    eef_position,
+    gripper_closing: bool,
+    gripper_was_open: bool,
+    already_grasped: bool,
+    cube_center,
+    cube_rest_height: float,
+    grasp_radius: float,
+    lift_height: float,
+):
+    grasp_success = False
+    grasp_attempt_failed = False
+    now_grasped = bool(already_grasped)
+    if gripper_closing and not already_grasped:
+        offset = np.subtract(cube_center, eef_position)
+        distance = math.sqrt(offset.dot(offset))
+        if distance <= grasp_radius:
+            grasp_success = True
+            now_grasped = True
+        elif gripper_was_open:
+            grasp_attempt_failed = True
+    elif not gripper_closing:
+        now_grasped = False
+    held_height = eef_position[2] if now_grasped else cube_center[2]
+    lifted = now_grasped and bool(held_height - cube_rest_height >= lift_height)
+    return grasp_success, grasp_attempt_failed, lifted, now_grasped
+
+
+def reference_observation(self) -> Observation:
+    scene = self._scene
+    ex, ey, ez = eef = self._eef
+    cx, cy, cz = cube = scene.cube_center
+    return Observation(
+        eef
+        + self._eef_velocity
+        + (self._aperture,)
+        + cube
+        + (cx - ex, cy - ey, cz - ez)
+        + (scene.obstacle_center or (0.0, 0.0, 0.0))
+        + (1.0 if self._grasped else 0.0,)
+    )
+
+
+def reference_step(self, action) -> StepResult:
+    if self._scene is None:
+        raise RuntimeError("step() called before reset()")
+    if self._done:
+        raise RuntimeError("step() called on a finished episode; call reset()")
+    act = dx, dy, dz, gripper = reference_parse_action(action)
+    cfg = self.env_config
+    reward_cfg = self.reward_config
+    scale = cfg.action_scale
+    px, py, pz = self._eef
+    ik_failure = speed_violation = False
+
+    # 1-3: command shield -- IK then joint-speed check; rejected commands
+    # leave the joint vector untouched
+    target = (px + dx * scale, py + dy * scale, pz + dz * scale)
+    ik = inverse_kinematics(self.arm, target, self._q, self._frames)
+    velocity = (0.0, 0.0, 0.0)
+    if ik.status is not IkStatus.CONVERGED:
+        ik_failure = True
+    elif not check_speed(self._q, ik.joint_values, cfg.dt, self.arm).ok:
+        speed_violation = True
+    else:
+        self._q = ik.joint_values
+        self._frames = ik.frames
+        nx, ny, nz = self._eef = ik.tool_point
+        velocity = ((nx - px) / cfg.dt, (ny - py) / cfg.dt, (nz - pz) / cfg.dt)
+    self._eef_velocity = velocity
+    eef = self._eef
+
+    scene = self._scene
+    was_grasped = self._grasped
+    if was_grasped:
+        scene = scene.with_cube_center(eef)
+
+    # 4: contacts at the (possibly unmoved) tool position
+    collision_env = collision_cube = collision_obstacle = False
+    velocity_exceeded = False
+    force = impact_speed = 0.0
+    threshold = reward_cfg.collision_velocity_threshold
+    radius = self.scene_config.eef_radius
+    for report in detect_collisions(scene, eef, radius, velocity):
+        if report.body is Body.CUBE:
+            collision_cube = True
+        elif report.body is Body.OBSTACLE:
+            collision_obstacle = True
+        else:  # table or workspace wall
+            collision_env = True
+        if report.impact_speed > threshold:
+            velocity_exceeded = True
+        if report.force > force:
+            force = report.force
+            impact_speed = report.impact_speed
+
+    # near-body overspeed counter (no contact required)
+    velocity_violation = False
+    speed = np.array(velocity)
+    if math.sqrt(speed.dot(speed)) > threshold:
+        clearances = signed_clearances(scene, eef, radius)
+        velocity_violation = min(clearances.values()) <= cfg.proximity_threshold
+
+    # 5: gripper and grasp-state transition
+    closing = gripper >= 0.0
+    grasp_success, grasp_attempt_failed, lift_success, self._grasped = reference_check_grasp(
+        eef,
+        gripper_closing=closing,
+        gripper_was_open=self._aperture > 0.5,
+        already_grasped=was_grasped,
+        cube_center=scene.cube_center,
+        cube_rest_height=scene.cube_rest_height(),
+        grasp_radius=cfg.grasp_radius,
+        lift_height=cfg.lift_height,
+    )
+    if self._grasped:
+        if not was_grasped:
+            scene = scene.with_cube_center(eef)
+    elif was_grasped:  # released: the cube drops back onto the surface
+        cx, cy, _ = scene.cube_center
+        scene = scene.with_cube_center((cx, cy, scene.cube_rest_height()))
+    self._aperture = 0.0 if closing else 1.0
+    self._scene = scene
+    observation = reference_observation(self)
+
+    # 6-7: score and terminate
+    # numpy's dot, not a scalar sum: the distance reaches the record, and
+    # np.linalg.norm rounds exactly so
+    relative = observation.cube_relative
+    events = TransitionEvents(
+        distance_d=math.sqrt(relative.dot(relative)),
+        grasp_success=grasp_success,
+        lift_success=lift_success,
+        grasp_attempt_failed=grasp_attempt_failed,
+        speed_violation=speed_violation,
+        ik_failure=ik_failure,
+        collision_env=collision_env,
+        collision_cube=collision_cube,
+        collision_obstacle=collision_obstacle,
+        collision_velocity_exceeded=velocity_exceeded,
+        velocity_violation=velocity_violation,
+        collision_force=force,
+        collision_impact_speed=impact_speed,
+    )
+    reward = compute_reward(events, reward_cfg)
+    terminated = (
+        lift_success
+        or collision_env
+        or force > reward_cfg.force_failure_threshold
+    )
+    self._step_count += 1
+    truncated = not terminated and self._step_count >= cfg.max_steps
+    self._done = terminated or truncated
+
+    result = StepResult(
+        observation=observation,
+        reward=reward,
+        terminated=terminated,
+        truncated=truncated,
+        events=events,
+    )
+    if self._log_writer is not None:
+        self._log_writer.write_step(self._step_record(act, result))
+    return result
+
+
+class TestStepMatchesReference:
+    """Twin envs, one stepped by ``GraspEnv.step`` and one by
+    ``reference_step``, give the same bits: observation bytes, reward, flags,
+    events and the canonical log line of every step."""
+
+    @staticmethod
+    def twin_run(make_env, policy, scenario, disturbance, seeds):
+        envs = make_env(), make_env()
+        sinks = [], []
+        for env, sink in zip(envs, sinks):
+            env.set_log_writer(RecordSink(sink))
+        seen = Counter()
+        for seed in seeds:
+            obs = [env.reset(seed=seed, scenario=scenario, disturbance=disturbance) for env in envs]
+            assert obs[0].vector.tobytes() == obs[1].vector.tobytes()
+            while True:
+                action = policy(obs[0])
+                got = envs[0].step(action)
+                want = reference_step(envs[1], action)
+                assert got.observation.vector.tobytes() == want.observation.vector.tobytes()
+                assert not got.observation.vector.flags.writeable
+                for a, b in zip(got[1:4], want[1:4]):
+                    assert type(a) is type(b) and a == b
+                got_events, want_events = got.events.as_dict(), want.events.as_dict()
+                assert list(got_events) == list(want_events)
+                for name, value in want_events.items():
+                    assert type(got_events[name]) is type(value), name
+                    assert got_events[name] == value, name
+                seen.update(name for name, value in want_events.items() if value is True)
+                obs = [got.observation, want.observation]
+                if got.terminated or got.truncated:
+                    break
+        assert [dumps_canonical(r) for r in sinks[0]] == [dumps_canonical(r) for r in sinks[1]]
+        assert sinks[0] == sinks[1]
+        return seen
+
+    @pytest.mark.parametrize("scenario", ["normal", "obstacle"])
+    @pytest.mark.parametrize("spec", [(0.0, 0.0), (0.075, 0.005)], ids=str)
+    def test_scripted_and_random_policies(self, scenario, spec):
+        disturbance = DisturbanceSpec(*spec)
+        seen = self.twin_run(GraspEnv, ScriptedGraspPolicy(), scenario, disturbance, range(3))
+        assert seen["grasp_success"] and seen["lift_success"]
+        seen = self.twin_run(GraspEnv, RandomPolicy(seed=5), scenario, disturbance, range(3))
+        assert seen["collision_env"] or seen["collision_cube"] or seen["collision_obstacle"]
+
+    @pytest.mark.parametrize(
+        "arm, rejection",
+        [
+            # a slow arm: the shield rejects random commands for speed
+            (ArmModel.default_ur5(max_joint_speed=1.0), "speed_violation"),
+            # the base joint stopped just past its home angle of about
+            # 0.497 rad: IK rejects commands at the joint limit
+            (dataclasses.replace(
+                ArmModel.default_ur5(),
+                joint_limits=((-0.1, 0.52),) + ArmModel.default_ur5().joint_limits[1:],
+            ), "ik_failure"),
+        ],
+        ids=["slow", "joint-limited"],
+    )
+    def test_rejected_commands(self, arm, rejection):
+        seen = self.twin_run(
+            lambda: GraspEnv(arm=arm), RandomPolicy(seed=4), "obstacle", None, range(4)
+        )
+        assert seen[rejection] > 10
+
+    def test_edge_actions(self):
+        # signed zeros, infinities, the clamp bounds and values past them,
+        # and a subnormal: the clamp keeps each value's sign and bits
+        edges = itertools.cycle(np.array([
+            [-0.0, 0.0, -0.0, -0.0],
+            [np.inf, -np.inf, 1.0, -1.0],
+            [1.5, -1.5, 5e-324, -0.0],
+            [-0.0, -5e-324, -np.inf, np.inf],
+            [np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 0.0, 0.0],
+        ]))
+        self.twin_run(GraspEnv, lambda obs: next(edges), "normal", None, range(2))
+        for action in np.array([[-0.0, np.inf, -np.inf, 5e-324], [2.0, -2.0, -0.0, 1.0]]):
+            assert repr(env_module._parse_action(action)) == repr(reference_parse_action(action))
+
+    def test_a_fast_dive_onto_the_obstacle(self):
+        dive = np.array([0.35, 0.0, -1.0, -1.0])
+        seen = self.twin_run(GraspEnv, lambda obs: dive, "obstacle", None, range(2))
+        assert seen["collision_obstacle"] and seen["collision_velocity_exceeded"]

@@ -465,6 +465,38 @@ class TestScalarContactsMatchArrayReference:
                 assert_matches_reference(scene, center, np.array(velocity), r)
         got = detect_collisions(scene, cases[0], r, np.zeros(3))
         assert [c.body for c in got] == [Body.TABLE] and got[0].penetration == 0.0
+        # each of the six workspace walls, with dyadic walls and radius so
+        # that a sphere exactly r from a wall touches it in float; one ulp
+        # inward it touches nothing (the boxes and the table lie far below)
+        r = 0.03125
+        scene = make_scene(
+            obstacle=True, table=-1.0,
+            workspace_min=(0.125, -0.375, -0.25), workspace_max=(0.75, 0.375, 0.5),
+        )
+        middle = np.array([0.4375, 0.0, 0.125])
+        for axis, bound, inward in itertools.product(range(3), ("low", "high"), (False, True)):
+            center = middle.copy()
+            if bound == "low":
+                center[axis] = scene.workspace_min[axis] + r
+                assert center[axis] - r == scene.workspace_min[axis]
+                normal = 1.0
+            else:
+                center[axis] = scene.workspace_max[axis] - r
+                assert center[axis] + r == scene.workspace_max[axis]
+                normal = -1.0
+            if inward:
+                center[axis] = np.nextafter(center[axis], middle[axis])
+            for velocity in ([0.0, 0.0, 0.0], [0.3, -0.2, -0.4], [-0.5, 0.5, 0.1]):
+                assert_matches_reference(scene, center, np.array(velocity), r)
+            velocity = np.zeros(3)
+            velocity[axis] = -0.1 * normal
+            got = detect_collisions(scene, tuple(center.tolist()), r, tuple(velocity.tolist()))
+            if inward:
+                assert got == [], (axis, bound)
+            else:
+                assert [c.body for c in got] == [Body.WORKSPACE_BOUND], (axis, bound)
+                assert got[0].penetration == 0.0
+                assert got[0].impact_speed == 0.1
 
     def test_inside_boxes(self):
         scene = make_scene(obstacle=True)
