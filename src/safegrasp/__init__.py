@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .env import (  # noqa: F401
     EnvConfig,
     GraspEnv,
-    Observation,
     RewardConfig,
     RewardMode,
     Scenario,

@@ -175,8 +175,7 @@ def _resolve_policy(kind: str, checkpoint, config: RunConfig, seed: int):
             agent = TqcAgent.load(checkpoint, seed=seed)
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot load checkpoint {checkpoint}: {exc}") from None
-        snapshot = agent.actor_snapshot()
-        return lambda obs: snapshot.select_action(obs.vector)
+        return agent.actor_snapshot().select_action
     if kind == "scripted":
         return ScriptedGraspPolicy(
             action_scale=config.env.action_scale,

@@ -34,7 +34,6 @@ from .world import (
 
 OBSERVATION_DIM = 17
 ACTION_DIM = 4
-_OBSERVATION_SHAPE = (OBSERVATION_DIM,)
 
 # seed configuration from which the home joint vector is solved
 READY_SEED = (0.0, -np.pi / 2.0, np.pi / 2.0, -np.pi / 2.0, -np.pi / 2.0, 0.0)
@@ -177,7 +176,8 @@ class SceneConfig:
     def check_disturbance(self, spec: DisturbanceSpec) -> None:
         """Refuse ``spec`` unless every scene a reset builds under it lies in
         the workspace, with room for the cube clear of the obstacle, and
-        leaves the tool at home out of contact with the table and obstacle.
+        leaves the tool at home out of contact with the table, the obstacle
+        and the cube.
 
         The expressions are the ones ``GraspEnv._sample_scene`` uses: the
         table rises by the surface delta, the cube grows by half the object
@@ -219,7 +219,7 @@ class SceneConfig:
         ):
             raise ValueError("some obstacle placement overlaps every cube placement")
         # the tool sphere starts at home clear of the table and of every
-        # obstacle placement, whose union is the obstacle box grown by half
+        # obstacle and cube placement, whose union is the box grown by half
         # its sampling region on x and y; the expressions are the contact
         # tests' own
         home = kernels.float_tuple(self.home_position, 3)
@@ -236,6 +236,16 @@ class SceneConfig:
         if not reach > radius:
             raise ValueError(
                 "the tool at its home position must clear every obstacle placement by eef_radius"
+            )
+        (ax, ay), (bx, by) = self.cube_region_min, self.cube_region_max
+        reach, _, _, _ = kernels.sphere_box_signed_distance(
+            home,
+            (0.5 * (ax + bx), 0.5 * (ay + by), table + half),
+            (half + 0.5 * (bx - ax), half + 0.5 * (by - ay), half),
+        )
+        if not reach > radius:
+            raise ValueError(
+                "the tool at its home position must clear every cube placement by eef_radius"
             )
 
 
@@ -280,32 +290,6 @@ def _parse_action(action) -> tuple:
     )
 
 
-class Observation:
-    """One observation, ``vector``: a read-only array of 17 floats.
-
-    ``Observation(values)`` copies any 17 numbers into it.  Each field reads
-    a slice or an element of ``vector`` and shares its memory, so no read
-    copies.
-    """
-
-    __slots__ = ("vector",)
-
-    def __init__(self, values):
-        vector = np.array(values, np.float64)
-        if vector.shape != _OBSERVATION_SHAPE:
-            raise ValueError(f"an observation holds {OBSERVATION_DIM} values")
-        vector.setflags(write=False)
-        self.vector = vector
-
-    eef_position = property(lambda self: self.vector[0:3])
-    eef_velocity = property(lambda self: self.vector[3:6])
-    gripper_aperture = property(lambda self: float(self.vector[6]))  # 0 closed .. 1 open
-    cube_position = property(lambda self: self.vector[7:10])
-    cube_relative = property(lambda self: self.vector[10:13])  # cube - eef, exactly
-    obstacle_position = property(lambda self: self.vector[13:16])  # zeros if none
-    grasped = property(lambda self: bool(self.vector[16]))
-
-
 @dataclass
 class TransitionEvents:
     """Per-step events that drive the reward terms and violation counters."""
@@ -347,7 +331,7 @@ _EVENT_FIELDS = frozenset(_EVENT_DEFAULTS)
 
 
 class StepResult(NamedTuple):
-    observation: Observation
+    observation: np.ndarray
     reward: float
     terminated: bool
     truncated: bool
@@ -504,7 +488,7 @@ class GraspEnv:
         seed: int,
         scenario: Scenario | str = Scenario.NORMAL,
         disturbance: DisturbanceSpec | None = None,
-    ) -> Observation:
+    ) -> np.ndarray:
         scenario = _as_scenario(scenario)
         if disturbance is None:
             disturbance = DisturbanceSpec()
@@ -611,7 +595,7 @@ class GraspEnv:
         # 6-7: score and terminate
         # numpy's dot, not a scalar sum: the distance reaches the record, and
         # np.linalg.norm rounds exactly so
-        relative = observation.vector[10:13]  # cube_relative
+        relative = observation[10:13]  # cube - tool
         # the fields in declaration order: keywords cost more than the rest
         # of the construction
         events = TransitionEvents(
@@ -658,16 +642,31 @@ class GraspEnv:
     def done(self) -> bool:
         return self._done
 
-    def _observation(self) -> Observation:
+    def _observation(self) -> np.ndarray:
+        """The observation: a read-only float64 array of 17 values.
+
+        - ``0:3`` tool point
+        - ``3:6`` tool velocity
+        - ``6`` gripper aperture, 0 closed .. 1 open
+        - ``7:10`` cube centre
+        - ``10:13`` cube - tool, computed exactly in floats
+        - ``13:16`` obstacle centre, zeros if there is none
+        - ``16`` grasped, as 1.0 or 0.0
+        """
         scene = self._scene
         ex, ey, ez = self._eef
         vx, vy, vz = self._eef_velocity
         cx, cy, cz = scene.cube_center
         ox, oy, oz = scene.obstacle_center or (0.0, 0.0, 0.0)
-        return Observation((
+        observation = np.array((
             ex, ey, ez, vx, vy, vz, self._aperture, cx, cy, cz,
             cx - ex, cy - ey, cz - ez, ox, oy, oz, 1.0 if self._grasped else 0.0,
         ))
+        # read-only: rollouts yield the array the policy was handed, and the
+        # trainer stores it in the replay buffer after the step, so a policy
+        # that wrote into it would corrupt the stored transition
+        observation.setflags(write=False)
+        return observation
 
     def _step_record(self, act: tuple, result: StepResult) -> dict:
         return {

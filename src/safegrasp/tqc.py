@@ -61,6 +61,8 @@ class TqcConfig:
         if self.entropy_target is not None and not np.isfinite(self.entropy_target):
             raise ValueError("entropy_target must be finite")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
+            raise ValueError("hidden_sizes must hold at least one width, each >= 1")
 
 
 def quantile_fractions(n_quantiles: int) -> np.ndarray:
@@ -474,7 +476,7 @@ class ScriptedGraspPolicy:
         self.eef_radius = eef_radius
 
     def __call__(self, obs) -> np.ndarray:
-        v = obs.vector.tolist()
+        v = obs.tolist()
         if v[16]:  # grasped
             return self._command(0.0, 0.0, self.step_cap, close=True)
         ex, ey, ez = v[0:3]

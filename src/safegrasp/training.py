@@ -99,7 +99,7 @@ class Trainer:
         with EpisodeLogWriter(log_path, header=log_header(cfg, cfg.scenario.value)) as writer:
             records = rollout_episodes(
                 env,
-                lambda obs: policy.select_action(obs.vector),
+                policy.select_action,
                 episodes=self.eval_episodes,
                 base_seed=derive_seed(cfg.seed, EVAL_SEED_STREAM, block),
                 stream=EVAL_SEED_STREAM,
@@ -152,18 +152,12 @@ class Trainer:
         def policy(obs):
             if step < tqc.warmup_steps:
                 return warmup_rng.uniform(-1.0, 1.0, ACTION_DIM)
-            return self.agent.select_action(obs.vector)
+            return self.agent.select_action(obs)
 
         while step < self.total_steps:
             seed = derive_seed(cfg.seed, TRAIN_SEED_STREAM, self._episodes)
             for obs, action, result in episode_steps(env, policy, seed, cfg.scenario):
-                self.buffer.add(
-                    obs.vector,
-                    action,
-                    result.reward,
-                    result.observation.vector,
-                    result.terminated,
-                )
+                self.buffer.add(obs, action, result.reward, result.observation, result.terminated)
                 step += 1
                 if step >= tqc.warmup_steps and step % tqc.train_freq == 0:
                     diag = self.agent.train_step(self.buffer)

@@ -24,7 +24,7 @@ def drive_to(env: GraspEnv, obs, target, gripper=-1.0, max_steps=120, speed=0.55
     result = None
     for _ in range(max_steps):
         delta = np.clip(
-            (np.asarray(target) - obs.eef_position) / env.env_config.action_scale,
+            (np.asarray(target) - obs[0:3]) / env.env_config.action_scale,
             -1.0,
             1.0,
         )
@@ -32,6 +32,6 @@ def drive_to(env: GraspEnv, obs, target, gripper=-1.0, max_steps=120, speed=0.55
         obs = result.observation
         if result.terminated or result.truncated:
             break
-        if np.linalg.norm(obs.eef_position - target) < 5e-4:
+        if np.linalg.norm(obs[0:3] - target) < 5e-4:
             break
     return obs, result

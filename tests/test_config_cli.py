@@ -844,6 +844,9 @@ class TestBadNumbers:
             ("assess", "--policy", "random", "--scenarios", "obstacle", "--disturb-surface", "-1"),
             # a table raised into the tool's home sphere
             ("assess", "--policy", "scripted", "--episodes", "2", "--disturb-surface", "0.25"),
+            # a cube grown into the tool's home sphere
+            ("evaluate", "--policy", "scripted", "--episodes", "2", "--disturb-object", "0.25",
+             "--seed", "7"),
             ("assess", "--policy", "random", "--episodes", "0"),
             ("assess", "--policy", "random", "--episodes", "-3"),
             # two scenarios by default: a count they do not split evenly
@@ -862,7 +865,7 @@ class TestBadNumbers:
 
     def test_largest_admitted_object_delta_runs(self, tmp_path):
         argv = ("assess", "--policy", "random", "--seed", "3", "--episodes", "2",
-                "--disturb-object", "0.27")
+                "--disturb-object", "0.2")
         assert run_cli(*argv, "--out", tmp_path) == 0
 
 
@@ -898,6 +901,10 @@ BAD_CONFIGS = {
     "tool_as_large_as_the_home_height": (
         "[scene]\neef_radius = 0.5\n", (), "the tool at its home position must clear the table"
     ),
+    # Mlp refuses these widths only when train builds the networks
+    "zero_hidden_width": ("[tqc]\nhidden_sizes = 64 0\n", (), "hidden_sizes must hold"),
+    "negative_hidden_width": ("[tqc]\nhidden_sizes = 64 -1\n", (), "hidden_sizes must hold"),
+    "no_hidden_layer": ("[tqc]\nhidden_sizes =\n", (), "hidden_sizes must hold"),
 }
 
 

@@ -16,7 +16,6 @@ from safegrasp.env import (
     ACTION_DIM,
     EnvConfig,
     GraspEnv,
-    Observation,
     RewardConfig,
     RewardMode,
     SceneConfig,
@@ -174,19 +173,19 @@ class TestReset:
     def test_same_seed_bitwise_identical(self, env):
         a = env.reset(seed=123)
         b = env.reset(seed=123)
-        assert np.array_equal(a.eef_position, b.eef_position)
-        assert np.array_equal(a.cube_position, b.cube_position)
-        assert np.array_equal(a.vector, b.vector)
+        assert np.array_equal(a[0:3], b[0:3])
+        assert np.array_equal(a[7:10], b[7:10])
+        assert np.array_equal(a, b)
 
     def test_normal_scenario_has_no_obstacle(self, env):
         obs = env.reset(seed=0, scenario="normal")
-        assert np.array_equal(obs.obstacle_position, np.zeros(3))
+        assert np.array_equal(obs[13:16], np.zeros(3))
         assert not env.scene.obstacle_present
 
     def test_obstacle_scenario_places_bar(self, env):
         obs = env.reset(seed=0, scenario="obstacle")
         assert env.scene.obstacle_present
-        assert np.any(obs.obstacle_position != 0.0)
+        assert np.any(obs[13:16] != 0.0)
         # bar rests on the table
         top = env.scene.obstacle_center[2] + env.scene.obstacle_half_extents[2]
         assert top == pytest.approx(env.scene.table_height + 0.05)
@@ -199,7 +198,7 @@ class TestReset:
         grid = np.zeros((4, 4), dtype=int)
         for seed in range(1000):
             obs = env.reset(seed=seed)
-            u = (obs.cube_position[:2] - lo) / (hi - lo)
+            u = (obs[7:9] - lo) / (hi - lo)
             i = min(3, int(u[0] * 4))
             j = min(3, int(u[1] * 4))
             grid[i, j] += 1
@@ -209,52 +208,37 @@ class TestReset:
     def test_cube_rests_on_table(self, env):
         obs = env.reset(seed=4)
         scene = env.scene
-        assert obs.cube_position[2] == pytest.approx(
-            scene.table_height + scene.cube_half_extents[2]
-        )
+        assert obs[9] == pytest.approx(scene.table_height + scene.cube_half_extents[2])
 
     def test_disturbance_applied_at_reset(self, env):
         plain = env.reset(seed=9)
         disturbed = env.reset(seed=9, disturbance=DisturbanceSpec(0.075, 0.005))
-        assert disturbed.cube_position[2] == pytest.approx(
-            plain.cube_position[2] + 0.075 + 0.0025
-        )
+        assert disturbed[9] == pytest.approx(plain[9] + 0.075 + 0.0025)
 
     def test_observation_shape_and_relative(self, env):
         obs = env.reset(seed=1)
-        assert obs.vector.shape == (17,)
-        assert np.array_equal(obs.cube_relative, obs.cube_position - obs.eef_position)
-        assert obs.gripper_aperture == 1.0
-        assert not obs.grasped
+        assert obs.shape == (17,) and obs.dtype == np.float64
+        assert np.array_equal(obs[10:13], obs[7:10] - obs[0:3])
+        assert obs[6] == 1.0
+        assert obs[16] == 0.0
 
     def test_observation_vector_is_one_read_only_array(self, env):
         env.reset(seed=1)
         obs = env.step(np.array([0.2, 0.1, -0.3, 1.0])).observation
-        assert obs.vector is obs.vector
-        assert not obs.vector.flags.writeable
+        assert not obs.flags.writeable
         with pytest.raises(ValueError):
-            obs.vector[0] = 0.0
-        views = {
-            "eef_position": slice(0, 3),
-            "eef_velocity": slice(3, 6),
-            "cube_position": slice(7, 10),
-            "cube_relative": slice(10, 13),
-            "obstacle_position": slice(13, 16),
-        }
-        for name, index in views.items():
-            field = getattr(obs, name)
-            assert np.shares_memory(field, obs.vector), name
-            assert np.array_equal(field, obs.vector[index]), name
-        assert obs.gripper_aperture == obs.vector[6] == 0.0
-        assert type(obs.grasped) is bool and obs.grasped == (obs.vector[16] == 1.0)
-        # the hand-built form is the same: any 17 numbers, copied once
-        values = list(range(17))
-        built = Observation(values)
-        values[0] = 99
-        assert built.vector.tolist() == list(map(float, range(17)))
-        assert not built.vector.flags.writeable
-        with pytest.raises(ValueError):
-            Observation(np.zeros(15))
+            obs[0] = 0.0
+        # each slice of the documented layout holds its value
+        scene = env.scene
+        assert obs[0:3].tolist() == list(env._eef)
+        assert obs[3:6].tolist() == list(env._eef_velocity)
+        assert obs[6] == 0.0  # closed
+        assert obs[7:10].tolist() == list(scene.cube_center)
+        assert obs[10:13].tolist() == (obs[7:10] - obs[0:3]).tolist()
+        assert obs[13:16].tolist() == [0.0, 0.0, 0.0]  # no obstacle
+        assert obs[16] == 0.0  # not grasped
+        obs = env.reset(seed=1, scenario="obstacle")
+        assert obs[13:16].tolist() == list(env.scene.obstacle_center)
 
 
 def assert_in_workspace(scene) -> None:
@@ -274,17 +258,21 @@ class TestDisturbanceAdmission:
     leaves the workspace, whatever the seed."""
 
     def test_object_delta_bound_of_the_default_config(self):
-        # the cube region reaches x = 0.62 and the workspace x = 0.78: a
-        # half extent of 0.025 + 0.135 fits, one of 0.025 + 0.14 does not
+        # the cube region starts at x = 0.45 and the tool sphere at home
+        # reaches x = 0.32: a half extent of 0.025 + 0.1 clears it, one of
+        # 0.025 + 0.11 does not; past 0.025 + 0.135 the cube would also
+        # leave the workspace at x = 0.78
         config = SceneConfig()
-        config.check_disturbance(DisturbanceSpec(0.0, 0.27))
+        config.check_disturbance(DisturbanceSpec(0.0, 0.2))
+        with pytest.raises(ValueError, match="must clear every cube placement"):
+            config.check_disturbance(DisturbanceSpec(0.0, 0.22))
         with pytest.raises(ValueError, match="the cube, resting on the table"):
             config.check_disturbance(DisturbanceSpec(0.0, 0.28))
 
     @pytest.mark.parametrize("scenario", ["normal", "obstacle"])
     @pytest.mark.parametrize(
         "spec",
-        [(0.075, 0.005), (0.0, 0.27), (-0.08, 0.0), (0.186, 0.0)],
+        [(0.075, 0.005), (-0.08, 0.0), (0.186, 0.0)],
         ids=str,
     )
     def test_admitted_scenes_lie_in_the_workspace(self, env, scenario, spec):
@@ -294,20 +282,21 @@ class TestDisturbanceAdmission:
         for seed in range(300):
             obs = env.reset(seed=seed, scenario=scenario, disturbance=disturbance)
             assert_in_workspace(env.scene)
-            # the tool starts clear of the table and the obstacle; the cube
-            # grown by an object delta of 0.27 m can reach it, which costs
-            # but does not end a step
-            reports = detect_collisions(env.scene, obs.eef_position, radius, np.zeros(3))
-            assert {r.body for r in reports} <= {Body.CUBE}
+            # the tool starts clear of the table, the obstacle and the cube
+            assert detect_collisions(env.scene, obs[0:3], radius, np.zeros(3)) == []
 
     @pytest.mark.parametrize(
         "spec, body",
-        [((0.45, 0.0), "the table"), ((0.2, -0.049), "every obstacle placement")],
+        [
+            ((0.45, 0.0), "the table"),
+            ((0.2, -0.049), "every obstacle placement"),
+            ((0.0, 0.27), "every cube placement"),
+        ],
         ids=str,
     )
     def test_a_tool_starting_in_contact_is_refused(self, env, spec, body):
         # each scene lies in the workspace, but the tool at home would touch
-        # the raised table, or an obstacle resting on it
+        # the raised table, an obstacle resting on it, or the grown cube
         match = f"the tool at its home position must clear {body}"
         with pytest.raises(ValueError, match=match):
             env.scene_config.check_disturbance(DisturbanceSpec(*spec))
@@ -350,6 +339,27 @@ class TestDisturbanceAdmission:
             )
             reports = detect_collisions(scene, config.home_position, config.eef_radius, np.zeros(3))
             assert [r.body for r in reports] == ([Body.OBSTACLE] if touching else [])
+
+    def test_home_cube_clause(self):
+        # the cube placement nearest home (0.30, 0.0, 0.15) sits at the low x
+        # edge of its region, x = 0.45: an object delta of 0.205 m leaves its
+        # near face 2.25 cm from home, clear of the 2 cm home sphere, and one
+        # of 0.215 m leaves 1.75 cm
+        config = SceneConfig()
+        config.check_disturbance(DisturbanceSpec(0.0, 0.205))
+        with pytest.raises(ValueError, match="must clear every cube placement"):
+            config.check_disturbance(DisturbanceSpec(0.0, 0.215))
+        for size, touching in ((0.205, False), (0.215, True)):
+            half = config.cube_half_extent + 0.5 * size
+            scene = Scene(
+                table_height=config.table_height,
+                workspace_min=config.workspace_min,
+                workspace_max=config.workspace_max,
+                cube_center=(config.cube_region_min[0], 0.0, config.table_height + half),
+                cube_half_extents=(half,) * 3,
+            )
+            reports = detect_collisions(scene, config.home_position, config.eef_radius, np.zeros(3))
+            assert [r.body for r in reports] == ([Body.CUBE] if touching else [])
 
 
 # item 6 of the roadmap: surface deltas x object deltas, in metres
@@ -496,9 +506,9 @@ class TestStepPipeline:
 
     def test_action_clamping(self, env):
         obs = env.reset(seed=2)
-        start = obs.eef_position.copy()
+        start = obs[0:3].copy()
         result = env.step(np.array([15.0, 0.0, 0.0, -1.0]))
-        moved = result.observation.eef_position - start
+        moved = result.observation[0:3] - start
         # clamped to one action_scale along x
         assert abs(moved[0]) <= env.env_config.action_scale + 1e-6
 
@@ -511,7 +521,7 @@ class TestStepPipeline:
         assert result.events.speed_violation
         assert not result.events.ik_failure
         assert np.array_equal(env.joints, q_before)
-        assert np.array_equal(result.observation.eef_velocity, np.zeros(3))
+        assert np.array_equal(result.observation[3:6], np.zeros(3))
         assert result.reward == pytest.approx(-result.events.distance_d - 0.5)
 
     def test_ik_shield_blocks_and_flags(self):
@@ -573,7 +583,7 @@ class TestStepPipeline:
                 out.append(
                     (
                         result.reward,
-                        result.observation.vector.tobytes(),
+                        result.observation.tobytes(),
                         tuple(sorted(result.events.as_dict().items())),
                     )
                 )
@@ -644,7 +654,7 @@ class TestActionParsing:
 class TestGraspLogic:
     def approach_and_grasp(self, env, seed=11):
         obs = env.reset(seed=seed)
-        above = obs.cube_position + np.array([0.0, 0.0, 0.06])
+        above = obs[7:10] + np.array([0.0, 0.0, 0.06])
         obs, _ = drive_to(env, obs, above, speed=0.5)
         obs, _ = drive_to(env, obs, env.scene.cube_center, speed=0.25)
         return obs
@@ -654,19 +664,17 @@ class TestGraspLogic:
         result = env.step(np.array([0.0, 0.0, 0.0, 1.0]))
         assert result.events.grasp_attempt_failed
         assert not result.events.grasp_success
-        assert not result.observation.grasped
+        assert result.observation[16] == 0.0
 
     def test_secure_grasp_and_lift(self, env):
         obs = self.approach_and_grasp(env)
-        assert np.linalg.norm(obs.cube_relative) <= env.env_config.grasp_radius
+        assert np.linalg.norm(obs[10:13]) <= env.env_config.grasp_radius
         result = env.step(np.array([0.0, 0.0, 0.0, 1.0]))
         assert result.events.grasp_success
-        assert result.observation.grasped
+        assert result.observation[16] == 1.0
         assert result.reward >= 4.9  # grip reward dominates the step
         # cube follows the tool point
-        assert np.array_equal(
-            result.observation.cube_position, result.observation.eef_position
-        )
+        assert np.array_equal(result.observation[7:10], result.observation[0:3])
         lift = None
         for _ in range(10):
             lift = env.step(np.array([0.0, 0.0, 0.5, 1.0]))
@@ -680,9 +688,9 @@ class TestGraspLogic:
         env.step(np.array([0.0, 0.0, 0.0, 1.0]))
         env.step(np.array([0.0, 0.0, 0.4, 1.0]))
         result = env.step(np.array([0.0, 0.0, 0.0, -1.0]))
-        assert not result.observation.grasped
+        assert result.observation[16] == 0.0
         scene = env.scene
-        assert result.observation.cube_position[2] == pytest.approx(
+        assert result.observation[9] == pytest.approx(
             scene.table_height + scene.cube_half_extents[2]
         )
 
@@ -720,7 +728,7 @@ class TestGraspLogic:
                           gripper=1.0, speed=0.5)
         obs, result = drive_to(env, obs, env.scene.cube_center,
                                gripper=1.0, speed=0.2)
-        assert obs.grasped
+        assert obs[16] == 1.0
         # only one miss penalty was paid, on the original closing transition
         assert not result.events.grasp_attempt_failed
 
@@ -1005,19 +1013,22 @@ def reference_check_grasp(
     return grasp_success, grasp_attempt_failed, lifted, now_grasped
 
 
-def reference_observation(self) -> Observation:
+def reference_observation(self) -> np.ndarray:
     scene = self._scene
     ex, ey, ez = eef = self._eef
     cx, cy, cz = cube = scene.cube_center
-    return Observation(
+    observation = np.array(
         eef
         + self._eef_velocity
         + (self._aperture,)
         + cube
         + (cx - ex, cy - ey, cz - ez)
         + (scene.obstacle_center or (0.0, 0.0, 0.0))
-        + (1.0 if self._grasped else 0.0,)
+        + (1.0 if self._grasped else 0.0,),
+        np.float64,
     )
+    observation.setflags(write=False)
+    return observation
 
 
 def reference_step(self, action) -> StepResult:
@@ -1105,7 +1116,7 @@ def reference_step(self, action) -> StepResult:
     # 6-7: score and terminate
     # numpy's dot, not a scalar sum: the distance reaches the record, and
     # np.linalg.norm rounds exactly so
-    relative = observation.cube_relative
+    relative = observation[10:13]
     events = TransitionEvents(
         distance_d=math.sqrt(relative.dot(relative)),
         grasp_success=grasp_success,
@@ -1157,13 +1168,13 @@ class TestStepMatchesReference:
         seen = Counter()
         for seed in seeds:
             obs = [env.reset(seed=seed, scenario=scenario, disturbance=disturbance) for env in envs]
-            assert obs[0].vector.tobytes() == obs[1].vector.tobytes()
+            assert obs[0].tobytes() == obs[1].tobytes()
             while True:
                 action = policy(obs[0])
                 got = envs[0].step(action)
                 want = reference_step(envs[1], action)
-                assert got.observation.vector.tobytes() == want.observation.vector.tobytes()
-                assert not got.observation.vector.flags.writeable
+                assert got.observation.tobytes() == want.observation.tobytes()
+                assert not got.observation.flags.writeable
                 for a, b in zip(got[1:4], want[1:4]):
                     assert type(a) is type(b) and a == b
                 got_events, want_events = got.events.as_dict(), want.events.as_dict()

@@ -9,7 +9,7 @@ from scipy import stats
 
 from safegrasp.autodiff import Tensor
 from safegrasp import kernels
-from safegrasp.env import GraspEnv, Observation
+from safegrasp.env import GraspEnv
 from safegrasp.nn import forward, forward_tape
 from safegrasp.rollout import rollout_episodes
 from safegrasp.runlog import EpisodeLogWriter
@@ -634,13 +634,13 @@ def numpy_scripted_reference(policy, obs, hits=None) -> np.ndarray:
     the action took.
     """
     hits = collections.Counter() if hits is None else hits
-    if obs.grasped:
+    if obs[16]:
         hits["grasped"] += 1
         delta = np.array([0.0, 0.0, policy.step_cap])
         return _numpy_scripted_command(policy, delta, True, hits)
     half = np.asarray(policy.obstacle_half, dtype=np.float64)
-    eef = obs.eef_position
-    cube = obs.cube_position
+    eef = obs[0:3]
+    cube = obs[7:10]
     target = cube.copy()
     horizontal = float(np.hypot(cube[0] - eef[0], cube[1] - eef[1]))
     if horizontal > 0.004:
@@ -648,7 +648,7 @@ def numpy_scripted_reference(policy, obs, hits=None) -> np.ndarray:
         target[2] = cube[2] + 0.08
     else:
         hits["descend"] += 1
-    obstacle = obs.obstacle_position
+    obstacle = obs[13:16]
     if np.any(obstacle != 0.0):
         safe_z = obstacle[2] + half[2] + policy.eef_radius + 0.05
         blocking = eef[0] < obstacle[0] + half[0] + 0.03 and cube[0] > obstacle[0]
@@ -679,6 +679,13 @@ def _numpy_scripted_command(policy, delta, close, hits):
     return np.array([act[0], act[1], act[2], 1.0 if close else -1.0])
 
 
+def read_only(values) -> np.ndarray:
+    """``values`` in the form of an env observation: a read-only float64 array."""
+    obs = np.array(values, np.float64)
+    obs.setflags(write=False)
+    return obs
+
+
 def scripted_test_observations(rng, count):
     """``count`` seeded observations around the scripted controller's
     branches: cube near and far, an obstacle between the tool and the cube
@@ -702,14 +709,14 @@ def scripted_test_observations(rng, count):
         v[16] = rng.random() < 0.1
         if rng.random() < 0.02:
             v[rng.integers(17)] = np.nan
-        yield Observation(v)
+        yield read_only(v)
 
 
 class TestPolicies:
     def test_scripted_moves_toward_cube(self, env):
         obs = env.reset(seed=40)
         # place a synthetic observation with the cube 0.1 m away on +x
-        obs = Observation(
+        obs = read_only(
             [0.4, 0.0, 0.1]  # eef position
             + [0.0, 0.0, 0.0]  # eef velocity
             + [1.0]  # gripper open
@@ -723,7 +730,7 @@ class TestPolicies:
         assert action[3] == -1.0  # too far to close
 
     def test_scripted_closes_within_grasp_radius(self):
-        obs = Observation(
+        obs = read_only(
             [0.5, 0.0, 0.1]  # eef position
             + [0.0, 0.0, 0.0]  # eef velocity
             + [1.0]  # gripper open
@@ -734,6 +741,16 @@ class TestPolicies:
         )
         action = ScriptedGraspPolicy()(obs)
         assert action[3] == 1.0
+
+    def test_policies_take_an_env_observation_directly(self, env):
+        obs = env.reset(seed=43, scenario="obstacle")
+        snapshot = TqcAgent(17, 4, small_config(), seed=8).actor_snapshot()
+        for policy in (ScriptedGraspPolicy(), snapshot.select_action):
+            action = policy(obs)
+            assert action.shape == (4,) and np.all(np.abs(action) <= 1.0)
+            assert action.tobytes() == policy(obs.copy()).tobytes()
+            next_obs = env.step(action).observation
+            assert policy(next_obs).shape == (4,)
 
     def test_scripted_full_episode_succeeds(self, env):
         policy = ScriptedGraspPolicy()
@@ -772,7 +789,7 @@ class TestPolicies:
                 action = policy(obs)
                 expected = numpy_scripted_reference(policy, obs, hits)
                 assert action.dtype == np.float64 and action.shape == (4,)
-                assert action.tobytes() == expected.tobytes(), obs.vector
+                assert action.tobytes() == expected.tobytes(), obs
                 nan_actions += bool(np.isnan(action).any())
             branches = ["grasped", "cruise", "descend", "blocked below safe_z",
                         "blocked above safe_z", "close", "far", "over step_cap",
@@ -787,7 +804,7 @@ class TestPolicies:
         values = [0.5, 0.0, 0.1, 0.0, 0.0, 0.0, 1.0, 0.6, 0.0, 0.1,
                   0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         values[0] = np.nan
-        obs = Observation(values)
+        obs = read_only(values)
         policy = ScriptedGraspPolicy()
         action = policy(obs)
         assert np.isnan(action[0]) and action[3] == -1.0
@@ -802,7 +819,7 @@ class TestPolicies:
     def test_scripted_cruise_threshold_rounds_like_libm_hypot(self, cube_xy, cruise):
         values = [0.5, 0.0, 0.1, 0.0, 0.0, 0.0, 1.0, *cube_xy, 0.1,
                   cube_xy[0] - 0.5, cube_xy[1], 0.0, 0.0, 0.0, 0.0, 0.0]
-        obs = Observation(values)
+        obs = read_only(values)
         policy = ScriptedGraspPolicy()
         hits = collections.Counter()
         expected = numpy_scripted_reference(policy, obs, hits)
