@@ -271,11 +271,23 @@ class TestDisturbanceAdmission:
 
     @pytest.mark.parametrize("scenario", ["normal", "obstacle"])
     @pytest.mark.parametrize(
-        "spec",
-        [(0.075, 0.005), (-0.08, 0.0), (0.186, 0.0)],
-        ids=str,
+        "spec, home",
+        [
+            pytest.param(spec, home, id=str(spec))
+            for spec, home in [
+                ((0.075, 0.005), None),
+                ((-0.08, 0.0), None),
+                ((0.186, 0.0), None),
+                # a cube grown to one step inside the workspace bound at
+                # x = 0.78 (0.28 leaves it); the default home lies inside
+                # this cube's reach, so the tool starts higher up
+                ((0.0, 0.27), (0.30, 0.0, 0.30)),
+            ]
+        ],
     )
-    def test_admitted_scenes_lie_in_the_workspace(self, env, scenario, spec):
+    def test_admitted_scenes_lie_in_the_workspace(self, env, scenario, spec, home):
+        if home is not None:
+            env = GraspEnv(scene_config=SceneConfig(home_position=home))
         disturbance = DisturbanceSpec(*spec)
         env.scene_config.check_disturbance(disturbance)
         radius = env.scene_config.eef_radius
