@@ -37,10 +37,10 @@ _STEP_KEYS = frozenset(
     ("episode", "step", "action", "reward", "terminated", "truncated", "events", "eef", "cube")
 )
 _VECTOR_KEYS = (("action", ACTION_DIM), ("eef", 3), ("cube", 3))
-# the events logged as numbers; every other event is a flag
-_NUMBER_EVENTS = frozenset(
-    name for name, value in TransitionEvents().as_dict().items() if type(value) is float
-)
+# the events the env logs, every one in each step record, and those logged
+# as numbers; every other event is a flag
+_EVENTS = TransitionEvents().as_dict()
+_NUMBER_EVENTS = frozenset(name for name, value in _EVENTS.items() if type(value) is float)
 
 
 def dumps_canonical(record: dict) -> str:
@@ -171,8 +171,9 @@ def audit_log(path, reward_config: RewardConfig | None = None) -> list[dict]:
     that its events do not reproduce, or an episode that is not whole, is an
     ``AuditFailure``.  One pass checks each record against the previous one
     (contiguous episodes, steps 1, 2, 3, ..., an end on the last step only),
-    then its keys and types, then its reward, so the defect reported is the
-    one at the lowest record index.
+    then its keys and types (all the events the env writes and no other),
+    then its reward, so the defect reported is the one at the lowest record
+    index.
     """
     path = Path(path)
     if not path.exists():
@@ -216,8 +217,11 @@ def audit_log(path, reward_config: RewardConfig | None = None) -> list[dict]:
         if type(step) is not int or step != expected_step:
             raise defect(index, f"expected step {expected_step}")
         try:
-            events = TransitionEvents.from_dict(record["events"])
-            for key, value in record["events"].items():
+            logged_events = record["events"]
+            events = TransitionEvents.from_dict(logged_events)
+            if len(logged_events) != len(_EVENTS):
+                raise ValueError(f"missing event {min(_EVENTS.keys() - logged_events)!r}")
+            for key, value in logged_events.items():
                 if key in _NUMBER_EVENTS:
                     if not _is_finite_number(value):
                         raise ValueError(f"event {key!r} must be a finite number")

@@ -573,15 +573,23 @@ def run_cli_process(*argv) -> subprocess.CompletedProcess:
 
 
 HEADER = '{"reward":{"mode":"sd-drl"},"scenario":"normal","seed":0,"type":"header"}'
+# every event the env writes, as it writes them
+EVENTS = (
+    '{"collision_cube":false,"collision_env":false,"collision_force":0.0,'
+    '"collision_impact_speed":0.0,"collision_obstacle":false,'
+    '"collision_velocity_exceeded":false,"distance_d":0.25,"grasp_attempt_failed":false,'
+    '"grasp_success":false,"ik_failure":false,"lift_success":false,'
+    '"speed_violation":false,"velocity_violation":false}'
+)
 STEP = (
     '{"action":[0.0,0.0,0.0,0.0],"cube":[0.5,0.0,-0.075],"eef":[0.3,0.0,0.15],'
-    '"episode":0,"events":{},"reward":-0.25,"step":1,"terminated":false}'
+    f'"episode":0,"events":{EVENTS},"reward":-0.25,"step":1,"terminated":false}}'
 )
 MALFORMED_LOGS = {
     "invalid_json": f"{HEADER}\n{STEP}\n{{not json\n",
     "trailing_data": f"{HEADER}\n{STEP} {{}}\n",
     "not_an_object": f"{HEADER}\n{STEP}\n[1, 2]\n",
-    "missing_events": HEADER + "\n" + STEP.replace('"events":{},', "") + "\n",
+    "missing_events": HEADER + "\n" + STEP.replace(f'"events":{EVENTS},', "") + "\n",
     "missing_reward": HEADER + "\n" + STEP.replace('"reward":-0.25,', "") + "\n",
     "string_reward": HEADER + "\n" + STEP.replace('"reward":-0.25', '"reward":"-0.25"') + "\n",
     "missing_episode": HEADER + "\n" + STEP.replace('"episode":0,', "") + "\n",
@@ -1062,7 +1070,7 @@ class TestMalformedLogs:
     @pytest.mark.parametrize(
         "text,message",
         [
-            (HEADER + "\n" + STEP.replace('"events":{}', '"events":{"typo":1}'), "step record 0"),
+            (HEADER + "\n" + STEP.replace('"events":{', '"events":{"typo":1,'), "step record 0"),
             (HEADER.replace('"mode":"sd-drl"', '"typo":1') + "\n" + STEP, "invalid reward header"),
         ],
         ids=["unknown_event_field", "unknown_reward_field"],
@@ -1094,7 +1102,8 @@ class TestMistypedRecords:
     measure a finite number (not a bool, ``NaN``, or a literal such as
     ``1e400`` that decodes to infinity).  So does a record whose ``action``
     is not a list of 4 finite numbers, whose ``eef`` or ``cube`` is not a
-    list of 3, or that holds a key the env does not write."""
+    list of 3, that lacks one of the 13 events the env writes, or that holds
+    a key the env does not write."""
 
     @pytest.mark.parametrize(
         "key,value",
@@ -1110,6 +1119,8 @@ class TestMistypedRecords:
             ("grasp_success", '"false"'),
             ("lift_success", "1"),
             ("ik_failure", "null"),
+            ("distance_d", None),
+            ("velocity_violation", None),
             ("terminated", '"yes"'),
             ("terminated", "1"),
             ("truncated", "null"),
@@ -1154,6 +1165,43 @@ class TestMistypedRecords:
                 f"error: {log}: step record 5: 'action' must be a list of 4 finite numbers\n"
             )
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["replay", "assess"])
+    def test_missing_events_name_the_first_in_sorted_order(
+        self, tmp_path, capsys, scripted_eval_dir, command
+    ):
+        """A written record without three of its events: the one line names
+        the record and the first missing event in sorted order."""
+        (source,) = scripted_eval_dir.glob("eval_*.jsonl")
+        lines = source.read_text().splitlines()
+        record = json.loads(lines[6])
+        for key in ("lift_success", "speed_violation", "collision_force"):
+            del record["events"][key]
+        lines[6] = json.dumps(record)
+        log = write_log(tmp_path / "log.jsonl", "\n".join(lines) + "\n")
+        argv = [command, "--log", log]
+        if command == "assess":
+            argv += ["--out", tmp_path / "out"]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {log}: step record 5: missing event 'collision_force'\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("missing,tampered,code", [(2, 5, 2), (5, 2, 1)])
+    def test_lowest_record_index_defect_wins_over_a_missing_event(
+        self, tmp_path, capsys, scripted_eval_dir, missing, tampered, code
+    ):
+        (source,) = scripted_eval_dir.glob("eval_*.jsonl")
+        header, *records = source.read_text().splitlines()
+        records = [json.loads(line) for line in records]
+        del records[missing]["events"]["distance_d"]
+        records[tampered]["reward"] += 1.0
+        log = write_log(
+            tmp_path / "log.jsonl", "\n".join([header, *map(json.dumps, records)]) + "\n"
+        )
+        assert run_cli("replay", "--log", log) == code
+        assert f"record {min(missing, tampered)}" in capsys.readouterr().err
 
     def test_well_typed_record_passes_the_type_check(self, tmp_path, capsys):
         # an int measure is a number: the audit goes on to the reward

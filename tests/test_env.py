@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import types
 from collections import Counter
 
 import numpy as np
@@ -167,6 +168,145 @@ class TestComputeReward:
         with pytest.raises(ValueError) as info:
             TransitionEvents.from_dict(data)
         assert str(info.value) == "unknown event fields: ['alpha', 'zeta']"
+
+
+def reference_reward(events: TransitionEvents, config: RewardConfig) -> float:
+    """``compute_reward`` as it was written before its mode test was bound
+    to a local: the mode read twice, the terms added in this order."""
+    reward = -events.distance_d
+    if events.grasp_success:
+        reward += config.grip_rew
+    if events.lift_success:
+        reward += config.grip_prop_rew
+    if config.mode is RewardMode.SD_DRL:
+        if events.speed_violation:
+            reward += config.speed_cost
+        if events.collision_env:
+            reward += config.coll_cost
+        if events.collision_cube:
+            reward += config.cube_coll_cost
+    if events.grasp_attempt_failed:
+        reward += config.gripper_cost
+    if config.mode is RewardMode.SD_DRL:
+        if events.collision_velocity_exceeded:
+            reward += config.coll_vel_cost
+        if events.collision_obstacle:
+            reward += config.obstacle_coll_cost
+        if events.ik_failure:
+            reward += config.ik_cost
+    return reward
+
+
+REWARD_FLAGS = (
+    "grasp_success",
+    "lift_success",
+    "speed_violation",
+    "collision_env",
+    "collision_cube",
+    "grasp_attempt_failed",
+    "collision_velocity_exceeded",
+    "collision_obstacle",
+    "ik_failure",
+)
+COST_FIELDS = (
+    "speed_cost", "coll_cost", "cube_coll_cost", "obstacle_coll_cost",
+    "coll_vel_cost", "gripper_cost", "ik_cost",
+)
+
+
+def seeded_reward_table(seed: int) -> dict:
+    """Costs and rewards spread over 10 decades, so that adding them in
+    another order rounds differently."""
+    rng = np.random.default_rng(seed)
+    table = {name: -float(rng.uniform(1.0, 10.0) * 10.0 ** rng.integers(-8, 2))
+             for name in COST_FIELDS}
+    for name in ("grip_rew", "grip_prop_rew"):
+        table[name] = float(rng.uniform(1.0, 10.0) * 10.0 ** rng.integers(-8, 2))
+    return table
+
+
+# the default table, one of signed zeros, and seeded tables
+REWARD_TABLES = (
+    {},
+    {**dict.fromkeys(COST_FIELDS, -0.0), "grip_rew": 0.0, "grip_prop_rew": 0.0},
+    *(seeded_reward_table(seed) for seed in range(6)),
+)
+
+
+class TestComputeRewardMatchesReference:
+    @pytest.mark.parametrize("mode", list(RewardMode))
+    @pytest.mark.parametrize("table", range(len(REWARD_TABLES)))
+    def test_bit_for_bit_over_every_flag_combination(self, mode, table):
+        """All 2^9 combinations of the reward flags, at several distances,
+        give the reference's float to the bit: ``float.hex`` tells ``-0.0``
+        from ``0.0``."""
+        config = RewardConfig(mode=mode, **REWARD_TABLES[table])
+        for bits in itertools.product((False, True), repeat=len(REWARD_FLAGS)):
+            flags = dict(zip(REWARD_FLAGS, bits))
+            for distance in (0.0, 5e-324, 1e-9, 0.1, 0.3, 0.7071067811865476, 1.3):
+                ev = events(distance_d=distance, **flags)
+                assert compute_reward(ev, config).hex() == reference_reward(ev, config).hex()
+
+    def test_seeded_tables_make_the_order_matter(self):
+        """At least one seeded table gives another sum when its terms are
+        added in reverse, so the test above would catch a reordering."""
+        def reversed_sum(ev, config):
+            terms = [getattr(config, name) for name, flag in (
+                ("ik_cost", "ik_failure"),
+                ("obstacle_coll_cost", "collision_obstacle"),
+                ("coll_vel_cost", "collision_velocity_exceeded"),
+                ("gripper_cost", "grasp_attempt_failed"),
+                ("cube_coll_cost", "collision_cube"),
+                ("coll_cost", "collision_env"),
+                ("speed_cost", "speed_violation"),
+                ("grip_prop_rew", "lift_success"),
+                ("grip_rew", "grasp_success"),
+            ) if getattr(ev, flag)]
+            return sum(terms, -ev.distance_d)
+
+        everything = events(distance_d=0.3, **dict.fromkeys(REWARD_FLAGS, True))
+        configs = [RewardConfig(**REWARD_TABLES[t]) for t in range(2, len(REWARD_TABLES))]
+        assert any(
+            reversed_sum(everything, c).hex() != compute_reward(everything, c).hex()
+            for c in configs
+        )
+
+
+class TestEventsFromDict:
+    @pytest.mark.parametrize("full", [True, False], ids=["full", "partial"])
+    def test_input_mutated_after_the_call_leaves_the_events(self, full):
+        expected = events(distance_d=0.25, ik_failure=True)
+        data = expected.as_dict() if full else {"distance_d": 0.25, "ik_failure": True}
+        restored = TransitionEvents.from_dict(data)
+        before = dict(data)
+        data["distance_d"] = 9.0
+        data["lift_success"] = True
+        assert restored == expected
+        # and the events never write through to the input
+        data.clear()
+        data.update(before)
+        restored.collision_env = True
+        assert data == before
+
+    @pytest.mark.parametrize("keys", ["full", "partial", "reversed"])
+    def test_as_dict_is_in_declaration_order(self, keys):
+        full = events(distance_d=0.5, lift_success=True, collision_force=2.0).as_dict()
+        data = {
+            "full": full,
+            "partial": {"collision_impact_speed": 0.1, "distance_d": 0.5, "lift_success": True},
+            "reversed": dict(reversed(full.items())),
+        }[keys]
+        restored = TransitionEvents.from_dict(data).as_dict()
+        assert list(restored) == [f.name for f in dataclasses.fields(TransitionEvents)]
+        assert restored == {**TransitionEvents().as_dict(), **data}
+
+    def test_any_mapping_is_taken(self):
+        data = types.MappingProxyType({"distance_d": 0.5})
+        assert TransitionEvents.from_dict(data) == events(distance_d=0.5)
+
+    def test_a_list_of_pairs_is_a_type_error(self):
+        with pytest.raises(TypeError, match="not a mapping"):
+            TransitionEvents.from_dict([("distance_d", 0.5)])
 
 
 class TestReset:
