@@ -37,7 +37,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, RunConfig, apply_overrides, default_config_text, load_config
-from .env import RewardMode, Scenario
+from .env import SCENARIOS, RewardMode
 from .fsa import build_report, format_report_text, inputs_from_episodes
 from .metrics import summarize
 from .rollout import ASSESSMENT_SEED_STREAM, EVAL_SEED_STREAM, rollout_episodes
@@ -59,8 +59,6 @@ EXIT_OK = 0
 EXIT_AUDIT = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-SCENARIOS = tuple(scenario.value for scenario in Scenario)
 
 
 def _timestamp() -> str:

@@ -49,6 +49,9 @@ class Scenario(Enum):
     STATIC_OBSTACLE = "obstacle"
 
 
+# the scenario names, as the CLI and a log header spell them
+SCENARIOS = tuple(scenario.value for scenario in Scenario)
+
 # bound once: an Enum member read costs 101-138 ns on Python 3.10/3.11, 27-31 ns on 3.12/3.13
 _SD_DRL = RewardMode.SD_DRL
 _STATIC_OBSTACLE = Scenario.STATIC_OBSTACLE
@@ -181,29 +184,37 @@ class SceneConfig:
             raise ValueError("contact stiffnesses must be positive")
         self.check_disturbance(DisturbanceSpec())
 
+    def _disturbed(self, spec: DisturbanceSpec) -> tuple[float, float]:
+        """The table height and cube half extent of every scene a reset builds
+        under ``spec``: the table rises by the surface delta, the cube grows
+        by half the object delta."""
+        return (
+            self.table_height + spec.surface_height_delta,
+            self.cube_half_extent + 0.5 * spec.object_size_delta,
+        )
+
     def check_disturbance(self, spec: DisturbanceSpec) -> None:
         """Refuse ``spec`` unless every scene a reset builds under it lies in
         the workspace, with room for the cube clear of the obstacle, and
         leaves the tool at home out of contact with the table, the obstacle
         and the cube.
 
-        The expressions are the ones ``GraspEnv._sample_scene`` uses: the
-        table rises by the surface delta, the cube grows by half the object
-        delta, and both boxes rest on the raised table anywhere in their
-        sampling regions.
+        The scenes are ``GraspEnv._sample_scene``'s: the table and the cube
+        of ``_disturbed``, and both boxes resting on the table anywhere in
+        their sampling regions.
         """
-        table = self.table_height + spec.surface_height_delta
-        half = self.cube_half_extent + 0.5 * spec.object_size_delta
+        table, half = self._disturbed(spec)
         if not half > 0.0:
             raise ValueError("cube_half_extent plus half the object delta must be positive")
         lo, hi = self.workspace_min, self.workspace_max
         if not lo[2] <= table <= hi[2]:
             raise ValueError("the table height must lie inside the workspace")
-        for name, region_min, region_max, (hx, hy, hz) in (
+        boxes = (
             ("cube", self.cube_region_min, self.cube_region_max, (half, half, half)),
             ("obstacle", self.obstacle_region_min, self.obstacle_region_max,
              self.obstacle_half_extents),
-        ):
+        )
+        for name, region_min, region_max, (hx, hy, hz) in boxes:
             cz = table + hz
             spans = zip(region_min, region_max, (hx, hy), lo, hi)
             if not (
@@ -234,27 +245,18 @@ class SceneConfig:
         radius = self.eef_radius
         if not home[2] - table > radius:
             raise ValueError("the tool at its home position must clear the table by eef_radius")
-        (ax, ay), (bx, by) = self.obstacle_region_min, self.obstacle_region_max
-        hx, hy, hz = self.obstacle_half_extents
-        reach, _, _, _ = kernels.sphere_box_signed_distance(
-            home,
-            (0.5 * (ax + bx), 0.5 * (ay + by), table + hz),
-            (hx + 0.5 * (bx - ax), hy + 0.5 * (by - ay), hz),
-        )
-        if not reach > radius:
-            raise ValueError(
-                "the tool at its home position must clear every obstacle placement by eef_radius"
+        # the obstacle clause first, then the cube's
+        for name, (ax, ay), (bx, by), (hx, hy, hz) in reversed(boxes):
+            reach, _, _, _ = kernels.sphere_box_signed_distance(
+                home,
+                (0.5 * (ax + bx), 0.5 * (ay + by), table + hz),
+                (hx + 0.5 * (bx - ax), hy + 0.5 * (by - ay), hz),
             )
-        (ax, ay), (bx, by) = self.cube_region_min, self.cube_region_max
-        reach, _, _, _ = kernels.sphere_box_signed_distance(
-            home,
-            (0.5 * (ax + bx), 0.5 * (ay + by), table + half),
-            (half + 0.5 * (bx - ax), half + 0.5 * (by - ay), half),
-        )
-        if not reach > radius:
-            raise ValueError(
-                "the tool at its home position must clear every cube placement by eef_radius"
-            )
+            if not reach > radius:
+                raise ValueError(
+                    f"the tool at its home position must clear every {name} placement "
+                    "by eef_radius"
+                )
 
 
 def _draw_clear_of(rng: np.random.Generator, region_min, region_max, center, span) -> list:
@@ -330,14 +332,15 @@ class TransitionEvents:
         # parameters costs more than the rest of a replay
         state = {**_EVENT_DEFAULTS, **data}
         if len(state) != len(_EVENT_DEFAULTS):
-            raise ValueError(f"unknown event fields: {sorted(set(data) - _EVENT_FIELDS)}")
+            unknown = sorted(data.keys() - _EVENT_DEFAULTS.keys())
+            raise ValueError(f"unknown event fields: {unknown}")
         events = object.__new__(cls)
         events.__dict__ = state
         return events
 
 
+# every event with its default, in declaration order
 _EVENT_DEFAULTS = TransitionEvents().as_dict()
-_EVENT_FIELDS = frozenset(_EVENT_DEFAULTS)
 
 
 class StepResult(NamedTuple):
@@ -465,12 +468,11 @@ class GraspEnv:
         scenario: Scenario,
         disturbance: DisturbanceSpec,
     ) -> Scene:
-        """A reset scene: the table rises by the surface delta, the cube grows
-        by half the object delta, both boxes rest on the raised table, and the
-        cube is drawn clear of the obstacle (``_draw_clear_of``)."""
+        """A reset scene: the table and the cube of ``SceneConfig._disturbed``,
+        both boxes resting on the table, and the cube drawn clear of the
+        obstacle (``_draw_clear_of``)."""
         cfg = self.scene_config
-        table = cfg.table_height + disturbance.surface_height_delta
-        grown = cfg.cube_half_extent + 0.5 * disturbance.object_size_delta
+        table, grown = cfg._disturbed(disturbance)
         obstacle_center = obstacle_half = None
         if scenario is _STATIC_OBSTACLE:
             obstacle_half = hx, hy, hz = cfg.obstacle_half_extents

@@ -45,9 +45,8 @@ def fk_frames(dh, q):
     joint angles.  The running rotation ``r`` and origin ``p`` are
     float locals; each joint applies ``T <- T @ A_i`` with the standard DH
     link transform ``A_i`` written out element by element.  Returns the
-    end-effector rotation as three row tuples, and the per-frame origins and
-    joint z axes as lists of seven ``(x, y, z)`` tuples; index 0 is the base
-    frame.
+    ``(origins, zaxes)`` pair: the per-frame origins and joint z axes as
+    lists of seven ``(x, y, z)`` tuples; index 0 is the base frame.
     """
     r00, r01, r02 = 1.0, 0.0, 0.0
     r10, r11, r12 = 0.0, 1.0, 0.0
@@ -87,9 +86,7 @@ def fk_frames(dh, q):
         )
         origins.append((px, py, pz))
         zaxes.append((r02, r12, r22))
-    rot = ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22))
-    return rot, origins, zaxes
-
+    return origins, zaxes
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +120,10 @@ def ik_dls(
     columns = [(0.0, 0.0, 0.0)] * 6
     for it in range(max_iterations + 1):
         if it == 0 and seed_frames is not None:
-            origins, zaxes = seed_frames
+            frames = seed_frames
         else:
-            _, origins, zaxes = fk_frames(dh, q)
+            frames = fk_frames(dh, q)
+        origins, zaxes = frames
         px, py, pz = origins[6]
         ex = tx - px
         ey = ty - py
@@ -134,7 +132,7 @@ def ik_dls(
         if res < best_res:
             best_res = res
             best_q = q.copy()
-            best_frames = (origins, zaxes)
+            best_frames = frames
         iterations = it
         if res <= tolerance:
             converged = 1
@@ -201,7 +199,6 @@ def ik_dls(
         if qj <= lower or qj >= upper:
             clamped = 1
     return best_q, best_res, iterations, clamped, converged, best_frames
-
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def eef_position(model: ArmModel, q: np.ndarray) -> np.ndarray:
     values = kernels.float_tuple(q, 6)
     if not all(math.isfinite(v) for v in values):
         raise ValueError("joint vector must be finite")
-    _, origins, _ = kernels.fk_frames(model.dh_rows, values)
+    origins, _ = kernels.fk_frames(model.dh_rows, values)
     return np.array(origins[6])
 
 
@@ -182,15 +182,9 @@ def inverse_kinematics(model: ArmModel, target, seed, seed_frames=None) -> IkRes
         seed_frames,
     )
     if converged:
-        return IkResult(
-            _CONVERGED,
-            tuple(q_best),
-            float(residual),
-            int(iterations),
-            frames,
-        )
+        return IkResult(_CONVERGED, tuple(q_best), residual, iterations, frames)
     status = _LIMIT_VIOLATION if clamped else _UNREACHABLE
-    return IkResult(status, None, float(residual), int(iterations))
+    return IkResult(status, None, residual, iterations)
 
 
 def check_speed(

@@ -16,7 +16,9 @@ import os
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
-from .env import ACTION_DIM, RewardConfig, Scenario, TransitionEvents, compute_reward
+from .env import (
+    _EVENT_DEFAULTS, ACTION_DIM, SCENARIOS, RewardConfig, TransitionEvents, compute_reward,
+)
 from .world import DisturbanceSpec
 
 # one encoder and one decoder serve every record: ``json.dumps`` with options
@@ -29,7 +31,6 @@ from .world import DisturbanceSpec
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 _DECODER = json.JSONDecoder(parse_constant=lambda name: None)
 
-_SCENARIOS = tuple(scenario.value for scenario in Scenario)
 _DISTURBANCE_KEYS = frozenset(f.name for f in fields(DisturbanceSpec))
 # the keys of a step record, as the env writes them, and the length of each
 # list of numbers among them
@@ -37,10 +38,9 @@ _STEP_KEYS = frozenset(
     ("episode", "step", "action", "reward", "terminated", "truncated", "events", "eef", "cube")
 )
 _VECTOR_KEYS = (("action", ACTION_DIM), ("eef", 3), ("cube", 3))
-# the events the env logs, every one in each step record, and those logged
-# as numbers; every other event is a flag
-_EVENTS = TransitionEvents().as_dict()
-_NUMBER_EVENTS = frozenset(name for name, value in _EVENTS.items() if type(value) is float)
+# the events the env logs as numbers; every other event is a flag, and each
+# step record holds every event
+_NUMBER_EVENTS = frozenset(name for name, value in _EVENT_DEFAULTS.items() if type(value) is float)
 
 
 def dumps_canonical(record: dict) -> str:
@@ -219,8 +219,8 @@ def audit_log(path, reward_config: RewardConfig | None = None) -> list[dict]:
         try:
             logged_events = record["events"]
             events = TransitionEvents.from_dict(logged_events)
-            if len(logged_events) != len(_EVENTS):
-                raise ValueError(f"missing event {min(_EVENTS.keys() - logged_events)!r}")
+            if len(logged_events) != len(_EVENT_DEFAULTS):
+                raise ValueError(f"missing event {min(_EVENT_DEFAULTS.keys() - logged_events)!r}")
             for key, value in logged_events.items():
                 if key in _NUMBER_EVENTS:
                     if not _is_finite_number(value):
@@ -261,7 +261,7 @@ def _check_header(path: Path, header: dict) -> None:
     disturbance = header.get("disturbance", dict.fromkeys(_DISTURBANCE_KEYS, 0.0))
     for ok, message in (
         (type(seed) is int and seed >= 0, "'seed' must be an integer >= 0"),
-        (header.get("scenario") in _SCENARIOS, f"'scenario' must be one of {_SCENARIOS}"),
+        (header.get("scenario") in SCENARIOS, f"'scenario' must be one of {SCENARIOS}"),
         (type(header.get("policy", "")) is str, "'policy' must be a string"),
         (
             type(disturbance) is dict

@@ -147,19 +147,11 @@ def _report(body: Body, penetration: float, velocity, normal, stiffness: float) 
 
     The dot product stays numpy's: a left-to-right scalar sum differs from it
     in the last bit on some edge and corner normals, and the value reaches the
-    step record.  The report is filled as the frozen dataclass's
-    ``__init__`` would fill it; the impact is >= 0 and every scene stiffness
-    positive, so the force is ``contact_force``'s without its checks.
+    step record.
     """
     approach = float(np.array(velocity).dot(normal))
     impact = -approach if approach < 0.0 else 0.0
-    report = object.__new__(ContactReport)
-    state = report.__dict__
-    state["body"] = body
-    state["penetration"] = penetration
-    state["impact_speed"] = impact
-    state["force"] = stiffness * impact
-    return report
+    return ContactReport(body, penetration, impact, contact_force(impact, stiffness))
 
 
 # inward normals of the table and of the low and the high workspace wall, per axis

@@ -1486,3 +1486,18 @@ def test_readme_quick_start_parses():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README Quick start line does not parse: {line}")
+
+
+def test_package_import_loads_no_submodule():
+    """``import safegrasp`` pins the BLAS thread variables and loads nothing
+    else of the package: each submodule is imported where it is used."""
+    code = (
+        "import os, sys, safegrasp\n"
+        "print(sorted(name for name in sys.modules if name.startswith('safegrasp.')))\n"
+        "print([os.environ.get(name) for name in "
+        "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')])\n"
+    )
+    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    proc = run_python("-c", code, unset=unset)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['1', '1', '1']"]

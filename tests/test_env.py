@@ -513,6 +513,17 @@ class TestDisturbanceAdmission:
             reports = detect_collisions(scene, config.home_position, config.eef_radius, np.zeros(3))
             assert [r.body for r in reports] == ([Body.CUBE] if touching else [])
 
+    def test_home_obstacle_clause_comes_before_the_cube_clause(self):
+        # a home 1 cm over both boxes' tops touches the obstacle placements
+        # at x >= 0.315 and, with the cube region widened down to x = 0.33,
+        # the cube placements at x >= 0.305 too: the obstacle is named
+        both = dict(home_position=(0.30, 0.0, -0.04), cube_region_min=(0.33, -0.15))
+        with pytest.raises(ValueError, match="must clear every obstacle placement"):
+            SceneConfig(**both)
+        # the same home with the obstacle moved away touches only the cube
+        with pytest.raises(ValueError, match="must clear every cube placement"):
+            SceneConfig(**both, obstacle_region_min=(0.55, -0.05), obstacle_region_max=(0.60, 0.05))
+
 
 # item 6 of the roadmap: surface deltas x object deltas, in metres
 DISTURBANCE_GRID = list(

@@ -63,8 +63,8 @@ def matrix_fk_frames(dh: np.ndarray, q: np.ndarray, matmul=matmul4):
     """Reference FK: one 4x4 DH matrix per joint, chained with ``matmul``.
 
     ``dh`` is a (6, 4) table of ``a, d, alpha, theta_offset``; returns the
-    end-effector rotation (3, 3), the frame origins (7, 3) and the joint z
-    axes (7, 3), index 0 being the base frame.
+    frame origins (7, 3) and the joint z axes (7, 3), index 0 being the base
+    frame.
     """
     dh = np.asarray(dh)
     t = np.eye(4)
@@ -84,7 +84,7 @@ def matrix_fk_frames(dh: np.ndarray, q: np.ndarray, matmul=matmul4):
         t = matmul(t, a_mat)
         origins[i + 1] = t[:3, 3]
         zaxes[i + 1] = t[:3, 2]
-    return t[:3, :3].copy(), origins, zaxes
+    return origins, zaxes
 
 
 def matrix_ik_dls(dh, limits, q_seed, target, damping, tolerance, max_iterations):
@@ -107,7 +107,7 @@ def matrix_ik_dls(dh, limits, q_seed, target, damping, tolerance, max_iterations
     converged = 0
     jac = np.empty((3, 6))
     for it in range(max_iterations + 1):
-        _, origins, zaxes = matrix_fk_frames(dh, q)
+        origins, zaxes = matrix_fk_frames(dh, q)
         ex, ey, ez = target - origins[6]
         res = np.sqrt(ex * ex + ey * ey + ez * ez)
         clamped = 0
@@ -279,8 +279,7 @@ class TestInverseKinematics:
             target = eef_position(arm, seed) + rng.uniform(-0.3, 0.3, 3)
             result = inverse_kinematics(arm, target, seed=seed)
             if result.converged:
-                _, origins, zaxes = kernels.fk_frames(arm.dh_rows, result.joint_values)
-                assert result.frames == (origins, zaxes)
+                assert result.frames == kernels.fk_frames(arm.dh_rows, result.joint_values)
             else:
                 assert result.frames is None
 
@@ -330,10 +329,9 @@ class TestKernelsAgainstMatrixReference:
         for model in arms:
             for _ in range(100):
                 q = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 6)
-                rot, origins, zaxes = kernels.fk_frames(model.dh_rows, tuple(q.tolist()))
+                origins, zaxes = kernels.fk_frames(model.dh_rows, tuple(q.tolist()))
                 for matmul in (matmul4, np.matmul):
-                    ref_rot, ref_origins, ref_zaxes = matrix_fk_frames(model.dh, q, matmul)
-                    assert np.abs(np.array(rot) - ref_rot).max() <= 1e-12
+                    ref_origins, ref_zaxes = matrix_fk_frames(model.dh, q, matmul)
                     assert np.abs(np.array(origins) - ref_origins).max() <= 1e-12
                     assert np.abs(np.array(zaxes) - ref_zaxes).max() <= 1e-12
 
@@ -356,7 +354,7 @@ class TestKernelsAgainstMatrixReference:
             p = frames[0][6]
             assert np.abs(np.array(p) - ref_p).max() <= 1e-9
             # the returned tool origin is the FK of the returned joints, exactly
-            assert kernels.fk_frames(model.dh_rows, tuple(q))[1][6] == p
+            assert kernels.fk_frames(model.dh_rows, tuple(q))[0][6] == p
             if converged:
                 assert np.abs(np.array(q) - ref_q).max() <= 1e-9
                 statuses.add(IkStatus.CONVERGED)
@@ -376,12 +374,11 @@ class TestKernelsAgainstMatrixReference:
                 model.ik_tolerance,
                 model.ik_max_iterations,
             )
-            _, origins, zaxes = kernels.fk_frames(model.dh_rows, args[2])
-            reused = kernels.ik_dls(*args, (origins, zaxes))
+            reused = kernels.ik_dls(*args, kernels.fk_frames(model.dh_rows, args[2]))
             # every output, the best iterate's frames included, bit for bit
             assert reused == kernels.ik_dls(*args)
             q, _, _, clamped, converged, frames = reused
-            assert frames == kernels.fk_frames(model.dh_rows, tuple(q))[1:]
+            assert frames == kernels.fk_frames(model.dh_rows, tuple(q))
             if converged:
                 statuses.add(IkStatus.CONVERGED)
             else:
