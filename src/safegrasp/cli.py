@@ -32,12 +32,13 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, RunConfig, apply_overrides, default_config_text, load_config
-from .env import SCENARIOS, RewardMode
+from .config import ConfigError, RunConfig, default_config_text, load_config
+from .env import ACTION_DIM, OBSERVATION_DIM, SCENARIOS, RewardMode
 from .fsa import build_report, format_report_text, inputs_from_episodes
 from .metrics import summarize
 from .rollout import ASSESSMENT_SEED_STREAM, EVAL_SEED_STREAM, rollout_episodes
@@ -52,7 +53,7 @@ from .runlog import (
     write_json_atomically,
 )
 from .tqc import RandomPolicy, ScriptedGraspPolicy, TqcAgent
-from .training import Trainer
+from .training import EVAL_EPISODES, EVAL_EVERY_EPISODES, Trainer
 from .world import DisturbanceSpec
 
 EXIT_OK = 0
@@ -108,10 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_train)
     p_train.add_argument("--steps", type=int, default=200_000, help="environment steps")
     p_train.add_argument(
-        "--eval-every", type=int, default=25, help="episodes between evaluations"
+        "--eval-every", type=int, default=EVAL_EVERY_EPISODES, help="episodes between evaluations"
     )
     p_train.add_argument(
-        "--eval-episodes", type=int, default=10, help="episodes per evaluation block"
+        "--eval-episodes", type=int, default=EVAL_EPISODES, help="episodes per evaluation block"
     )
     p_train.add_argument(
         "--checkpoint-every", type=int, default=None, help="steps between checkpoints"
@@ -155,12 +156,15 @@ def _load_run_config(args) -> RunConfig:
         if value is not None and value < 1:
             raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
     config = load_config(args.config)
-    return apply_overrides(
-        config,
-        seed=args.seed,
-        scenario=getattr(args, "scenario", None),
-        reward_mode=getattr(args, "reward_mode", None),
-    )
+    # the dataclasses check and coerce each override
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    scenario = getattr(args, "scenario", None)  # assess has no --scenario
+    if scenario is not None:
+        config = replace(config, scenario=scenario)
+    if args.reward_mode is not None:
+        config = replace(config, reward=replace(config.reward, mode=args.reward_mode))
+    return config
 
 
 def _resolve_policy(kind: str, checkpoint, config: RunConfig, seed: int):
@@ -173,6 +177,11 @@ def _resolve_policy(kind: str, checkpoint, config: RunConfig, seed: int):
             agent = TqcAgent.load(checkpoint, seed=seed)
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot load checkpoint {checkpoint}: {exc}") from None
+        if (agent.obs_dim, agent.act_dim) != (OBSERVATION_DIM, ACTION_DIM):
+            raise ConfigError(
+                f"cannot load checkpoint {checkpoint}: its obs_dim {agent.obs_dim} and "
+                f"act_dim {agent.act_dim} are not the env's {OBSERVATION_DIM} and {ACTION_DIM}"
+            )
         return agent.actor_snapshot().select_action
     if kind == "scripted":
         return ScriptedGraspPolicy(

@@ -65,6 +65,7 @@ class RunConfig:
     def __post_init__(self):
         if not self.seed >= 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        self.scenario = _as_scenario(self.scenario)
 
     def build_env(self):
         return GraspEnv(
@@ -195,19 +196,6 @@ def load_config(path=None) -> RunConfig:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from None
-
-
-def apply_overrides(
-    config: RunConfig, seed: int | None = None, scenario=None, reward_mode=None
-) -> RunConfig:
-    """A copy of a loaded configuration with the command-line overrides."""
-    if seed is not None:
-        config = replace(config, seed=int(seed))
-    if scenario is not None:
-        config = replace(config, scenario=_as_scenario(scenario))
-    if reward_mode is not None:
-        config = replace(config, reward=replace(config.reward, mode=reward_mode))
-    return config
 
 
 def default_config_text() -> str:

@@ -378,9 +378,7 @@ def check_grasp(
     now_grasped = bool(already_grasped)
     if gripper_closing and not already_grasped:
         (cx, cy, cz), (ex, ey, ez) = cube_center, eef_position
-        offset = np.array((cx - ex, cy - ey, cz - ez))
-        distance = math.sqrt(offset.dot(offset))
-        if distance <= grasp_radius:
+        if kernels.norm3(cx - ex, cy - ey, cz - ez) <= grasp_radius:
             grasp_success = True
             now_grasped = True
         elif gripper_was_open:
@@ -577,11 +575,9 @@ class GraspEnv:
         # near-body overspeed counter (no contact required); a rejected
         # command's velocity is zero, never over the positive threshold
         velocity_violation = False
-        if moved:
-            speed = np.array(velocity)
-            if math.sqrt(speed.dot(speed)) > threshold:
-                clearances = signed_clearances(scene, eef, radius)
-                velocity_violation = min(clearances.values()) <= cfg.proximity_threshold
+        if moved and kernels.norm3(*velocity) > threshold:
+            clearances = signed_clearances(scene, eef, radius)
+            velocity_violation = min(clearances.values()) <= cfg.proximity_threshold
 
         # 5: gripper and grasp-state transition
         closing = gripper >= 0.0
@@ -606,13 +602,11 @@ class GraspEnv:
         observation = self._observation()
 
         # 6-7: score and terminate
-        # numpy's dot, not a scalar sum: the distance reaches the record, and
-        # np.linalg.norm rounds exactly so
-        relative = observation[10:13]  # cube - tool
+        (ex, ey, ez), (cx, cy, cz) = eef, scene.cube_center
         # the fields in declaration order: keywords cost more than the rest
         # of the construction
         events = TransitionEvents(
-            math.sqrt(relative.dot(relative)),
+            kernels.norm3(cx - ex, cy - ey, cz - ez),
             grasp_success,
             lift_success,
             grasp_attempt_failed,

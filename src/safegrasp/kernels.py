@@ -33,6 +33,18 @@ def float_tuple(value, n: int) -> tuple:
     return tuple(np.asarray(value, dtype=np.float64).reshape(n).tolist())
 
 
+def norm3(x: float, y: float, z: float) -> float:
+    """The length of ``(x, y, z)`` as ``np.linalg.norm`` rounds it:
+    ``sqrt(v.dot(v))`` on a float64 3-vector.
+
+    Not the scalar ``sqrt(x*x + y*y + z*z)``: numpy's dot rounds some vectors
+    differently in the last bit, and these lengths reach the step record or
+    decide a scripted action.
+    """
+    v = np.array((x, y, z))
+    return math.sqrt(v.dot(v))
+
+
 # ---------------------------------------------------------------------------
 # forward kinematics: standard DH chain in scalar form
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .autodiff import Tensor, concat
-from .env import EnvConfig, RewardConfig, SceneConfig
+from .env import ACTION_DIM, EnvConfig, RewardConfig, SceneConfig
 from .nn import AdamState, Mlp, adam_update, forward, forward_tape, init_mlp_params
 from .nn import load_checkpoint, save_checkpoint
 
@@ -320,12 +320,10 @@ class TqcAgent:
         gauss = u.square() * (-0.5) - log_std - 0.5 * LOG_2PI
         correction = (1.0 + SQUASH_EPS - action.square()).log()
         logp = (gauss - correction).sum(axis=1)
-        # critic parameters enter as constants: gradient flows via the action
-        critic_consts = {
-            name: Tensor(arr) for name, arr in self.critic_params.items()
-        }
+        # critic parameters enter as plain arrays, so as constants: gradient
+        # flows via the action
         q_in = concat([obs_t, action], axis=1)
-        q_atoms = forward_tape(self.critic_net, critic_consts, q_in)
+        q_atoms = forward_tape(self.critic_net, self.critic_params, q_in)
         q_mean = q_atoms.mean(axis=(0, 2))
         actor_loss = (logp * self.alpha - q_mean).mean()
         actor_loss.backward()
@@ -408,8 +406,9 @@ class TqcAgent:
 
     @classmethod
     def load(cls, path, seed: int = 0) -> "TqcAgent":
-        """Rebuild a saved agent; a missing array, or one whose shape the
-        checkpoint's own config does not give, is a ``ValueError``."""
+        """Rebuild a saved agent; a missing array, one whose shape the
+        checkpoint's own config does not give, or one that holds a NaN or an
+        infinity is a ``ValueError``."""
         arrays, meta = load_checkpoint(path)
         agent = cls(meta["obs_dim"], meta["act_dim"], TqcConfig(**meta["config"]), seed=seed)
         for prefix, params in agent._state_table().items():
@@ -422,6 +421,8 @@ class TqcAgent:
                         f"array {prefix + name!r} has shape {loaded.shape}, "
                         f"but the checkpoint's config gives {arr.shape}"
                     )
+                if not np.isfinite(loaded).all():
+                    raise ValueError(f"array {prefix + name!r} holds a non-finite value")
                 params[name] = loaded
         agent.updates = int(meta.get("updates", 0))
         return agent
@@ -441,9 +442,8 @@ class ScriptedGraspPolicy:
 
     An action is computed on Python floats from one ``tolist()`` of the
     observation.  The two roundings that can flip a branch or the step cap
-    stay numpy's: each norm is ``sqrt(v.dot(v))`` on a float64 3-vector, as
-    ``np.linalg.norm`` computes it, and the horizontal distance is
-    ``np.hypot`` (libm's ``hypot``, which ``math.hypot`` is not).
+    stay numpy's: each norm is ``kernels.norm3``, and the horizontal
+    distance is ``np.hypot`` (libm's ``hypot``, which ``math.hypot`` is not).
     """
 
     def __init__(
@@ -494,13 +494,11 @@ class ScriptedGraspPolicy:
                     tx, ty, tz = ex, ey, safe_z
                 else:
                     tx, ty, tz = cx, cy, max(safe_z, cz + 0.08)
-        rel = np.array((cx - ex, cy - ey, cz - ez))
-        close = math.sqrt(rel.dot(rel)) <= 0.8 * self.grasp_radius
+        close = kernels.norm3(cx - ex, cy - ey, cz - ez) <= 0.8 * self.grasp_radius
         return self._command(tx - ex, ty - ey, tz - ez, close)
 
     def _command(self, dx: float, dy: float, dz: float, close: bool) -> np.ndarray:
-        delta = np.array((dx, dy, dz))
-        norm = math.sqrt(delta.dot(delta))
+        norm = kernels.norm3(dx, dy, dz)
         if norm > self.step_cap:
             shrink = self.step_cap / norm
             dx, dy, dz = dx * shrink, dy * shrink, dz * shrink
@@ -525,4 +523,4 @@ class RandomPolicy:
         self._rng = np.random.default_rng(seed)
 
     def __call__(self, obs) -> np.ndarray:
-        return self._rng.uniform(-1.0, 1.0, size=4)
+        return self._rng.uniform(-1.0, 1.0, size=ACTION_DIM)

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
+from . import runlog
 from .config import ConfigError, RunConfig
 from .metrics import summarize
 from .rollout import (
@@ -32,15 +31,13 @@ from .rollout import (
     episode_steps,
     rollout_episodes,
 )
-from .runlog import (
-    EpisodeLogWriter,
-    dumps_canonical,
-    log_header,
-    records_to_episodes,
-    write_json_atomically,
-)
-from .tqc import ReplayBuffer, TqcAgent
+from .runlog import EpisodeLogWriter, dumps_canonical, log_header, write_json_atomically
+from .tqc import RandomPolicy, ReplayBuffer, TqcAgent
 from .env import ACTION_DIM, OBSERVATION_DIM
+
+# the evaluation cadence of a run that does not set one
+EVAL_EVERY_EPISODES = 25  # training episodes between evaluation blocks
+EVAL_EPISODES = 10  # episodes per evaluation block
 
 
 def _episode_summary(index: int, rec) -> dict:
@@ -60,8 +57,8 @@ class Trainer:
         config: RunConfig,
         out_dir,
         total_steps: int,
-        eval_every_episodes: int = 25,
-        eval_episodes: int = 10,
+        eval_every_episodes: int = EVAL_EVERY_EPISODES,
+        eval_episodes: int = EVAL_EPISODES,
         workers: int = 1,  # kept only because perfbench/workloads.py passes it
         checkpoint_every_steps: int | None = None,
     ):
@@ -146,12 +143,12 @@ class Trainer:
         env = cfg.build_env()
         records: list[dict] = []
         env.set_log_writer(RecordSink(records))
-        warmup_rng = np.random.default_rng(derive_seed(cfg.seed, WARMUP_SEED_STREAM, 0))
+        warmup = RandomPolicy(seed=derive_seed(cfg.seed, WARMUP_SEED_STREAM, 0))
         step = 0
 
         def policy(obs):
             if step < tqc.warmup_steps:
-                return warmup_rng.uniform(-1.0, 1.0, ACTION_DIM)
+                return warmup(obs)
             return self.agent.select_action(obs)
 
         while step < self.total_steps:
@@ -171,7 +168,8 @@ class Trainer:
                     )
                 if step >= self.total_steps:
                     break
-            (episode,) = records_to_episodes(records)
+            # through the module, where a wrapper of runlog's binding sees it
+            (episode,) = runlog.records_to_episodes(records)
             records.clear()
             train_fh.write(dumps_canonical(_episode_summary(self._episodes, episode)) + "\n")
             self._episodes += 1

@@ -21,7 +21,7 @@ import safegrasp
 from safegrasp.cli import _build_parser, main
 from safegrasp.config import ConfigError, RunConfig, default_config_text, load_config
 from safegrasp.env import (
-    EnvConfig, GraspEnv, RewardConfig, RewardMode, SceneConfig, TransitionEvents,
+    EnvConfig, GraspEnv, RewardConfig, RewardMode, SceneConfig, Scenario, TransitionEvents,
 )
 from safegrasp.kinematics import ArmModel
 from safegrasp.nn import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
@@ -49,6 +49,17 @@ class TestConfig:
         path = tmp_path / "default.ini"
         path.write_text(default_config_text())
         assert load_config(path) == RunConfig()
+
+    def test_run_config_coerces_scenario(self):
+        assert RunConfig(scenario=" Obstacle ").scenario is Scenario.STATIC_OBSTACLE
+        assert RunConfig(scenario="obstacle") == RunConfig(scenario=Scenario.STATIC_OBSTACLE)
+        assert replace(RunConfig(), scenario="normal").scenario is Scenario.NORMAL
+
+    def test_run_config_refuses_unknown_scenario(self):
+        with pytest.raises(ValueError, match="unknown scenario 'bogus'"):
+            RunConfig(scenario="bogus")
+        with pytest.raises(ValueError, match="unknown scenario"):
+            replace(RunConfig(), scenario="bogus")
 
     def test_run_configs_compare_by_value(self):
         assert RunConfig() == RunConfig()
@@ -1283,7 +1294,13 @@ class TestBadCheckpoint:
         "misshapen": ("critics/w0", "(2, 21, 9)", "(2, 21, 8)"),
         "missing": ("no array 'targets/w0'",),
         "deep_header": ("malformed header",),
+        "wrong_obs_dim": ("obs_dim 5 and act_dim 4", "env's 17 and 4"),
+        "wrong_act_dim": ("obs_dim 17 and act_dim 3", "env's 17 and 4"),
+        "nan_weight": ("'actor/w0' holds a non-finite value",),
+        "infinite_alpha": ("'log_alpha' holds a non-finite value",),
     }
+    # well-formed agents for another env's dimensions
+    DIMS = {"wrong_obs_dim": (5, 4), "wrong_act_dim": (17, 3)}
 
     @staticmethod
     def write_case(tmp_path, case) -> Path:
@@ -1295,15 +1312,22 @@ class TestBadCheckpoint:
             header = b"[" * 100_000 + b"]" * 100_000
             path.write_bytes(CHECKPOINT_MAGIC + len(header).to_bytes(8, "little") + header)
             return path
-        agent = TqcAgent(17, 4, TqcConfig(hidden_sizes=(8, 8)), seed=0)
+        obs_dim, act_dim = TestBadCheckpoint.DIMS.get(case, (17, 4))
+        agent = TqcAgent(obs_dim, act_dim, TqcConfig(hidden_sizes=(8, 8)), seed=0)
         agent.save(path)
         if case == "truncated":
             path.write_bytes(path.read_bytes()[:-9])
             return path
-        # a well-formed file whose arrays do not match its own config
+        if case in TestBadCheckpoint.DIMS:
+            return path
+        # a well-formed file with an array the agent cannot take
         arrays, meta = load_checkpoint(path)
         if case == "misshapen":
             arrays["critics/w0"] = np.zeros((2, 21, 9))
+        elif case == "nan_weight":
+            arrays["actor/w0"][3, 2] = np.nan
+        elif case == "infinite_alpha":
+            arrays["log_alpha"] = np.array(-np.inf)
         else:
             del arrays["targets/w0"]
         save_checkpoint(path, arrays, meta)
@@ -1321,6 +1345,8 @@ class TestBadCheckpoint:
         assert proc.stderr.startswith("error: cannot load checkpoint")
         assert len(proc.stderr.splitlines()) == 1
         assert all(part in proc.stderr for part in self.EXPECTED[case])
+        # refused before any file is written
+        assert not (tmp_path / "out").exists()
 
 
 def test_modules_import_without_warnings():
@@ -1400,6 +1426,26 @@ class TestTrainerSmoke:
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--steps", "10", "--workers", "2", "--out", tmp_path)
         assert exc.value.code == 2
+
+    def test_scenario_name_trains_like_the_member(self, tmp_path):
+        """A Trainer built from ``RunConfig(scenario="obstacle")`` writes the
+        bytes of one built from the enum member."""
+        tqc = TqcConfig(batch_size=16, hidden_sizes=(8,), warmup_steps=30, replay_capacity=500)
+        outputs = []
+        for scenario in ("obstacle", Scenario.STATIC_OBSTACLE):
+            out = tmp_path / str(len(outputs))
+            Trainer(
+                RunConfig(seed=4, scenario=scenario, tqc=tqc), out, total_steps=120,
+                eval_every_episodes=1, eval_episodes=1,
+            ).run()
+            outputs.append({
+                path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()
+            })
+        assert outputs[0] == outputs[1]
+        metrics = json.loads(outputs[0][Path("metrics.json")])
+        assert metrics["scenario"] == "obstacle"
+        assert Path("eval/eval_0001.jsonl") in outputs[0]
 
     def test_trainer_refuses_more_than_one_worker(self, tmp_path):
         with pytest.raises(ValueError, match="workers must be 1"):

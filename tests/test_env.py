@@ -956,6 +956,29 @@ class TestCheckGraspOperation:
         )
 
 
+class TestNorm3:
+    """``kernels.norm3`` rounds as ``np.linalg.norm`` does, bit for bit."""
+
+    def test_matches_numpy_on_seeded_vectors(self):
+        rng = np.random.default_rng(2024)
+        vectors = np.concatenate([
+            rng.uniform(-1.0, 1.0, (200, 3)),
+            rng.normal(0.0, 0.05, (200, 3)),
+            rng.uniform(-1.0, 1.0, (50, 3)) * np.array([1e-3, 1.0, 1e3]),
+        ])
+        for v in vectors:
+            x, y, z = v.tolist()
+            assert kernels.norm3(x, y, z) == float(np.linalg.norm(v)), v.tolist()
+
+    def test_not_a_scalar_sum(self):
+        # on numpy 2.4.6 np.linalg.norm gives 0x1.3e687125208b6p-2 for this
+        # vector and sqrt(x*x + y*y + z*z) gives ...b5p-2
+        x, y, z = map(float.fromhex, (
+            "-0x1.ec3a61ff3a690p-4", "-0x1.7c01fd3d29e38p-5", "-0x1.21cce69fd50cep-2",
+        ))
+        assert kernels.norm3(x, y, z) == float(np.linalg.norm(np.array((x, y, z))))
+
+
 class TestEventsInvariant:
     def test_collision_velocity_implies_contact(self):
         env = GraspEnv()
