@@ -38,7 +38,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, RunConfig, default_config_text, load_config
-from .env import ACTION_DIM, OBSERVATION_DIM, SCENARIOS, RewardMode
+from .env import ACTION_DIM, OBSERVATION_DIM, REWARD_MODES, SCENARIOS
 from .fsa import build_report, format_report_text, inputs_from_episodes
 from .metrics import summarize
 from .rollout import ASSESSMENT_SEED_STREAM, EVAL_SEED_STREAM, rollout_episodes
@@ -71,7 +71,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="run seed override")
     parser.add_argument(
         "--reward-mode",
-        choices=[mode.value for mode in RewardMode],
+        choices=REWARD_MODES,
         default=None,
         help="reward engine mode",
     )
@@ -280,7 +280,7 @@ def cmd_evaluate(args) -> None:
     config = _load_run_config(args)
     out_dir = _out_dir(args, config)
     records, (log_path,) = _logged_rollouts(
-        args, config, out_dir, (config.scenario.value,), EVAL_SEED_STREAM, "eval"
+        args, config, out_dir, (config.scenario,), EVAL_SEED_STREAM, "eval"
     )
     summary = summarize(records)
     write_json_atomically(out_dir / "metrics.json", summary)

@@ -36,12 +36,12 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field, fields, replace
-from enum import Enum
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .env import (
-    EnvConfig, GraspEnv, RewardConfig, SceneConfig, Scenario, _as_reward_mode, _as_scenario,
+    REWARD_MODES, SCENARIOS, EnvConfig, GraspEnv, RewardConfig, SceneConfig, _as_reward_mode,
+    _as_scenario,
 )
 from .kinematics import ArmModel
 from .tqc import TqcConfig
@@ -54,7 +54,7 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     seed: int = 0
-    scenario: Scenario = Scenario.NORMAL
+    scenario: str = "normal"
     out_dir: str = "runs"
     reward: RewardConfig = field(default_factory=RewardConfig)
     env: EnvConfig = field(default_factory=EnvConfig)
@@ -122,7 +122,7 @@ def _schema(cls) -> dict:
 
 
 # INI section -> RunConfig field; the field's dataclass is the section's
-# schema.  [reward] leaves out ``mode`` (an enum, set by [run] reward_mode)
+# schema.  [reward] leaves out ``mode`` (a label, set by [run] reward_mode)
 # and [kinematics] the DH and limit tables (set by the joint rows).
 _SECTIONS = {
     "reward": "reward",
@@ -200,17 +200,16 @@ def load_config(path=None) -> RunConfig:
 
 def default_config_text() -> str:
     """Render the full default configuration as a commented file."""
-    def choice(key: str, value: Enum) -> str:
-        options = " | ".join(m.value for m in type(value))
-        return f"{f'{key} = {value.value}':<26} ; {options}"
+    def choice(key: str, value: str, options: tuple) -> str:
+        return f"{f'{key} = {value}':<26} ; {' | '.join(options)}"
 
     config = RunConfig()
     lines = [
         "; safegrasp run configuration (all keys optional; defaults shown)",
         "[run]",
         f"seed = {config.seed}",
-        choice("scenario", config.scenario),
-        choice("reward_mode", config.reward.mode),
+        choice("scenario", config.scenario, SCENARIOS),
+        choice("reward_mode", config.reward.mode, REWARD_MODES),
         f"out_dir = {config.out_dir}",
     ]
     for name, attr in _SECTIONS.items():

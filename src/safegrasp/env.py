@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .kinematics import ArmModel, IkStatus, check_speed, eef_position, inverse_kinematics
+from .kinematics import ArmModel, check_speed, eef_position, inverse_kinematics
 from .world import (
     DEFAULT_CONTACT_STIFFNESS,
     DEFAULT_CUBE_STIFFNESS,
-    Body,
     DisturbanceSpec,
     Scene,
     detect_collisions,
@@ -39,45 +37,26 @@ ACTION_DIM = 4
 READY_SEED = (0.0, -np.pi / 2.0, np.pi / 2.0, -np.pi / 2.0, -np.pi / 2.0, 0.0)
 
 
-class RewardMode(Enum):
-    DRL = "drl"
-    SD_DRL = "sd-drl"
+# the label sets, as the INI file, the CLI and a log header spell them
+REWARD_MODES = ("drl", "sd-drl")
+SCENARIOS = ("normal", "obstacle")
 
 
-class Scenario(Enum):
-    NORMAL = "normal"
-    STATIC_OBSTACLE = "obstacle"
+def _as_label(options: tuple, label: str, value) -> str:
+    """``value`` as one of ``options``, in any case and surrounding whitespace."""
+    text = str(value).strip().lower()
+    if text not in options:
+        expected = " or ".join(map(repr, options))
+        raise ValueError(f"unknown {label} {value!r}; expected {expected}")
+    return text
 
 
-# the scenario names, as the CLI and a log header spell them
-SCENARIOS = tuple(scenario.value for scenario in Scenario)
-
-# bound once: an Enum member read costs 101-138 ns on Python 3.10/3.11, 27-31 ns on 3.12/3.13
-_SD_DRL = RewardMode.SD_DRL
-_STATIC_OBSTACLE = Scenario.STATIC_OBSTACLE
-_CONVERGED = IkStatus.CONVERGED
-_CUBE = Body.CUBE
-_OBSTACLE = Body.OBSTACLE
+def _as_scenario(value) -> str:
+    return _as_label(SCENARIOS, "scenario", value)
 
 
-def _as_member(enum: type[Enum], label: str, value):
-    """``value`` as a member of ``enum``: a member, or its value in any case
-    and surrounding whitespace."""
-    if isinstance(value, enum):
-        return value
-    try:
-        return enum(str(value).strip().lower())
-    except ValueError:
-        expected = " or ".join(repr(member.value) for member in enum)
-        raise ValueError(f"unknown {label} {value!r}; expected {expected}") from None
-
-
-def _as_scenario(value) -> Scenario:
-    return _as_member(Scenario, "scenario", value)
-
-
-def _as_reward_mode(value) -> RewardMode:
-    return _as_member(RewardMode, "reward mode", value)
+def _as_reward_mode(value) -> str:
+    return _as_label(REWARD_MODES, "reward mode", value)
 
 
 @dataclass(frozen=True)
@@ -88,7 +67,7 @@ class RewardConfig:
     added once per step when its triggering event fires.
     """
 
-    mode: RewardMode = RewardMode.SD_DRL
+    mode: str = "sd-drl"
     speed_cost: float = -0.5
     coll_cost: float = -5.0
     cube_coll_cost: float = -0.01
@@ -122,9 +101,7 @@ class RewardConfig:
                 raise ValueError(f"{name} must be finite and positive")
 
     def as_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["mode"] = self.mode.value
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RewardConfig":
@@ -397,7 +374,7 @@ def compute_reward(events: TransitionEvents, config: RewardConfig) -> float:
     failed-grasp penalty; the safety-driven mode additionally adds each
     stored (negative) safety cost once per triggering event.
     """
-    safety = config.mode is _SD_DRL
+    safety = config.mode == "sd-drl"
     reward = -events.distance_d
     if events.grasp_success:
         reward += config.grip_rew
@@ -456,14 +433,14 @@ class GraspEnv:
         if not result.converged:
             raise ValueError(
                 f"home position {home} is not reachable with the configured arm: "
-                f"status={result.status.value}, residual={result.residual:.4g}"
+                f"status={result.status}, residual={result.residual:.4g}"
             )
         return result.joint_values
 
     def _sample_scene(
         self,
         rng: np.random.Generator,
-        scenario: Scenario,
+        scenario: str,
         disturbance: DisturbanceSpec,
     ) -> Scene:
         """A reset scene: the table and the cube of ``SceneConfig._disturbed``,
@@ -472,7 +449,7 @@ class GraspEnv:
         cfg = self.scene_config
         table, grown = cfg._disturbed(disturbance)
         obstacle_center = obstacle_half = None
-        if scenario is _STATIC_OBSTACLE:
+        if scenario == "obstacle":
             obstacle_half = hx, hy, hz = cfg.obstacle_half_extents
             ox, oy = rng.uniform(cfg.obstacle_region_min, cfg.obstacle_region_max).tolist()
             obstacle_center = (ox, oy, table + hz)
@@ -497,7 +474,7 @@ class GraspEnv:
     def reset(
         self,
         seed: int,
-        scenario: Scenario | str = Scenario.NORMAL,
+        scenario: str = "normal",
         disturbance: DisturbanceSpec | None = None,
     ) -> np.ndarray:
         scenario = _as_scenario(scenario)
@@ -535,7 +512,7 @@ class GraspEnv:
         target = (px + dx * scale, py + dy * scale, pz + dz * scale)
         ik = inverse_kinematics(self.arm, target, self._q, self._frames)
         velocity = (0.0, 0.0, 0.0)
-        if ik.status is not _CONVERGED:
+        if ik.joint_values is None:
             ik_failure = True
         elif not check_speed(self._q, ik.joint_values, cfg.dt, self.arm).ok:
             speed_violation = True
@@ -560,9 +537,9 @@ class GraspEnv:
         threshold = reward_cfg.collision_velocity_threshold
         radius = self.scene_config.eef_radius
         for report in detect_collisions(scene, eef, radius, velocity):
-            if report.body is _CUBE:
+            if report.body == "cube":
                 collision_cube = True
-            elif report.body is _OBSTACLE:
+            elif report.body == "obstacle":
                 collision_obstacle = True
             else:  # table or workspace wall
                 collision_env = True

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -32,18 +31,6 @@ UR5_DH = (
     (0.0, 0.09465, -np.pi / 2.0, 0.0),
     (0.0, 0.0823, 0.0, 0.0),
 )
-
-
-class IkStatus(Enum):
-    CONVERGED = "converged"
-    UNREACHABLE = "unreachable"
-    LIMIT_VIOLATION = "limit_violation"
-
-
-# bound once: an Enum member read costs 101-138 ns on Python 3.10/3.11, 27-31 ns on 3.12/3.13
-_CONVERGED = IkStatus.CONVERGED
-_UNREACHABLE = IkStatus.UNREACHABLE
-_LIMIT_VIOLATION = IkStatus.LIMIT_VIOLATION
 
 
 @dataclass(frozen=True)
@@ -114,10 +101,11 @@ def _within(joint_limits: tuple, values: tuple) -> bool:
 class IkResult(NamedTuple):
     """IK outcome; the joints and the tool point are tuples of floats.
 
+    ``status`` is ``"converged"``, ``"unreachable"`` or ``"limit_violation"``.
     ``solution`` gives the joints as an array.
     """
 
-    status: IkStatus
+    status: str
     joint_values: tuple | None  # six joint angles; None unless converged
     residual: float
     iterations: int
@@ -126,7 +114,7 @@ class IkResult(NamedTuple):
 
     @property
     def converged(self) -> bool:
-        return self.status is _CONVERGED
+        return self.status == "converged"
 
     @property
     def solution(self) -> np.ndarray | None:
@@ -157,11 +145,11 @@ def inverse_kinematics(model: ArmModel, target, seed, seed_frames=None) -> IkRes
 
     ``target`` is a 3-vector (the env passes a tuple of floats).  The solver
     drives the 3-dim position error with the geometric position Jacobian.  A
-    failure to converge is reported as ``UNREACHABLE``, or ``LIMIT_VIOLATION``
-    when the best iterate was pinned at a joint limit.  For a target the arm
-    cannot reach, which of the two it is depends on last-bit rounding in the
-    DLS loop, so it can change with the libm ``cos``/``sin`` build; the
-    shield itself tests only for ``CONVERGED``.
+    failure to converge is reported as ``"unreachable"``, or as
+    ``"limit_violation"`` when the best iterate was pinned at a joint limit.
+    For a target the arm cannot reach, which of the two it is depends on
+    last-bit rounding in the DLS loop, so it can change with the libm
+    ``cos``/``sin`` build; the shield itself tests only for ``"converged"``.
 
     ``seed_frames``, when given, is the ``(origins, zaxes)`` pair of
     ``seed``, such as the ``frames`` of the converged result the seed came
@@ -182,8 +170,8 @@ def inverse_kinematics(model: ArmModel, target, seed, seed_frames=None) -> IkRes
         seed_frames,
     )
     if converged:
-        return IkResult(_CONVERGED, tuple(q_best), residual, iterations, frames)
-    status = _LIMIT_VIOLATION if clamped else _UNREACHABLE
+        return IkResult("converged", tuple(q_best), residual, iterations, frames)
+    status = "limit_violation" if clamped else "unreachable"
     return IkResult(status, None, residual, iterations)
 
 

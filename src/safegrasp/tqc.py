@@ -58,6 +58,8 @@ class TqcConfig:
             raise ValueError("batch_size and replay_capacity must be >= 1")
         if self.train_freq < 1:
             raise ValueError("train_freq must be >= 1")
+        if self.warmup_steps < 0:
+            raise ValueError("warmup_steps must be >= 0")
         if self.entropy_target is not None and not np.isfinite(self.entropy_target):
             raise ValueError("entropy_target must be finite")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))

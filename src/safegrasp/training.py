@@ -66,6 +66,8 @@ class Trainer:
             raise ValueError("total_steps must be >= 1")
         if eval_every_episodes < 1 or eval_episodes < 1:
             raise ValueError("evaluation cadence values must be >= 1")
+        if checkpoint_every_steps is not None and checkpoint_every_steps < 1:
+            raise ValueError("checkpoint_every_steps must be >= 1")
         if workers != 1:
             raise ValueError("workers must be 1: training has one serial loop")
         if config.tqc.replay_capacity < config.tqc.batch_size:
@@ -93,7 +95,7 @@ class Trainer:
         env = cfg.build_env()
         log_path = self.out_dir / "eval" / f"eval_{block:04d}.jsonl"
         policy = self.agent.actor_snapshot()
-        with EpisodeLogWriter(log_path, header=log_header(cfg, cfg.scenario.value)) as writer:
+        with EpisodeLogWriter(log_path, header=log_header(cfg, cfg.scenario)) as writer:
             records = rollout_episodes(
                 env,
                 policy.select_action,
@@ -124,8 +126,8 @@ class Trainer:
         )
         summary = {
             "seed": self.config.seed,
-            "scenario": self.config.scenario.value,
-            "reward_mode": self.config.reward.mode.value,
+            "scenario": self.config.scenario,
+            "reward_mode": self.config.reward.mode,
             "total_steps": self.total_steps,
             "episodes": self._episodes,
             "updates": self.agent.updates,

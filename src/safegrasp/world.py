@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -32,23 +31,12 @@ DEFAULT_CONTACT_STIFFNESS = 400.0  # N*s/m, chosen so 0.25 m/s -> 100 N
 DEFAULT_CUBE_STIFFNESS = 40.0  # N*s/m, light object: contact cannot reach 100 N
 
 
-class Body(Enum):
-    TABLE = "table"
-    CUBE = "cube"
-    OBSTACLE = "obstacle"
-    WORKSPACE_BOUND = "workspace_bound"
-
-
-# bound once: an Enum member read costs 101-138 ns on Python 3.10/3.11, 27-31 ns on 3.12/3.13
-_TABLE = Body.TABLE
-_CUBE = Body.CUBE
-_OBSTACLE = Body.OBSTACLE
-_WORKSPACE_BOUND = Body.WORKSPACE_BOUND
-
-
 @dataclass(frozen=True)
 class ContactReport:
-    body: Body
+    """One contact of the tool sphere; ``body`` is ``"table"``, ``"cube"``,
+    ``"obstacle"`` or ``"workspace_bound"``."""
+
+    body: str
     penetration: float  # m, >= 0; zero for a touching contact
     impact_speed: float  # m/s, approach speed along the contact normal
     force: float  # N, stiffness * impact_speed
@@ -142,7 +130,7 @@ def contact_force(impact_speed: float, stiffness: float) -> float:
     return stiffness * impact_speed
 
 
-def _report(body: Body, penetration: float, velocity, normal, stiffness: float) -> ContactReport:
+def _report(body: str, penetration: float, velocity, normal, stiffness: float) -> ContactReport:
     """A contact on ``body``; the impact is the approach speed along ``normal``.
 
     The dot product stays numpy's: a left-to-right scalar sum differs from it
@@ -178,14 +166,14 @@ def detect_collisions(
     clearance = center[2] - scene.table_height
     if not clearance > eef_radius:
         reports.append(
-            _report(_TABLE, eef_radius - clearance, velocity, _UP, scene.contact_stiffness)
+            _report("table", eef_radius - clearance, velocity, _UP, scene.contact_stiffness)
         )
     sd, nx, ny, nz = kernels.sphere_box_signed_distance(
         center, scene.cube_center, scene.cube_half_extents
     )
     if not sd > eef_radius:
         reports.append(
-            _report(_CUBE, eef_radius - sd, velocity, (nx, ny, nz), scene.cube_stiffness)
+            _report("cube", eef_radius - sd, velocity, (nx, ny, nz), scene.cube_stiffness)
         )
     if scene.obstacle_center is not None:
         sd, nx, ny, nz = kernels.sphere_box_signed_distance(
@@ -193,7 +181,7 @@ def detect_collisions(
         )
         if not sd > eef_radius:
             reports.append(
-                _report(_OBSTACLE, eef_radius - sd, velocity, (nx, ny, nz),
+                _report("obstacle", eef_radius - sd, velocity, (nx, ny, nz),
                         scene.contact_stiffness)
             )
     # workspace bound: sphere touching the box walls from inside; the
@@ -221,24 +209,24 @@ def detect_collisions(
     if normal is not None:
         reports.append(
             _report(
-                _WORKSPACE_BOUND, pen_best, velocity, normal, scene.contact_stiffness
+                "workspace_bound", pen_best, velocity, normal, scene.contact_stiffness
             )
         )
     return reports
 
 
-def signed_clearances(scene: Scene, eef_center, eef_radius: float) -> dict[Body, float]:
+def signed_clearances(scene: Scene, eef_center, eef_radius: float) -> dict[str, float]:
     """Distance from the sphere surface to each body (negative inside)."""
     center = kernels.float_tuple(eef_center, 3)
-    out = {_TABLE: center[2] - scene.table_height - eef_radius}
+    out = {"table": center[2] - scene.table_height - eef_radius}
     sd, _, _, _ = kernels.sphere_box_signed_distance(
         center, scene.cube_center, scene.cube_half_extents
     )
-    out[_CUBE] = sd - eef_radius
+    out["cube"] = sd - eef_radius
     if scene.obstacle_present:
         sd, _, _, _ = kernels.sphere_box_signed_distance(
             center, scene.obstacle_center, scene.obstacle_half_extents
         )
-        out[_OBSTACLE] = sd - eef_radius
+        out["obstacle"] = sd - eef_radius
     return out
 

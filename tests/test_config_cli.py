@@ -21,7 +21,7 @@ import safegrasp
 from safegrasp.cli import _build_parser, main
 from safegrasp.config import ConfigError, RunConfig, default_config_text, load_config
 from safegrasp.env import (
-    EnvConfig, GraspEnv, RewardConfig, RewardMode, SceneConfig, Scenario, TransitionEvents,
+    EnvConfig, GraspEnv, RewardConfig, SceneConfig, TransitionEvents,
 )
 from safegrasp.kinematics import ArmModel
 from safegrasp.nn import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
@@ -51,9 +51,9 @@ class TestConfig:
         assert load_config(path) == RunConfig()
 
     def test_run_config_coerces_scenario(self):
-        assert RunConfig(scenario=" Obstacle ").scenario is Scenario.STATIC_OBSTACLE
-        assert RunConfig(scenario="obstacle") == RunConfig(scenario=Scenario.STATIC_OBSTACLE)
-        assert replace(RunConfig(), scenario="normal").scenario is Scenario.NORMAL
+        assert RunConfig(scenario=" Obstacle ").scenario == "obstacle"
+        assert RunConfig(scenario="obstacle") == RunConfig(scenario="OBSTACLE")
+        assert replace(RunConfig(), scenario="normal").scenario == "normal"
 
     def test_run_config_refuses_unknown_scenario(self):
         with pytest.raises(ValueError, match="unknown scenario 'bogus'"):
@@ -181,8 +181,8 @@ class TestConfig:
         )
         config = load_config(path)
         assert config.seed == 7
-        assert config.scenario.value == "obstacle"
-        assert config.reward.mode is RewardMode.DRL
+        assert config.scenario == "obstacle"
+        assert config.reward.mode == "drl"
         assert config.reward.coll_cost == -9.0
         assert config.tqc.batch_size == 64
         assert config.tqc.hidden_sizes == (32, 32)
@@ -532,6 +532,18 @@ class TestCli:
         assert header["reward"]["mode"] == "drl"
         assert header["reward"]["coll_cost"] == -9.0
 
+    def test_run_labels_in_any_case_reach_the_log_header(self, tmp_path):
+        config_path = tmp_path / "run.ini"
+        config_path.write_text("[run]\nreward_mode = SD-DRL\nscenario = Obstacle \n")
+        code = run_cli(
+            "evaluate", "--policy", "scripted", "--episodes", "1",
+            "--config", config_path, "--out", tmp_path / "out",
+        )
+        assert code == 0
+        log = next((tmp_path / "out").glob("eval_*.jsonl"))
+        header = log.read_text().splitlines()[0]
+        assert '"scenario":"obstacle"' in header and '"mode":"sd-drl"' in header
+
     def test_replay_smaller_than_batch_exit_2(self, tmp_path):
         # no batch could ever be drawn, so training would run 0 updates
         config_path = tmp_path / "run.ini"
@@ -763,6 +775,19 @@ class TestReplayHeader:
         assert err.startswith(f"error: {tampered}: log header: '{field}' must ")
         assert len(err.splitlines()) == 1
 
+    def test_unknown_reward_mode_exits_2(self, scripted_eval_dir, tmp_path, capsys):
+        lines = next(scripted_eval_dir.glob("eval_*.jsonl")).read_text().splitlines()
+        header = json.loads(lines[0])
+        header["reward"]["mode"] = "bogus"
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        tampered = tmp_path / "tampered.jsonl"
+        tampered.write_text("\n".join(lines) + "\n")
+        assert run_cli("replay", "--log", tampered) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tampered}: invalid reward header: "
+            "unknown reward mode 'bogus'; expected 'drl' or 'sd-drl'\n"
+        )
+
 
 def tamper_a_reward(header, records):
     records[4]["reward"] += 1e-9
@@ -924,6 +949,12 @@ BAD_CONFIGS = {
     "zero_hidden_width": ("[tqc]\nhidden_sizes = 64 0\n", (), "hidden_sizes must hold"),
     "negative_hidden_width": ("[tqc]\nhidden_sizes = 64 -1\n", (), "hidden_sizes must hold"),
     "no_hidden_layer": ("[tqc]\nhidden_sizes =\n", (), "hidden_sizes must hold"),
+    # would train with no warm-up at all
+    "negative_warmup": ("[tqc]\nwarmup_steps = -5\n", (), "warmup_steps must be >= 0"),
+    "unknown_scenario": (
+        "[run]\nscenario = Bogus\n", (),
+        "error: [run] scenario: unknown scenario 'Bogus'; expected 'normal' or 'obstacle'\n",
+    ),
 }
 
 
@@ -1429,10 +1460,10 @@ class TestTrainerSmoke:
 
     def test_scenario_name_trains_like_the_member(self, tmp_path):
         """A Trainer built from ``RunConfig(scenario="obstacle")`` writes the
-        bytes of one built from the enum member."""
+        bytes of one built from the same name in another case and spacing."""
         tqc = TqcConfig(batch_size=16, hidden_sizes=(8,), warmup_steps=30, replay_capacity=500)
         outputs = []
-        for scenario in ("obstacle", Scenario.STATIC_OBSTACLE):
+        for scenario in ("obstacle", " Obstacle "):
             out = tmp_path / str(len(outputs))
             Trainer(
                 RunConfig(seed=4, scenario=scenario, tqc=tqc), out, total_steps=120,
@@ -1450,6 +1481,14 @@ class TestTrainerSmoke:
     def test_trainer_refuses_more_than_one_worker(self, tmp_path):
         with pytest.raises(ValueError, match="workers must be 1"):
             Trainer(RunConfig(seed=1), tmp_path, total_steps=10, workers=2)
+
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_trainer_refuses_a_checkpoint_cadence_below_1(self, tmp_path, every):
+        """As the CLI's ``--checkpoint-every`` does: 0 would write no
+        checkpoint and -3 one every third step."""
+        with pytest.raises(ValueError, match="checkpoint_every_steps must be >= 1"):
+            Trainer(RunConfig(seed=1), tmp_path, total_steps=10, checkpoint_every_steps=every)
+        assert not any(tmp_path.iterdir())
 
 
 def fail_metrics_replace(monkeypatch, name="metrics.json"):

@@ -15,21 +15,21 @@ from safegrasp import env as env_module
 from safegrasp import kernels
 from safegrasp.env import (
     ACTION_DIM,
+    REWARD_MODES,
     EnvConfig,
     GraspEnv,
     RewardConfig,
-    RewardMode,
     SceneConfig,
     StepResult,
     TransitionEvents,
     check_grasp,
     compute_reward,
 )
-from safegrasp.kinematics import ArmModel, IkStatus, check_speed, inverse_kinematics
+from safegrasp.kinematics import ArmModel, check_speed, inverse_kinematics
 from safegrasp.rollout import RecordSink, episode_steps, rollout_episodes
 from safegrasp.runlog import dumps_canonical
 from safegrasp.tqc import RandomPolicy, ScriptedGraspPolicy
-from safegrasp.world import Body, DisturbanceSpec, Scene, detect_collisions, signed_clearances
+from safegrasp.world import DisturbanceSpec, Scene, detect_collisions, signed_clearances
 
 from conftest import drive_to
 
@@ -38,8 +38,8 @@ def events(**kwargs) -> TransitionEvents:
     return TransitionEvents(**kwargs)
 
 
-DRL = RewardConfig(mode=RewardMode.DRL)
-SD = RewardConfig(mode=RewardMode.SD_DRL)
+DRL = RewardConfig(mode="drl")
+SD = RewardConfig(mode="sd-drl")
 
 SAFETY_FLAGS = (
     "speed_violation",
@@ -142,7 +142,7 @@ class TestComputeReward:
                 assert compute_reward(ev, SD) == pytest.approx(expected, abs=1e-12)
 
     def test_custom_coefficients_respected(self):
-        config = RewardConfig(mode=RewardMode.SD_DRL, coll_cost=-7.5, grip_rew=2.0)
+        config = RewardConfig(mode="sd-drl", coll_cost=-7.5, grip_rew=2.0)
         assert compute_reward(events(collision_env=True), config) == -7.5
         assert compute_reward(events(grasp_success=True), config) == 2.0
 
@@ -178,7 +178,7 @@ def reference_reward(events: TransitionEvents, config: RewardConfig) -> float:
         reward += config.grip_rew
     if events.lift_success:
         reward += config.grip_prop_rew
-    if config.mode is RewardMode.SD_DRL:
+    if config.mode == "sd-drl":
         if events.speed_violation:
             reward += config.speed_cost
         if events.collision_env:
@@ -187,7 +187,7 @@ def reference_reward(events: TransitionEvents, config: RewardConfig) -> float:
             reward += config.cube_coll_cost
     if events.grasp_attempt_failed:
         reward += config.gripper_cost
-    if config.mode is RewardMode.SD_DRL:
+    if config.mode == "sd-drl":
         if events.collision_velocity_exceeded:
             reward += config.coll_vel_cost
         if events.collision_obstacle:
@@ -234,7 +234,7 @@ REWARD_TABLES = (
 
 
 class TestComputeRewardMatchesReference:
-    @pytest.mark.parametrize("mode", list(RewardMode))
+    @pytest.mark.parametrize("mode", REWARD_MODES)
     @pytest.mark.parametrize("table", range(len(REWARD_TABLES)))
     def test_bit_for_bit_over_every_flag_combination(self, mode, table):
         """All 2^9 combinations of the reward flags, at several distances,
@@ -329,6 +329,13 @@ class TestReset:
         # bar rests on the table
         top = env.scene.obstacle_center[2] + env.scene.obstacle_half_extents[2]
         assert top == pytest.approx(env.scene.table_height + 0.05)
+
+    def test_scenario_name_in_any_case_and_spacing(self, env):
+        obs = env.reset(seed=0, scenario=" OBSTACLE ")
+        assert env.scene.obstacle_present
+        assert obs.tobytes() == env.reset(seed=0, scenario="obstacle").tobytes()
+        with pytest.raises(ValueError, match="unknown scenario 'both'; expected 'normal' or"):
+            env.reset(seed=0, scenario="both")
 
     def test_cube_positions_cover_region_uniformly(self):
         env = GraspEnv()
@@ -490,7 +497,7 @@ class TestDisturbanceAdmission:
                 obstacle_half_extents=half,
             )
             reports = detect_collisions(scene, config.home_position, config.eef_radius, np.zeros(3))
-            assert [r.body for r in reports] == ([Body.OBSTACLE] if touching else [])
+            assert [r.body for r in reports] == (["obstacle"] if touching else [])
 
     def test_home_cube_clause(self):
         # the cube placement nearest home (0.30, 0.0, 0.15) sits at the low x
@@ -511,7 +518,7 @@ class TestDisturbanceAdmission:
                 cube_half_extents=(half,) * 3,
             )
             reports = detect_collisions(scene, config.home_position, config.eef_radius, np.zeros(3))
-            assert [r.body for r in reports] == ([Body.CUBE] if touching else [])
+            assert [r.body for r in reports] == (["cube"] if touching else [])
 
     def test_home_obstacle_clause_comes_before_the_cube_clause(self):
         # a home 1 cm over both boxes' tops touches the obstacle placements
@@ -1234,7 +1241,7 @@ def reference_step(self, action) -> StepResult:
     target = (px + dx * scale, py + dy * scale, pz + dz * scale)
     ik = inverse_kinematics(self.arm, target, self._q, self._frames)
     velocity = (0.0, 0.0, 0.0)
-    if ik.status is not IkStatus.CONVERGED:
+    if ik.status != "converged":
         ik_failure = True
     elif not check_speed(self._q, ik.joint_values, cfg.dt, self.arm).ok:
         speed_violation = True
@@ -1258,9 +1265,9 @@ def reference_step(self, action) -> StepResult:
     threshold = reward_cfg.collision_velocity_threshold
     radius = self.scene_config.eef_radius
     for report in detect_collisions(scene, eef, radius, velocity):
-        if report.body is Body.CUBE:
+        if report.body == "cube":
             collision_cube = True
-        elif report.body is Body.OBSTACLE:
+        elif report.body == "obstacle":
             collision_obstacle = True
         else:  # table or workspace wall
             collision_env = True

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safegrasp.env import GraspEnv, Scenario, SceneConfig
+from safegrasp.env import SCENARIOS, GraspEnv, SceneConfig
 from safegrasp.world import (
-    Body,
     ContactReport,
     DisturbanceSpec,
     Scene,
@@ -17,6 +16,9 @@ from safegrasp.world import (
     detect_collisions,
     signed_clearances,
 )
+
+# the contact bodies, in the order detect_collisions reports them
+BODIES = ("table", "cube", "obstacle", "workspace_bound")
 
 
 def make_scene(obstacle=False, table=-0.1, **overrides) -> Scene:
@@ -56,7 +58,7 @@ class TestDetectCollisions:
         center = scene.cube_center + np.array([0.004, -0.006, 0.008])
         radius = 0.02
         reports = detect_collisions(scene, center, radius, np.zeros(3))
-        cube_reports = [r for r in reports if r.body is Body.CUBE]
+        cube_reports = [r for r in reports if r.body == "cube"]
         assert len(cube_reports) == 1
         sd = oracle_sphere_box_distance(
             center, scene.cube_center, scene.cube_half_extents
@@ -68,7 +70,7 @@ class TestDetectCollisions:
         scene = make_scene(table=0.0)
         center = np.array([0.3, 0.1, scene.table_height + 0.02])
         reports = detect_collisions(scene, center, 0.02, np.zeros(3))
-        assert [r.body for r in reports] == [Body.TABLE]
+        assert [r.body for r in reports] == ["table"]
         report = reports[0]
         assert report.penetration == 0.0
         assert report.impact_speed == 0.0
@@ -88,16 +90,14 @@ class TestDetectCollisions:
         center = np.array([0.35, 0.0, scene.table_height + 0.015])
         reports = detect_collisions(scene, center, 0.02, np.zeros(3))
         bodies = [r.body for r in reports]
-        assert bodies == sorted(
-            bodies, key=(Body.TABLE, Body.CUBE, Body.OBSTACLE, Body.WORKSPACE_BOUND).index
-        )
-        assert Body.TABLE in bodies and Body.OBSTACLE in bodies
+        assert bodies == sorted(bodies, key=BODIES.index)
+        assert "table" in bodies and "obstacle" in bodies
 
     def test_workspace_wall_contact(self):
         scene = make_scene()
         center = np.array([0.77, 0.0, 0.2])
         reports = detect_collisions(scene, center, 0.02, np.array([0.5, 0.0, 0.0]))
-        assert [r.body for r in reports] == [Body.WORKSPACE_BOUND]
+        assert [r.body for r in reports] == ["workspace_bound"]
         assert reports[0].penetration == pytest.approx(0.01)
         assert reports[0].impact_speed == pytest.approx(0.5)
 
@@ -145,7 +145,7 @@ class TestDisturbedScene:
 
     def test_documented_protocol_values(self):
         env = GraspEnv()
-        for scenario in Scenario:
+        for scenario in SCENARIOS:
             scene = env._sample_scene(np.random.default_rng(5), scenario, DisturbanceSpec())
             disturbed = env._sample_scene(
                 np.random.default_rng(5), scenario, DisturbanceSpec(0.075, 0.005)
@@ -171,7 +171,7 @@ class TestDisturbedScene:
 
     def test_zero_disturbance_is_identity(self):
         env = GraspEnv()
-        for scenario in Scenario:
+        for scenario in SCENARIOS:
             env.reset(seed=9, scenario=scenario)
             plain = env.scene
             env.reset(seed=9, scenario=scenario, disturbance=DisturbanceSpec(0.0, 0.0))
@@ -247,7 +247,7 @@ class TestSceneInvariants:
         scene = make_scene()
         center = scene.cube_center + np.array([0.0, 0.0, 0.04])
         report = detect_collisions(scene, center, 0.02, np.array([0.0, 0.0, -0.5]))
-        cube = [r for r in report if r.body is Body.CUBE][0]
+        cube = [r for r in report if r.body == "cube"][0]
         # light object: soft stiffness keeps it below the failure force even
         # at full approach speed
         assert cube.force == pytest.approx(40.0 * 0.5)
@@ -306,17 +306,17 @@ def reference_detect_collisions(scene, eef_center, eef_radius, eef_velocity):
     center = np.asarray(eef_center, dtype=np.float64).reshape(3)
     velocity = np.asarray(eef_velocity, dtype=np.float64).reshape(3)
     reports = []
-    for body in (Body.TABLE, Body.CUBE, Body.OBSTACLE, Body.WORKSPACE_BOUND):
-        if body is Body.TABLE:
+    for body in BODIES:
+        if body == "table":
             clearance = float(center[2] - scene.table_height)
             if clearance > eef_radius:
                 continue
             normal = np.array([0.0, 0.0, 1.0])
             penetration = eef_radius - clearance
-        elif body in (Body.CUBE, Body.OBSTACLE):
+        elif body in ("cube", "obstacle"):
             box_center, half = (
                 (scene.cube_center, scene.cube_half_extents)
-                if body is Body.CUBE
+                if body == "cube"
                 else (scene.obstacle_center, scene.obstacle_half_extents)
             )
             if box_center is None:
@@ -345,7 +345,7 @@ def reference_detect_collisions(scene, eef_center, eef_radius, eef_velocity):
                 continue
             penetration = float(pen_best)
         impact = reference_approach_speed(velocity, normal)
-        stiffness = scene.cube_stiffness if body is Body.CUBE else scene.contact_stiffness
+        stiffness = scene.cube_stiffness if body == "cube" else scene.contact_stiffness
         reports.append(
             ContactReport(
                 body=body,
@@ -359,14 +359,14 @@ def reference_detect_collisions(scene, eef_center, eef_radius, eef_velocity):
 
 def reference_signed_clearances(scene, eef_center, eef_radius):
     center = np.asarray(eef_center, dtype=np.float64).reshape(3)
-    out = {Body.TABLE: float(center[2] - scene.table_height) - eef_radius}
+    out = {"table": float(center[2] - scene.table_height) - eef_radius}
     sd, _ = reference_sphere_box(center, scene.cube_center, scene.cube_half_extents)
-    out[Body.CUBE] = float(sd) - eef_radius
+    out["cube"] = float(sd) - eef_radius
     if scene.obstacle_present:
         sd, _ = reference_sphere_box(
             center, scene.obstacle_center, scene.obstacle_half_extents
         )
-        out[Body.OBSTACLE] = float(sd) - eef_radius
+        out["obstacle"] = float(sd) - eef_radius
     return out
 
 
@@ -375,11 +375,11 @@ def env_scenes():
     env = GraspEnv()
     rng = np.random.default_rng(31)
     scenes = {}
-    for scenario in Scenario:
+    for scenario in SCENARIOS:
         for label, spec in (
             ("nominal", DisturbanceSpec()), ("disturbed", DisturbanceSpec(0.075, 0.005))
         ):
-            scenes[f"{scenario.value}-{label}"] = env._sample_scene(rng, scenario, spec)
+            scenes[f"{scenario}-{label}"] = env._sample_scene(rng, scenario, spec)
     return scenes
 
 
@@ -447,7 +447,7 @@ class TestScalarContactsMatchArrayReference:
                 )
             total += len(points)
         assert total >= 100_000
-        assert contacts == set(Body)
+        assert contacts == set(BODIES)
 
     def test_touching_contacts(self):
         scene = make_scene(obstacle=True, table=0.0)
@@ -464,7 +464,7 @@ class TestScalarContactsMatchArrayReference:
             for velocity in ([0.0, 0.0, 0.0], [0.3, -0.2, -0.4], [-0.5, 0.5, 0.1]):
                 assert_matches_reference(scene, center, np.array(velocity), r)
         got = detect_collisions(scene, cases[0], r, np.zeros(3))
-        assert [c.body for c in got] == [Body.TABLE] and got[0].penetration == 0.0
+        assert [c.body for c in got] == ["table"] and got[0].penetration == 0.0
         # each of the six workspace walls, with dyadic walls and radius so
         # that a sphere exactly r from a wall touches it in float; one ulp
         # inward it touches nothing (the boxes and the table lie far below)
@@ -494,7 +494,7 @@ class TestScalarContactsMatchArrayReference:
             if inward:
                 assert got == [], (axis, bound)
             else:
-                assert [c.body for c in got] == [Body.WORKSPACE_BOUND], (axis, bound)
+                assert [c.body for c in got] == ["workspace_bound"], (axis, bound)
                 assert got[0].penetration == 0.0
                 assert got[0].impact_speed == 0.1
 
