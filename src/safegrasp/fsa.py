@@ -17,7 +17,7 @@ failures: they are penalised interactions, not loss of the safety function.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .rollout import ASSESSMENT_SEED_STREAM  # re-exported: the assessment rollouts' stream
 from .runlog import EpisodeRecord
@@ -51,10 +51,9 @@ class FsaReport:
     sil: int
     mttf_is_lower_bound: bool
     inputs: FsaInput
-    sil2_ranges: dict = field(default_factory=lambda: dict(SIL2_RANGES))
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "sil2_ranges": dict(SIL2_RANGES)}
 
 
 def compute_mttf(inputs: FsaInput) -> float:
@@ -129,9 +128,9 @@ def format_report_text(report: FsaReport) -> str:
     if report.mttf_is_lower_bound:
         mttf = f">= {mttf} (no observed failures)"
     rows = [
-        ("MTTF", mttf, report.sil2_ranges["mttf"]),
-        ("PFD", f"{report.pfd:.6g}", report.sil2_ranges["pfd"]),
-        ("RRF", f"{report.rrf:.2f}", report.sil2_ranges["rrf"]),
+        ("MTTF", mttf, SIL2_RANGES["mttf"]),
+        ("PFD", f"{report.pfd:.6g}", SIL2_RANGES["pfd"]),
+        ("RRF", f"{report.rrf:.2f}", SIL2_RANGES["rrf"]),
         ("SIL", str(report.sil), "2"),
     ]
     widths = [

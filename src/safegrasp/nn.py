@@ -1,9 +1,12 @@
 """Dense networks over the autodiff substrate, Adam, and checkpoint IO.
 
-Parameters are a plain ``dict`` of float64 arrays, name -> array; the
-layer convention is ``w{i}`` of shape (fan_in, fan_out) and ``b{i}`` of shape
-(1, fan_out).  Arrays may carry an extra leading ensemble axis (used by the
-critic ensemble); every routine here broadcasts over it transparently.
+A network is its parameter dict: a plain ``dict`` of float64 arrays,
+name -> array, with ``w{i}`` of shape (fan_in, fan_out) and ``b{i}`` of shape
+(1, fan_out).  Hidden layers are rectified and the output is linear.  The
+depth is ``len(params) // 2`` and the input width is
+``params["w0"].shape[-2]``; nothing else records the layer widths.  Arrays
+may carry an extra leading ensemble axis (used by the critic ensemble);
+every routine here broadcasts over it transparently.
 
 A checkpoint is one binary file: magic, a JSON header naming each array's
 shape and carrying the hyperparameters, then the row-major float64
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,42 +29,29 @@ from .runlog import replace_atomically
 CHECKPOINT_MAGIC = b"SGNET002"
 
 
-@dataclass(frozen=True)
-class Mlp:
-    """Layer widths; hidden layers are rectified, the output is linear."""
+def init_mlp_params(sizes, rng: np.random.Generator, ensemble: int | None = None) -> dict:
+    """He-uniform initialisation; the output layer gets a smaller gain.
 
-    sizes: tuple
-
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
-        if len(sizes) < 3:
-            raise ValueError("an Mlp needs input, at least one hidden, and output widths")
-        if any(s < 1 for s in sizes):
-            raise ValueError("all widths must be >= 1")
-        object.__setattr__(self, "sizes", sizes)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.sizes) - 1
-
-
-def init_mlp_params(
-    net: Mlp, rng: np.random.Generator, ensemble: int | None = None
-) -> dict:
-    """He-uniform initialisation; the output layer gets a smaller gain."""
+    ``sizes`` lists the input, at least one hidden, and the output width.
+    """
+    sizes = tuple(int(s) for s in sizes)
+    if len(sizes) < 3:
+        raise ValueError("a network needs input, at least one hidden, and output widths")
+    if any(s < 1 for s in sizes):
+        raise ValueError("all widths must be >= 1")
     arrays = {}
     lead = () if ensemble is None else (int(ensemble),)
-    for i in range(net.n_layers):
-        fan_in, fan_out = net.sizes[i], net.sizes[i + 1]
+    last = len(sizes) - 2
+    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         bound = np.sqrt(6.0 / fan_in)
-        if i == net.n_layers - 1:
+        if i == last:
             bound *= 0.01  # keep initial outputs near zero
         arrays[f"w{i}"] = rng.uniform(-bound, bound, size=lead + (fan_in, fan_out))
         arrays[f"b{i}"] = np.zeros(lead + (1, fan_out))
     return arrays
 
 
-def forward(net: Mlp, params: dict, x: np.ndarray) -> np.ndarray:
+def forward(params: dict, x: np.ndarray) -> np.ndarray:
     """Deterministic forward pass on plain arrays, with no tape.
 
     Accepts a single input vector or a batch; the output matches.  It runs
@@ -71,31 +60,30 @@ def forward(net: Mlp, params: dict, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    if x.shape[-1] != net.sizes[0]:
-        raise ValueError(
-            f"input width {x.shape[-1]} does not match the network ({net.sizes[0]})"
-        )
+    width = params["w0"].shape[-2]
+    if x.shape[-1] != width:
+        raise ValueError(f"input width {x.shape[-1]} does not match the network ({width})")
     h = np.atleast_2d(x)
-    last = net.n_layers - 1
-    for i in range(net.n_layers):
+    last = len(params) // 2 - 1
+    for i in range(last + 1):
         h = h @ params[f"w{i}"] + params[f"b{i}"]
         if i < last:
             h = np.maximum(h, 0.0)
     return h[0] if single else h
 
 
-def forward_tape(net: Mlp, params: dict, x: Tensor) -> Tensor:
+def forward_tape(params: dict, x: Tensor) -> Tensor:
     """Forward pass through Tensors for gradient computation."""
     h = x
-    last = net.n_layers - 1
-    for i in range(net.n_layers):
+    last = len(params) // 2 - 1
+    for i in range(last + 1):
         h = h @ params[f"w{i}"] + params[f"b{i}"]
         if i < last:
             h = h.relu()
     return h
 
 
-def gradients(net: Mlp, params: dict, x: np.ndarray, loss_fn) -> dict:
+def gradients(params: dict, x: np.ndarray, loss_fn) -> dict:
     """Exact reverse-mode gradients of a scalar loss of the network outputs.
 
     ``loss_fn`` receives the output Tensor and must build a scalar Tensor.
@@ -104,7 +92,7 @@ def gradients(net: Mlp, params: dict, x: np.ndarray, loss_fn) -> dict:
     tensors = {
         name: Tensor(arr, requires_grad=True) for name, arr in params.items()
     }
-    out = forward_tape(net, tensors, Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64))))
+    out = forward_tape(tensors, Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64))))
     loss = loss_fn(out)
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ValueError("loss_fn must produce a scalar Tensor")

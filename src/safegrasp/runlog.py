@@ -188,8 +188,13 @@ def audit_log(path, reward_config: RewardConfig | None = None) -> list[dict]:
                 f"{path}: log header has no 'reward' table; add the run's [reward] "
                 "values to the header (replay also takes --config <ini>)"
             )
+        table = header["reward"]
         try:
-            reward_config = RewardConfig.from_dict(header["reward"])
+            if type(table) is dict:
+                for key, value in table.items():
+                    if key != "mode" and not _is_finite_number(value):
+                        raise ValueError(f"{key!r} must be a finite number")
+            reward_config = RewardConfig.from_dict(table)
         except (TypeError, ValueError) as exc:
             raise LogFormatError(f"{path}: invalid reward header: {exc}") from None
 

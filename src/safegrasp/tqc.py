@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .autodiff import Tensor, concat
 from .env import ACTION_DIM, EnvConfig, RewardConfig, SceneConfig
-from .nn import AdamState, Mlp, adam_update, forward, forward_tape, init_mlp_params
+from .nn import AdamState, adam_update, forward, forward_tape, init_mlp_params
 from .nn import load_checkpoint, save_checkpoint
 
 LOG_STD_MIN = -5.0
@@ -126,9 +126,9 @@ def truncated_target(
     return reward + cont * (pooled - entropy_term)
 
 
-def policy_moments(net: Mlp, params, obs: np.ndarray, act_dim: int):
+def policy_moments(params, obs: np.ndarray, act_dim: int):
     """Actor head split into the Gaussian mean and clipped log-std."""
-    out = forward(net, params, obs)
+    out = forward(params, obs)
     mean = out[..., :act_dim]
     log_std = np.clip(out[..., act_dim:], LOG_STD_MIN, LOG_STD_MAX)
     return mean, log_std
@@ -137,16 +137,13 @@ def policy_moments(net: Mlp, params, obs: np.ndarray, act_dim: int):
 class ActorSnapshot:
     """Frozen actor parameters; enough to act deterministically, nothing else."""
 
-    def __init__(self, net: Mlp, params: dict, act_dim: int):
-        self._net = net
+    def __init__(self, params: dict, act_dim: int):
         self._params = params
         self._act_dim = act_dim
 
     def select_action(self, obs: np.ndarray) -> np.ndarray:
         """tanh(mean) of the frozen policy."""
-        mean, _ = policy_moments(
-            self._net, self._params, np.asarray(obs, dtype=np.float64), self._act_dim
-        )
+        mean, _ = policy_moments(self._params, np.asarray(obs, dtype=np.float64), self._act_dim)
         return np.tanh(mean)
 
 
@@ -215,11 +212,11 @@ class TqcAgent:
             np.random.default_rng(s) for s in seq.spawn(3)
         )
         hidden = cfg.hidden_sizes
-        self.actor_net = Mlp((obs_dim, *hidden, 2 * act_dim))
-        self.critic_net = Mlp((obs_dim + act_dim, *hidden, cfg.quantiles_per_critic))
-        self.actor_params = init_mlp_params(self.actor_net, init_rng)
+        self.actor_params = init_mlp_params((obs_dim, *hidden, 2 * act_dim), init_rng)
         self.critic_params = init_mlp_params(
-            self.critic_net, init_rng, ensemble=cfg.n_critics
+            (obs_dim + act_dim, *hidden, cfg.quantiles_per_critic),
+            init_rng,
+            ensemble=cfg.n_critics,
         )
         self.target_params = {name: arr.copy() for name, arr in self.critic_params.items()}
         self.log_alpha = {"log_alpha": np.zeros(())}
@@ -244,7 +241,7 @@ class TqcAgent:
 
     def sample_with_logprob(self, obs: np.ndarray, rng: np.random.Generator):
         """Stochastic actions plus their squashed log-density (plain arrays)."""
-        mean, log_std = policy_moments(self.actor_net, self.actor_params, obs, self.act_dim)
+        mean, log_std = policy_moments(self.actor_params, obs, self.act_dim)
         noise = rng.standard_normal(mean.shape)
         std = np.exp(log_std)
         pre_squash = mean + std * noise
@@ -257,9 +254,7 @@ class TqcAgent:
     def actor_snapshot(self) -> "ActorSnapshot":
         """Read-only copy of the current policy, for evaluation."""
         return ActorSnapshot(
-            self.actor_net,
-            {name: arr.copy() for name, arr in self.actor_params.items()},
-            self.act_dim,
+            {name: arr.copy() for name, arr in self.actor_params.items()}, self.act_dim
         )
 
     # -- critics ---------------------------------------------------------------
@@ -267,7 +262,7 @@ class TqcAgent:
     def critic_quantiles(self, params: dict, obs: np.ndarray, act: np.ndarray) -> np.ndarray:
         """Quantile atoms (n_critics, batch, M) for a batch of state-actions."""
         inp = np.concatenate([obs, act], axis=-1)
-        return forward(self.critic_net, params, inp)
+        return forward(params, inp)
 
     # -- training ----------------------------------------------------------------
 
@@ -291,7 +286,7 @@ class TqcAgent:
             for name, arr in self.critic_params.items()
         }
         inp = Tensor(np.concatenate([obs, act], axis=-1))
-        preds = forward_tape(self.critic_net, tensors, inp)
+        preds = forward_tape(tensors, inp)
         loss_value, grad = kernels.quantile_huber_loss_grad(
             np.ascontiguousarray(preds.data),
             np.ascontiguousarray(targets),
@@ -311,7 +306,7 @@ class TqcAgent:
             for name, arr in self.actor_params.items()
         }
         obs_t = Tensor(obs)
-        out = forward_tape(self.actor_net, tensors, obs_t)
+        out = forward_tape(tensors, obs_t)
         mean = out[:, : self.act_dim]
         log_std = out[:, self.act_dim :].clip(LOG_STD_MIN, LOG_STD_MAX)
         std = log_std.exp()
@@ -325,7 +320,7 @@ class TqcAgent:
         # critic parameters enter as plain arrays, so as constants: gradient
         # flows via the action
         q_in = concat([obs_t, action], axis=1)
-        q_atoms = forward_tape(self.critic_net, self.critic_params, q_in)
+        q_atoms = forward_tape(self.critic_params, q_in)
         q_mean = q_atoms.mean(axis=(0, 2))
         actor_loss = (logp * self.alpha - q_mean).mean()
         actor_loss.backward()

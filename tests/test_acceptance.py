@@ -29,7 +29,7 @@ from safegrasp.env import (
 from safegrasp.fsa import FsaInput, assign_sil, build_report
 from safegrasp.kinematics import ArmModel, eef_position, inverse_kinematics
 from safegrasp.metrics import safety_driven_success_rate, success_rate
-from safegrasp.nn import Mlp, forward, gradients, init_mlp_params
+from safegrasp.nn import forward, gradients, init_mlp_params
 from safegrasp.runlog import EpisodeRecord, ViolationCounts, read_log
 from safegrasp.tqc import quantile_fractions, quantile_huber_loss, truncated_target
 from safegrasp.world import contact_force, detect_collisions
@@ -264,16 +264,13 @@ class TestCriterion05GradientVerification:
             else:
                 # critic-shaped: obs+act -> quantile atoms
                 sizes = (21, 12, 12, 25)
-            net = Mlp(sizes)
-            params = init_mlp_params(net, rng)
-            x = draw_kink_clear_input(net, params, rng, batch=2)
+            params = init_mlp_params(sizes, rng)
+            x = draw_kink_clear_input(params, rng, batch=2)
             target = rng.normal(size=(2, sizes[-1]))
-            grads = gradients(
-                net, params, x, lambda out: (out - target).square().mean()
-            )
+            grads = gradients(params, x, lambda out: (out - target).square().mean())
 
             def loss_value():
-                return float(np.mean((forward(net, params, x) - target) ** 2))
+                return float(np.mean((forward(params, x) - target) ** 2))
 
             for name in params:
                 numeric = finite_difference(loss_value, params[name])

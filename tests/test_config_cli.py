@@ -735,9 +735,10 @@ MISSING = object()  # a header field to delete
 class TestReplayHeader:
     """``replay`` refuses (exit 2, one line) a header whose ``seed`` is not
     an integer or whose ``scenario`` is unknown, and a present ``policy``
-    that is not a string or ``disturbance`` that is not two finite numbers.
-    The clean headers of ``evaluate``, ``assess`` and training evaluation
-    logs pass (see the clean-log tests)."""
+    that is not a string or ``disturbance`` that is not two finite numbers,
+    and a ``reward`` table with an unknown mode or a coefficient that is not
+    a finite number.  The clean headers of ``evaluate``, ``assess`` and
+    training evaluation logs pass (see the clean-log tests)."""
 
     @pytest.mark.parametrize(
         "field,value",
@@ -775,17 +776,28 @@ class TestReplayHeader:
         assert err.startswith(f"error: {tampered}: log header: '{field}' must ")
         assert len(err.splitlines()) == 1
 
-    def test_unknown_reward_mode_exits_2(self, scripted_eval_dir, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("mode", "bogus", "unknown reward mode 'bogus'; expected 'drl' or 'sd-drl'"),
+            ("grip_rew", True, "'grip_rew' must be a finite number"),
+            ("grip_rew", None, "'grip_rew' must be a finite number"),
+            ("speed_cost", "-0.5", "'speed_cost' must be a finite number"),
+        ],
+        ids=["unknown_mode", "bool", "null", "string"],
+    )
+    def test_bad_reward_table_exits_2(
+        self, scripted_eval_dir, tmp_path, capsys, key, value, message
+    ):
         lines = next(scripted_eval_dir.glob("eval_*.jsonl")).read_text().splitlines()
         header = json.loads(lines[0])
-        header["reward"]["mode"] = "bogus"
+        header["reward"][key] = value
         lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
         tampered = tmp_path / "tampered.jsonl"
         tampered.write_text("\n".join(lines) + "\n")
         assert run_cli("replay", "--log", tampered) == 2
         assert capsys.readouterr().err == (
-            f"error: {tampered}: invalid reward header: "
-            "unknown reward mode 'bogus'; expected 'drl' or 'sd-drl'\n"
+            f"error: {tampered}: invalid reward header: {message}\n"
         )
 
 
@@ -945,7 +957,7 @@ BAD_CONFIGS = {
     "tool_as_large_as_the_home_height": (
         "[scene]\neef_radius = 0.5\n", (), "the tool at its home position must clear the table"
     ),
-    # Mlp refuses these widths only when train builds the networks
+    # TqcConfig refuses these widths at load, whichever command runs
     "zero_hidden_width": ("[tqc]\nhidden_sizes = 64 0\n", (), "hidden_sizes must hold"),
     "negative_hidden_width": ("[tqc]\nhidden_sizes = 64 -1\n", (), "hidden_sizes must hold"),
     "no_hidden_layer": ("[tqc]\nhidden_sizes =\n", (), "hidden_sizes must hold"),
@@ -1329,6 +1341,8 @@ class TestBadCheckpoint:
         "wrong_act_dim": ("obs_dim 17 and act_dim 3", "env's 17 and 4"),
         "nan_weight": ("'actor/w0' holds a non-finite value",),
         "infinite_alpha": ("'log_alpha' holds a non-finite value",),
+        # init_mlp_params refuses a network whose input width is 0
+        "zero_obs_dim": ("all widths must be >= 1",),
     }
     # well-formed agents for another env's dimensions
     DIMS = {"wrong_obs_dim": (5, 4), "wrong_act_dim": (17, 3)}
@@ -1351,7 +1365,7 @@ class TestBadCheckpoint:
             return path
         if case in TestBadCheckpoint.DIMS:
             return path
-        # a well-formed file with an array the agent cannot take
+        # a well-formed file with an array or a meta value the agent cannot take
         arrays, meta = load_checkpoint(path)
         if case == "misshapen":
             arrays["critics/w0"] = np.zeros((2, 21, 9))
@@ -1359,6 +1373,8 @@ class TestBadCheckpoint:
             arrays["actor/w0"][3, 2] = np.nan
         elif case == "infinite_alpha":
             arrays["log_alpha"] = np.array(-np.inf)
+        elif case == "zero_obs_dim":
+            meta["obs_dim"] = 0
         else:
             del arrays["targets/w0"]
         save_checkpoint(path, arrays, meta)

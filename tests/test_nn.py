@@ -10,7 +10,6 @@ from safegrasp.autodiff import Tensor, concat
 from safegrasp.nn import (
     CHECKPOINT_MAGIC,
     AdamState,
-    Mlp,
     adam_update,
     forward,
     forward_tape,
@@ -21,27 +20,28 @@ from safegrasp.nn import (
 )
 
 
-def min_kink_clearance(net: Mlp, params, x: np.ndarray) -> float:
+def min_kink_clearance(params, x: np.ndarray) -> float:
     """Smallest |rectifier preactivation| along the forward pass."""
     clearance = np.inf
     h = np.atleast_2d(x)
-    for i in range(net.n_layers):
+    n_layers = len(params) // 2
+    for i in range(n_layers):
         h = h @ params[f"w{i}"] + params[f"b{i}"]
-        if i < net.n_layers - 1:
+        if i < n_layers - 1:
             clearance = min(clearance, float(np.min(np.abs(h))))
             h = np.maximum(h, 0.0)
     return clearance
 
 
-def draw_kink_clear_input(net: Mlp, params, rng, batch: int, margin: float = 1e-3):
+def draw_kink_clear_input(params, rng, batch: int, margin: float = 1e-3):
     """Sample inputs where the central-difference oracle is valid.
 
     Central differences are only trustworthy when no rectifier kink lies
     within the perturbation span, so inputs too close to one are redrawn.
     """
     for _ in range(200):
-        x = rng.normal(size=(batch, net.sizes[0]))
-        if min_kink_clearance(net, params, x) > margin:
+        x = rng.normal(size=(batch, params["w0"].shape[-2]))
+        if min_kink_clearance(params, x) > margin:
             return x
     raise AssertionError("could not find a kink-clear input")
 
@@ -142,7 +142,7 @@ class TestAutodiffOps:
             (x * 2.0).backward(np.ones(4))
 
 
-CRITIC = Mlp((21, 64, 64, 25))  # the default critic width
+CRITIC = (21, 64, 64, 25)  # the default critic widths
 
 
 def critic_inputs(seed: int):
@@ -155,7 +155,7 @@ def critic_inputs(seed: int):
 
 
 def tape_critic(leaves: dict, x: np.ndarray) -> Tensor:
-    return forward_tape(CRITIC, leaves, Tensor(x))
+    return forward_tape(leaves, Tensor(x))
 
 
 def fresh_leaves(params: dict) -> dict:
@@ -251,26 +251,23 @@ class TestBackwardFromCotangent:
 
 class TestForward:
     def test_zero_parameters_zero_output(self):
-        net = Mlp((3, 4, 2))
         params = {
             "w0": np.zeros((3, 4)), "b0": np.zeros((1, 4)),
             "w1": np.zeros((4, 2)), "b1": np.zeros((1, 2)),
         }
-        assert np.array_equal(forward(net, params, np.array([1.0, -2.0, 3.0])), np.zeros(2))
+        assert np.array_equal(forward(params, np.array([1.0, -2.0, 3.0])), np.zeros(2))
 
     def test_affine_layer_matches_hand_multiply(self):
-        net = Mlp((2, 3, 2))
         rng = np.random.default_rng(5)
-        params = init_mlp_params(net, rng)
+        params = init_mlp_params((2, 3, 2), rng)
         x = np.array([0.3, -0.7])
         hidden = np.maximum(x @ params["w0"] + params["b0"][0], 0.0)
         expected = hidden @ params["w1"] + params["b1"][0]
-        assert np.allclose(forward(net, params, x), expected, atol=1e-14)
+        assert np.allclose(forward(params, x), expected, atol=1e-14)
 
     def test_two_layer_matches_independent_evaluator(self):
-        net = Mlp((4, 8, 8, 3))
         rng = np.random.default_rng(6)
-        params = init_mlp_params(net, rng)
+        params = init_mlp_params((4, 8, 8, 3), rng)
         x = rng.normal(size=(5, 4))
 
         # straight-line evaluator written without the library helpers
@@ -278,13 +275,12 @@ class TestForward:
         for i in range(2):
             h = np.maximum(h @ params[f"w{i}"] + params[f"b{i}"], 0.0)
         expected = h @ params["w2"] + params["b2"]
-        assert np.allclose(forward(net, params, x), expected, atol=1e-14)
+        assert np.allclose(forward(params, x), expected, atol=1e-14)
 
     def test_repeat_calls_bitwise_identical(self):
-        net = Mlp((3, 8, 2))
-        params = init_mlp_params(net, np.random.default_rng(7))
+        params = init_mlp_params((3, 8, 2), np.random.default_rng(7))
         x = np.random.default_rng(8).normal(size=(6, 3))
-        assert forward(net, params, x).tobytes() == forward(net, params, x).tobytes()
+        assert forward(params, x).tobytes() == forward(params, x).tobytes()
 
     @pytest.mark.parametrize(
         "sizes,ensemble,x_shape",
@@ -297,62 +293,56 @@ class TestForward:
         ids=["1d", "batch", "ensemble", "ensemble-1d"],
     )
     def test_matches_tape_bit_for_bit(self, sizes, ensemble, x_shape):
-        net = Mlp(sizes)
         rng = np.random.default_rng(11)
-        params = init_mlp_params(net, rng, ensemble=ensemble)
+        params = init_mlp_params(sizes, rng, ensemble=ensemble)
+        n_layers = len(params) // 2
         # unit-scale outputs, so relu kinks are crossed
-        for i in range(net.n_layers):
+        for i in range(n_layers):
             params[f"b{i}"] = rng.normal(size=params[f"b{i}"].shape)
-        params[f"w{net.n_layers - 1}"] = params[f"w{net.n_layers - 1}"] * 100.0
+        params[f"w{n_layers - 1}"] = params[f"w{n_layers - 1}"] * 100.0
         x = rng.normal(size=x_shape)
         tensors = {name: Tensor(arr) for name, arr in params.items()}
-        taped = forward_tape(net, tensors, Tensor(np.atleast_2d(x))).data
+        taped = forward_tape(tensors, Tensor(np.atleast_2d(x))).data
         expected = taped[0] if x.ndim == 1 else taped
-        out = forward(net, params, x)
+        out = forward(params, x)
         assert out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()
 
     def test_shape_mismatch_raises(self):
-        net = Mlp((3, 4, 2))
-        params = init_mlp_params(net, np.random.default_rng(9))
+        params = init_mlp_params((3, 4, 2), np.random.default_rng(9))
         with pytest.raises(ValueError):
-            forward(net, params, np.zeros(5))
+            forward(params, np.zeros(5))
 
     def test_mlp_validation(self):
         with pytest.raises(ValueError):
-            Mlp((3, 2))  # no hidden layer
+            init_mlp_params((3, 2), np.random.default_rng(0))  # no hidden layer
         with pytest.raises(ValueError):
-            Mlp((3, 0, 2))
+            init_mlp_params((3, 0, 2), np.random.default_rng(0))
 
 
 class TestGradients:
     def test_linear_sum_has_closed_form(self):
-        net = Mlp((3, 4, 4))
         params = {
             "w0": np.eye(3, 4), "b0": np.full((1, 4), 5.0),
             "w1": np.zeros((4, 4)), "b1": np.zeros((1, 4)),
         }
         x = np.array([[1.0, 2.0, 3.0]])
-        grads = gradients(net, params, x, lambda out: out.sum())
+        grads = gradients(params, x, lambda out: out.sum())
         # dL/dw1 = outer(hidden, ones); hidden = relu(x I + 5)
         hidden = np.maximum(x @ params["w0"] + params["b0"], 0.0)
         assert np.allclose(grads["w1"], np.outer(hidden[0], np.ones(4)), atol=1e-12)
         assert np.allclose(grads["b1"], np.ones((1, 4)))
 
     def test_constant_loss_gives_zero_gradients(self):
-        net = Mlp((2, 3, 1))
-        params = init_mlp_params(net, np.random.default_rng(10))
-        grads = gradients(
-            net, params, np.zeros((1, 2)), lambda out: (out * 0.0).sum()
-        )
+        params = init_mlp_params((2, 3, 1), np.random.default_rng(10))
+        grads = gradients(params, np.zeros((1, 2)), lambda out: (out * 0.0).sum())
         for name in params:
             assert np.array_equal(grads[name], np.zeros_like(params[name]))
 
     def test_rejects_nonscalar_loss(self):
-        net = Mlp((2, 3, 2))
-        params = init_mlp_params(net, np.random.default_rng(11))
+        params = init_mlp_params((2, 3, 2), np.random.default_rng(11))
         with pytest.raises(ValueError):
-            gradients(net, params, np.zeros((1, 2)), lambda out: out)
+            gradients(params, np.zeros((1, 2)), lambda out: out)
 
     def test_matches_central_finite_differences_50_trials(self):
         rng = np.random.default_rng(12)
@@ -364,15 +354,14 @@ class TestGradients:
                 int(rng.integers(3, 9)),
                 int(rng.integers(1, 4)),
             )
-            net = Mlp(sizes)
-            params = init_mlp_params(net, rng)
-            x = draw_kink_clear_input(net, params, rng, batch=3)
+            params = init_mlp_params(sizes, rng)
+            x = draw_kink_clear_input(params, rng, batch=3)
             target = rng.normal(size=(3, sizes[-1]))
             loss_fn = lambda out: (out - target).square().mean()
-            grads = gradients(net, params, x, loss_fn)
+            grads = gradients(params, x, loss_fn)
 
             def loss_value():
-                return float(np.mean((forward(net, params, x) - target) ** 2))
+                return float(np.mean((forward(params, x) - target) ** 2))
 
             for name in params:
                 numeric = finite_difference(loss_value, params[name])

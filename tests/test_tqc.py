@@ -340,7 +340,7 @@ class TestSelectAction:
         """The squashed density integrates to 1 and matches Gaussian masses."""
         agent = TqcAgent(3, 1, small_config(), seed=7)
         obs = np.array([0.2, -0.4, 1.0])
-        mean, log_std = policy_moments(agent.actor_net, agent.actor_params, obs, 1)
+        mean, log_std = policy_moments(agent.actor_params, obs, 1)
         mu, sigma = float(mean[0]), float(np.exp(log_std[0]))
 
         eps_grid = np.linspace(-8.0, 8.0, 60_001)
@@ -371,7 +371,7 @@ class TestSelectAction:
         agent = TqcAgent(5, 2, small_config(), seed=8)
         snap = agent.actor_snapshot()
         obs = np.linspace(-0.5, 0.5, 5)
-        mean, _ = policy_moments(agent.actor_net, agent.actor_params, obs, 2)
+        mean, _ = policy_moments(agent.actor_params, obs, 2)
         assert np.array_equal(np.tanh(mean), snap.select_action(obs))
 
 
@@ -464,7 +464,7 @@ class TestTrainStep:
             inp = np.concatenate([obs, act], axis=1)
             clear = True
             h = inp
-            for i in range(agent.critic_net.n_layers - 1):
+            for i in range(len(agent.critic_params) // 2 - 1):
                 h = h @ agent.critic_params[f"w{i}"] + agent.critic_params[f"b{i}"]
                 if np.min(np.abs(h)) < 1e-3:
                     clear = False
@@ -484,7 +484,7 @@ class TestTrainStep:
             name: Tensor(arr, requires_grad=True)
             for name, arr in agent.critic_params.items()
         }
-        preds_t = forward_tape(agent.critic_net, tensors, Tensor(inp))
+        preds_t = forward_tape(tensors, Tensor(inp))
         _, grad = kernels.quantile_huber_loss_grad(
             np.ascontiguousarray(preds_t.data), targets, taus
         )
@@ -518,20 +518,15 @@ class TestTrainStep:
         agent = TqcAgent(17, 4, TqcConfig(replay_capacity=1), seed=12)
         rng = np.random.default_rng(13)
         h = 1e-5
-        for net, params in (
-            (agent.actor_net, agent.actor_params),
-            (agent.critic_net, agent.critic_params),
-        ):
-            x = draw_kink_clear_input(net, params, rng, batch=2)
-            target = rng.normal(size=(2, net.sizes[-1]))
+        for params in (agent.actor_params, agent.critic_params):
+            x = draw_kink_clear_input(params, rng, batch=2)
+            target = rng.normal(size=(2, params[f"w{len(params) // 2 - 1}"].shape[-1]))
             from safegrasp.nn import gradients
 
-            grads = gradients(
-                net, params, x, lambda out: (out - target).square().mean()
-            )
+            grads = gradients(params, x, lambda out: (out - target).square().mean())
 
             def loss_value():
-                out = forward(net, params, x)
+                out = forward(params, x)
                 return float(np.mean((out - target) ** 2))
 
             for name in params:
