@@ -105,11 +105,25 @@ class RewardConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RewardConfig":
+        """The config of ``data``, a dict of every field and no other, each
+        value but ``mode`` a finite number; else a ``ValueError``."""
+        if type(data) is not dict:
+            raise ValueError("the reward table must be an object")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown reward config fields: {sorted(unknown)}")
+        missing = known - data.keys()
+        if missing:
+            raise ValueError(f"missing reward config field {min(missing)!r}")
+        for key, value in data.items():
+            if key != "mode" and not _is_finite_number(value):
+                raise ValueError(f"{key!r} must be a finite number")
         return cls(**data)
+
+
+def _is_finite_number(value) -> bool:
+    return type(value) in (int, float) and -math.inf < value < math.inf
 
 
 @dataclass(frozen=True)
@@ -301,8 +315,8 @@ class TransitionEvents:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TransitionEvents":
-        """The events of ``data``, a mapping of field names to values; a
-        missing field takes its default, an unknown one raises ``ValueError``."""
+        """The events of ``data``, a mapping that holds every field and no
+        other; an unknown or a missing field raises ``ValueError``."""
         # one merged copy, defaults first, is the instance dict as __init__
         # would fill it: every field in declaration order, and one more key
         # per unknown name.  Matching a logged record's 13 keys to keyword
@@ -311,6 +325,8 @@ class TransitionEvents:
         if len(state) != len(_EVENT_DEFAULTS):
             unknown = sorted(data.keys() - _EVENT_DEFAULTS.keys())
             raise ValueError(f"unknown event fields: {unknown}")
+        if len(data) != len(_EVENT_DEFAULTS):
+            raise ValueError(f"missing event {min(_EVENT_DEFAULTS.keys() - data.keys())!r}")
         events = object.__new__(cls)
         events.__dict__ = state
         return events

@@ -11,13 +11,13 @@ produce byte-identical logs.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 from .env import (
-    _EVENT_DEFAULTS, ACTION_DIM, SCENARIOS, RewardConfig, TransitionEvents, compute_reward,
+    _EVENT_DEFAULTS, ACTION_DIM, SCENARIOS, RewardConfig, TransitionEvents, _is_finite_number,
+    compute_reward,
 )
 from .world import DisturbanceSpec
 
@@ -121,7 +121,8 @@ def read_log(path) -> tuple[dict, list[dict]]:
 
     A header, if any, is the first record.  Every other line must be a step
     record: a JSON object with an integer ``episode``, an ``events`` object
-    and a numeric ``reward``.
+    and a finite numeric ``reward`` (a literal such as ``1e400`` overflows
+    to infinity and is refused).
     Each line is decoded on its own, so a malformed line is refused even
     where the lines around it would re-join into valid JSON.  A line that
     is not UTF-8, not JSON, or JSON that Python cannot hold (nested too
@@ -148,7 +149,7 @@ def read_log(path) -> tuple[dict, list[dict]]:
                     continue
                 if type(record.get("events")) is not dict:
                     raise LogFormatError(f"{path}:{line_no}: step record has no 'events' object")
-                if type(record.get("reward")) not in (int, float):
+                if not _is_finite_number(record.get("reward")):
                     raise LogFormatError(f"{path}:{line_no}: step record has no numeric 'reward'")
                 if type(record.get("episode")) is not int:
                     raise LogFormatError(f"{path}:{line_no}: step record has no integer 'episode'")
@@ -188,13 +189,8 @@ def audit_log(path, reward_config: RewardConfig | None = None) -> list[dict]:
                 f"{path}: log header has no 'reward' table; add the run's [reward] "
                 "values to the header (replay also takes --config <ini>)"
             )
-        table = header["reward"]
         try:
-            if type(table) is dict:
-                for key, value in table.items():
-                    if key != "mode" and not _is_finite_number(value):
-                        raise ValueError(f"{key!r} must be a finite number")
-            reward_config = RewardConfig.from_dict(table)
+            reward_config = RewardConfig.from_dict(header["reward"])
         except (TypeError, ValueError) as exc:
             raise LogFormatError(f"{path}: invalid reward header: {exc}") from None
 
@@ -222,11 +218,8 @@ def audit_log(path, reward_config: RewardConfig | None = None) -> list[dict]:
         if type(step) is not int or step != expected_step:
             raise defect(index, f"expected step {expected_step}")
         try:
-            logged_events = record["events"]
-            events = TransitionEvents.from_dict(logged_events)
-            if len(logged_events) != len(_EVENT_DEFAULTS):
-                raise ValueError(f"missing event {min(_EVENT_DEFAULTS.keys() - logged_events)!r}")
-            for key, value in logged_events.items():
+            events = TransitionEvents.from_dict(record["events"])
+            for key, value in record["events"].items():
                 if key in _NUMBER_EVENTS:
                     if not _is_finite_number(value):
                         raise ValueError(f"event {key!r} must be a finite number")
@@ -279,10 +272,6 @@ def _check_header(path: Path, header: dict) -> None:
             raise LogFormatError(f"{path}: log header: {message}")
 
 
-def _is_finite_number(value) -> bool:
-    return type(value) in (int, float) and -math.inf < value < math.inf
-
-
 def _ends(record: dict) -> bool:
     return bool(record.get("terminated") or record.get("truncated"))
 
@@ -333,15 +322,16 @@ class EpisodeRecord:
 def records_to_episodes(step_records: list[dict]) -> list[EpisodeRecord]:
     """Aggregate per-step log records into per-episode records.
 
-    Consecutive records with the same ``episode`` form one episode.  The
-    counters are locals, and each episode's record is built once, when the
-    next episode (or the end of the list) is reached.
+    Consecutive records with the same ``episode`` form one episode.  Each
+    record holds ``episode``, ``reward`` and every event, as the env writes
+    them and ``audit_log`` requires; an absent ``terminated`` reads as
+    false.  One pass over local counters builds each episode's record once.
     """
     episodes: list[EpisodeRecord] = []
     current_id = object()  # equal to no episode id
     steps = 0
     for rec in step_records:
-        ep = rec.get("episode")
+        ep = rec["episode"]
         if ep != current_id:
             if steps:
                 violations = ViolationCounts(collision, obstacle, speed, velocity, during)
@@ -350,20 +340,20 @@ def records_to_episodes(step_records: list[dict]) -> list[EpisodeRecord]:
             return_sum = 0.0
             steps = collision = obstacle = speed = velocity = during = 0
             success = failed = False
-        events = rec.get("events", {})
-        return_sum += float(rec.get("reward", 0.0))
+        events = rec["events"]
+        return_sum += rec["reward"]
         steps += 1
-        if events.get("collision_env"):
+        if events["collision_env"]:
             collision += 1
-        if events.get("collision_obstacle"):
+        if events["collision_obstacle"]:
             obstacle += 1
-        if events.get("speed_violation"):
+        if events["speed_violation"]:
             speed += 1
-        if events.get("velocity_violation"):
+        if events["velocity_violation"]:
             velocity += 1
-        if events.get("collision_velocity_exceeded"):
+        if events["collision_velocity_exceeded"]:
             during += 1
-        if events.get("lift_success"):
+        if events["lift_success"]:
             success = True
         elif rec.get("terminated"):
             failed = True

@@ -21,7 +21,7 @@ import safegrasp
 from safegrasp.cli import _build_parser, main
 from safegrasp.config import ConfigError, RunConfig, default_config_text, load_config
 from safegrasp.env import (
-    EnvConfig, GraspEnv, RewardConfig, SceneConfig, TransitionEvents,
+    _EVENT_DEFAULTS, EnvConfig, GraspEnv, RewardConfig, SceneConfig, TransitionEvents,
 )
 from safegrasp.kinematics import ArmModel
 from safegrasp.nn import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
@@ -278,18 +278,18 @@ class TestRunLog:
 
     def test_episode_aggregation(self):
         records = [
-            {"episode": 0, "reward": -1.0, "terminated": False, "events": {}},
+            {"episode": 0, "reward": -1.0, "terminated": False, "events": {**_EVENT_DEFAULTS}},
             {
                 "episode": 0,
                 "reward": -2.0,
                 "terminated": True,
-                "events": {"collision_env": True},
+                "events": {**_EVENT_DEFAULTS, "collision_env": True},
             },
             {
                 "episode": 1,
                 "reward": 15.0,
                 "terminated": True,
-                "events": {"lift_success": True},
+                "events": {**_EVENT_DEFAULTS, "lift_success": True},
             },
         ]
         episodes = records_to_episodes(records)
@@ -321,7 +321,7 @@ class TestRunLog:
     def test_episode_aggregation_matches_reference_on_edge_cases(self):
         def step(episode, reward=-0.5, terminated=False, **events):
             return {"episode": episode, "reward": reward, "terminated": terminated,
-                    "events": events}
+                    "events": {**_EVENT_DEFAULTS, **events}}
 
         cases = [
             # ids A, B, A: a repeated id after another episode is a new episode
@@ -595,7 +595,11 @@ def run_cli_process(*argv) -> subprocess.CompletedProcess:
     return run_python("-m", "safegrasp.cli", *argv)
 
 
-HEADER = '{"reward":{"mode":"sd-drl"},"scenario":"normal","seed":0,"type":"header"}'
+HEADER = json.dumps(
+    {"reward": RewardConfig().as_dict(), "scenario": "normal", "seed": 0, "type": "header"},
+    sort_keys=True,
+    separators=(",", ":"),
+)
 # every event the env writes, as it writes them
 EVENTS = (
     '{"collision_cube":false,"collision_env":false,"collision_force":0.0,'
@@ -628,6 +632,8 @@ MALFORMED_LOGS = {
     "long_integer": HEADER + "\n" + STEP.replace("-0.25", "9" * 5000) + "\n",
     # JSON has no Infinity: the reward is not a number
     "infinite_reward": HEADER + "\n" + STEP.replace("-0.25", "Infinity") + "\n",
+    # a literal past the float range overflows to infinity
+    "overflowing_reward": HEADER + "\n" + STEP.replace("-0.25", "1e400") + "\n",
 }
 
 
@@ -783,15 +789,24 @@ class TestReplayHeader:
             ("grip_rew", True, "'grip_rew' must be a finite number"),
             ("grip_rew", None, "'grip_rew' must be a finite number"),
             ("speed_cost", "-0.5", "'speed_cost' must be a finite number"),
+            ("grip_rew", MISSING, "missing reward config field 'grip_rew'"),
+            (None, [], "the reward table must be an object"),
         ],
-        ids=["unknown_mode", "bool", "null", "string"],
+        ids=["unknown_mode", "bool", "null", "string", "missing", "not_an_object"],
     )
     def test_bad_reward_table_exits_2(
         self, scripted_eval_dir, tmp_path, capsys, key, value, message
     ):
+        """A bad value, a missing field (``MISSING``), or a whole table
+        (``key`` None) that is not an object."""
         lines = next(scripted_eval_dir.glob("eval_*.jsonl")).read_text().splitlines()
         header = json.loads(lines[0])
-        header["reward"][key] = value
+        if key is None:
+            header["reward"] = value
+        elif value is MISSING:
+            del header["reward"][key]
+        else:
+            header["reward"][key] = value
         lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
         tampered = tmp_path / "tampered.jsonl"
         tampered.write_text("\n".join(lines) + "\n")
@@ -1097,6 +1112,7 @@ class TestMalformedLogs:
             ("late_header", "3: header after the first record"),
             ("invalid_utf8", "2: not UTF-8 text"),
             ("infinite_reward", "2: step record has no numeric 'reward'"),
+            ("overflowing_reward", "2: step record has no numeric 'reward'"),
         ],
     )
     def test_message_text(self, tmp_path, case, message):
