@@ -99,6 +99,7 @@ class RewardConfig:
         for name in ("collision_velocity_threshold", "force_failure_threshold"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        _store_python_numbers(self)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -126,6 +127,16 @@ def _is_finite_number(value) -> bool:
     return type(value) in (int, float) and -math.inf < value < math.inf
 
 
+def _store_python_numbers(config) -> None:
+    """Store each numpy scalar field of the frozen dataclass ``config`` as its
+    ``.item()``, so a log header or a checkpoint can write it and the step
+    computes in float64; a Python value is kept as it is."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, np.generic):
+            object.__setattr__(config, f.name, value.item())
+
+
 @dataclass(frozen=True)
 class EnvConfig:
     action_scale: float = 0.02  # m per step per axis at full deflection
@@ -143,11 +154,17 @@ class EnvConfig:
                 raise ValueError(f"{name} must be finite and positive")
         if not self.max_steps >= 1:
             raise ValueError("max_steps must be >= 1")
+        _store_python_numbers(self)
 
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Nominal scene geometry and reset sampling regions."""
+    """Nominal scene geometry and reset sampling regions.
+
+    Each vector field is stored as a tuple of Python floats of its default's
+    length, each scalar field as a Python float, so a config compares and
+    hashes by value whatever array-likes it was built from.
+    """
 
     table_height: float = -0.1
     workspace_min: tuple[float, float, float] = (0.10, -0.38, -0.18)
@@ -165,8 +182,17 @@ class SceneConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if not np.all(np.isfinite(getattr(self, f.name))):
+            value = getattr(self, f.name)
+            if not np.all(np.isfinite(value)):
                 raise ValueError(f"{f.name} must be finite")
+            if type(f.default) is tuple:
+                value = np.asarray(value, dtype=np.float64)
+                if value.shape != (len(f.default),):
+                    raise ValueError(f"{f.name} must hold {len(f.default)} numbers")
+                value = tuple(value.tolist())
+            else:
+                value = float(value)
+            object.__setattr__(self, f.name, value)
         if not self.eef_radius > 0.0:
             raise ValueError("eef_radius must be positive")
         if not all(h > 0.0 for h in self.obstacle_half_extents):
@@ -232,7 +258,7 @@ class SceneConfig:
         # obstacle and cube placement, whose union is the box grown by half
         # its sampling region on x and y; the expressions are the contact
         # tests' own
-        home = kernels.float_tuple(self.home_position, 3)
+        home = self.home_position
         radius = self.eef_radius
         if not home[2] - table > radius:
             raise ValueError("the tool at its home position must clear the table by eef_radius")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .autodiff import Tensor, concat
-from .env import ACTION_DIM, EnvConfig, RewardConfig, SceneConfig
+from .env import ACTION_DIM, EnvConfig, RewardConfig, SceneConfig, _store_python_numbers
 from .nn import AdamState, adam_update, forward, forward_tape, init_mlp_params
 from .nn import load_checkpoint, save_checkpoint
 
@@ -65,6 +65,7 @@ class TqcConfig:
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         if not self.hidden_sizes or min(self.hidden_sizes) < 1:
             raise ValueError("hidden_sizes must hold at least one width, each >= 1")
+        _store_python_numbers(self)
 
 
 def quantile_fractions(n_quantiles: int) -> np.ndarray:

@@ -21,7 +21,7 @@ it is admitted, and ``GraspEnv.reset`` builds the disturbed scene.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +44,10 @@ class ContactReport:
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
-    """Assessment perturbation: raise the surface, enlarge the object."""
+    """Assessment perturbation: raise the surface, enlarge the object.
+
+    Both deltas are stored as Python floats.
+    """
 
     surface_height_delta: float = 0.0
     object_size_delta: float = 0.0
@@ -55,22 +58,18 @@ class DisturbanceSpec:
             and np.isfinite(self.object_size_delta)
         ):
             raise ValueError("disturbance deltas must be finite")
-
-
-# the Scene fields that hold 3-vectors
-_POINT_FIELDS = (
-    "workspace_min", "workspace_max", "cube_center",
-    "cube_half_extents", "obstacle_center", "obstacle_half_extents",
-)
+        object.__setattr__(self, "surface_height_delta", float(self.surface_height_delta))
+        object.__setattr__(self, "object_size_delta", float(self.object_size_delta))
 
 
 @dataclass(frozen=True)
 class Scene:
-    """Immutable scene value.
+    """Immutable scene value, as a reset builds it (``GraspEnv._sample_scene``).
 
-    Every 3-vector is stored once, as an ``(x, y, z)`` tuple of Python
-    floats: the constructor converts any 3-vector it is given, and the scalar
-    contact tests and the step record read the tuples as they are.
+    Every 3-vector is an ``(x, y, z)`` tuple of Python floats and every
+    scalar a float, taken from ``SceneConfig``, which stores them so and owns
+    every rule of the geometry; the scalar contact tests and the step record
+    read the fields as they are.
     """
 
     table_height: float
@@ -83,42 +82,15 @@ class Scene:
     contact_stiffness: float = DEFAULT_CONTACT_STIFFNESS
     cube_stiffness: float = DEFAULT_CUBE_STIFFNESS
 
-    def __post_init__(self):
-        if (self.obstacle_center is None) != (self.obstacle_half_extents is None):
-            raise ValueError("obstacle center and half extents must come together")
-        for name in _POINT_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                point = tuple(np.asarray(value, dtype=np.float64).reshape(3).tolist())
-                object.__setattr__(self, name, point)
-        object.__setattr__(self, "table_height", float(self.table_height))
-        if not all(lo < hi for lo, hi in zip(self.workspace_min, self.workspace_max)):
-            raise ValueError("workspace bounds must satisfy min < max")
-        if not all(h > 0.0 for h in self.cube_half_extents):
-            raise ValueError("cube half extents must be positive")
-        if self.obstacle_present and not all(h > 0.0 for h in self.obstacle_half_extents):
-            raise ValueError("obstacle half extents must be positive")
-        if not self.contact_stiffness > 0.0 or not self.cube_stiffness > 0.0:
-            raise ValueError("contact stiffnesses must be positive")
-
-    @property
-    def obstacle_present(self) -> bool:
-        return self.obstacle_center is not None
-
     def cube_rest_height(self) -> float:
         """Cube center z when the cube rests on the table."""
         return self.table_height + self.cube_half_extents[2]
 
     def with_cube_center(self, center) -> "Scene":
-        """This scene with the cube moved to ``center``, a 3-vector.
-
-        Only the cube moves, so nothing else is re-validated: the copy shares
-        every other field, and a carried cube may go anywhere the tool does.
-        """
+        """This scene with the cube moved to ``center``, a 3-vector; a carried
+        cube may go anywhere the tool does."""
         x, y, z = kernels.float_tuple(center, 3)
-        moved = object.__new__(Scene)
-        moved.__dict__.update(self.__dict__, cube_center=(float(x), float(y), float(z)))
-        return moved
+        return replace(self, cube_center=(float(x), float(y), float(z)))
 
 
 def contact_force(impact_speed: float, stiffness: float) -> float:
@@ -223,7 +195,7 @@ def signed_clearances(scene: Scene, eef_center, eef_radius: float) -> dict[str, 
         center, scene.cube_center, scene.cube_half_extents
     )
     out["cube"] = sd - eef_radius
-    if scene.obstacle_present:
+    if scene.obstacle_center is not None:
         sd, _, _, _ = kernels.sphere_box_signed_distance(
             center, scene.obstacle_center, scene.obstacle_half_extents
         )

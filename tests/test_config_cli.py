@@ -18,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import safegrasp
-from safegrasp.cli import _build_parser, main
+from safegrasp.cli import _build_parser, _resolve_policy, main
 from safegrasp.config import ConfigError, RunConfig, default_config_text, load_config
 from safegrasp.env import (
-    _EVENT_DEFAULTS, EnvConfig, GraspEnv, RewardConfig, SceneConfig, TransitionEvents,
+    _EVENT_DEFAULTS, ACTION_DIM, OBSERVATION_DIM, EnvConfig, GraspEnv, RewardConfig,
+    SceneConfig, TransitionEvents,
 )
 from safegrasp.kinematics import ArmModel
 from safegrasp.nn import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
@@ -33,8 +34,10 @@ from safegrasp.runlog import (
     read_log,
     records_to_episodes,
 )
-from safegrasp.tqc import TqcAgent, TqcConfig
+from safegrasp.rollout import RecordSink, episode_steps, rollout_episodes
+from safegrasp.tqc import RandomPolicy, TqcAgent, TqcConfig
 from safegrasp.training import Trainer
+from safegrasp.world import DisturbanceSpec
 
 
 class TestConfig:
@@ -367,6 +370,69 @@ class TestRunLog:
         assert episodes[0].steps == 5
 
 
+def logged_scripted_rollout(path, config: RunConfig, disturbance=None) -> Path:
+    """Two scripted episodes of ``config`` logged to ``path`` as ``evaluate``
+    logs them."""
+    policy = _resolve_policy("scripted", None, config, config.seed)
+    header = runlog.log_header(config, "normal", "scripted", disturbance)
+    with EpisodeLogWriter(path, header=header) as writer:
+        rollout_episodes(config.build_env(), policy, 2, base_seed=config.seed,
+                         disturbance=disturbance, log_writer=writer)
+    return path
+
+
+class TestNumpyScalarInputs:
+    """A numpy scalar in a config or a disturbance is stored as the Python
+    number it holds, so the logs and checkpoints write it and the env steps
+    in float64."""
+
+    def test_disturbance_of_bools_is_audited(self, tmp_path):
+        path = logged_scripted_rollout(tmp_path / "log.jsonl", RunConfig(),
+                                       DisturbanceSpec(False, False))
+        assert runlog.audit_log(path)
+        header, _ = read_log(path)
+        assert header["disturbance"] == {"object_size_delta": 0.0, "surface_height_delta": 0.0}
+
+    def test_float32_disturbance_is_written(self, tmp_path):
+        spec = DisturbanceSpec(np.float32(0.075), np.float32(0.005))
+        path = logged_scripted_rollout(tmp_path / "log.jsonl", RunConfig(), spec)
+        assert runlog.audit_log(path)
+        header, _ = read_log(path)
+        assert header["disturbance"] == {
+            "object_size_delta": float(np.float32(0.005)),
+            "surface_height_delta": float(np.float32(0.075)),
+        }
+
+    def test_float32_reward_coefficient_is_written(self, tmp_path):
+        reward = RewardConfig(grip_rew=np.float32(5.0))
+        assert type(reward.grip_rew) is float and reward == RewardConfig()
+        path = logged_scripted_rollout(tmp_path / "log.jsonl", RunConfig(reward=reward))
+        assert runlog.audit_log(path)
+        assert read_log(path)[0]["reward"] == RewardConfig().as_dict()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"learning_rate": np.float32(3e-4)},
+        {"batch_size": np.int64(64)},
+    ], ids=["learning_rate", "batch_size"])
+    def test_numpy_learner_value_is_saved(self, tmp_path, kwargs):
+        config = TqcConfig(**kwargs)
+        ((name, value),) = kwargs.items()
+        assert type(getattr(config, name)) is type(value.item())
+        TqcAgent(OBSERVATION_DIM, ACTION_DIM, config).save(tmp_path / "agent.ckpt")
+        assert getattr(TqcAgent.load(tmp_path / "agent.ckpt").config, name) == value.item()
+
+    def test_float32_action_scale_steps_in_float64(self):
+        def records(action_scale) -> list[dict]:
+            env = GraspEnv(env_config=EnvConfig(action_scale=action_scale, max_steps=30))
+            sink = []
+            env.set_log_writer(RecordSink(sink))
+            for _ in episode_steps(env, RandomPolicy(2), 1, "normal"):
+                pass
+            return sink
+
+        assert records(np.float32(0.02)) == records(float(np.float32(0.02)))
+
+
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
@@ -425,7 +491,7 @@ class TestCli:
         # scene introspection: obstacle collisions are at least representable
         env = GraspEnv()
         env.reset(seed=2, scenario="obstacle")
-        assert env.scene.obstacle_present
+        assert env.scene.obstacle_center is not None
 
     def test_replay_clean_log_exits_0(self, scripted_eval_dir):
         log = next(scripted_eval_dir.glob("eval_*.jsonl"))

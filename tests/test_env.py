@@ -317,11 +317,11 @@ class TestReset:
     def test_normal_scenario_has_no_obstacle(self, env):
         obs = env.reset(seed=0, scenario="normal")
         assert np.array_equal(obs[13:16], np.zeros(3))
-        assert not env.scene.obstacle_present
+        assert env.scene.obstacle_center is None
 
     def test_obstacle_scenario_places_bar(self, env):
         obs = env.reset(seed=0, scenario="obstacle")
-        assert env.scene.obstacle_present
+        assert env.scene.obstacle_center is not None
         assert np.any(obs[13:16] != 0.0)
         # bar rests on the table
         top = env.scene.obstacle_center[2] + env.scene.obstacle_half_extents[2]
@@ -329,7 +329,7 @@ class TestReset:
 
     def test_scenario_name_in_any_case_and_spacing(self, env):
         obs = env.reset(seed=0, scenario=" OBSTACLE ")
-        assert env.scene.obstacle_present
+        assert env.scene.obstacle_center is not None
         assert obs.tobytes() == env.reset(seed=0, scenario="obstacle").tobytes()
         with pytest.raises(ValueError, match="unknown scenario 'both'; expected 'normal' or"):
             env.reset(seed=0, scenario="both")
@@ -389,7 +389,7 @@ def assert_in_workspace(scene) -> None:
     lo, hi = scene.workspace_min, scene.workspace_max
     assert lo[2] <= scene.table_height <= hi[2]
     boxes = [(scene.cube_center, scene.cube_half_extents)]
-    if scene.obstacle_present:
+    if scene.obstacle_center is not None:
         boxes.append((scene.obstacle_center, scene.obstacle_half_extents))
     for center, half in boxes:
         for c, h, low, high in zip(center, half, lo, hi):

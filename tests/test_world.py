@@ -1,12 +1,14 @@
 """Scene geometry: contacts, forces, disturbed reset scenes."""
 
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safegrasp.config import RunConfig
 from safegrasp.env import SCENARIOS, GraspEnv, SceneConfig
 from safegrasp.world import (
     ContactReport,
@@ -25,14 +27,14 @@ def make_scene(obstacle=False, table=-0.1, **overrides) -> Scene:
     # rest heights use the same arithmetic as scene construction in the env
     kwargs = dict(
         table_height=table,
-        workspace_min=np.array([0.10, -0.38, -0.18]),
-        workspace_max=np.array([0.78, 0.38, 0.45]),
-        cube_center=np.array([0.5, 0.0, table + 0.025]),
-        cube_half_extents=np.full(3, 0.025),
+        workspace_min=(0.10, -0.38, -0.18),
+        workspace_max=(0.78, 0.38, 0.45),
+        cube_center=(0.5, 0.0, table + 0.025),
+        cube_half_extents=(0.025, 0.025, 0.025),
     )
     if obstacle:
-        kwargs["obstacle_center"] = np.array([0.35, 0.0, table + 0.025])
-        kwargs["obstacle_half_extents"] = np.array([0.025, 0.20, 0.025])
+        kwargs["obstacle_center"] = (0.35, 0.0, table + 0.025)
+        kwargs["obstacle_half_extents"] = (0.025, 0.20, 0.025)
     kwargs.update(overrides)
     return Scene(**kwargs)
 
@@ -162,7 +164,7 @@ class TestDisturbedScene:
                 disturbed.table_height + disturbed.cube_half_extents[2],
             )
             assert disturbed.obstacle_half_extents == scene.obstacle_half_extents
-            if scene.obstacle_present:
+            if scene.obstacle_center is not None:
                 assert disturbed.obstacle_center == scene.obstacle_center[:2] + (
                     disturbed.table_height + disturbed.obstacle_half_extents[2],
                 )
@@ -186,8 +188,6 @@ class TestDisturbedScene:
 
     def test_cube_shrunk_to_nothing_raises(self):
         # 0.025 m nominal half extents shrink by half the size delta
-        with pytest.raises(ValueError, match="half extents must be positive"):
-            make_scene(cube_half_extents=np.full(3, 0.025 - 0.5 * 0.05))
         env = GraspEnv()
         for delta in (-0.05, -0.06):
             with pytest.raises(ValueError, match="half the object delta must be positive"):
@@ -214,28 +214,18 @@ class TestSceneInvariants:
 
     @pytest.mark.parametrize(
         "form",
-        [tuple, np.asarray, lambda v: np.asarray(v, dtype=np.float32)],
-        ids=["int-tuples", "int-arrays", "float32-arrays"],
+        [list, np.asarray, lambda v: np.asarray(v, dtype=np.float32)],
+        ids=["lists", "arrays", "float32-arrays"],
     )
     def test_every_vector_is_stored_as_a_tuple_of_floats(self, form):
         vectors = {
-            "workspace_min": (-4, -4, -4),
-            "workspace_max": (4, 4, 4),
-            "cube_center": (2, 0, 0),
-            "cube_half_extents": (1, 1, 1),
-            "obstacle_center": (-2, 0, 0),
-            "obstacle_half_extents": (1, 2, 1),
+            f.name: f.default for f in fields(SceneConfig) if type(f.default) is tuple
         }
-        scene = Scene(table_height=0, **{k: form(v) for k, v in vectors.items()})
-        for name, expected in vectors.items():
-            value = getattr(scene, name)
-            assert type(value) is tuple and value == expected, name
+        config = SceneConfig(**{k: form(v) for k, v in vectors.items()})
+        for name, default in vectors.items():
+            value = getattr(config, name)
+            assert type(value) is tuple and value == tuple(map(float, form(default))), name
             assert all(type(v) is float for v in value), name
-        assert type(scene.table_height) is float
-
-    def test_obstacle_fields_come_together(self):
-        with pytest.raises(ValueError):
-            make_scene(obstacle_center=np.array([0.3, 0.0, -0.075]))
 
     def test_contact_at_exact_threshold_speed_hits_force_boundary(self):
         scene = make_scene()
@@ -362,7 +352,7 @@ def reference_signed_clearances(scene, eef_center, eef_radius):
     out = {"table": float(center[2] - scene.table_height) - eef_radius}
     sd, _ = reference_sphere_box(center, scene.cube_center, scene.cube_half_extents)
     out["cube"] = float(sd) - eef_radius
-    if scene.obstacle_present:
+    if scene.obstacle_center is not None:
         sd, _ = reference_sphere_box(
             center, scene.obstacle_center, scene.obstacle_half_extents
         )
@@ -389,7 +379,7 @@ def points_near(scene, rng, n):
     hi = np.asarray(scene.workspace_max) + 0.03
     parts = [rng.uniform(lo, hi, size=(n // 4, 3))]
     boxes = [(scene.cube_center, scene.cube_half_extents)]
-    if scene.obstacle_present:
+    if scene.obstacle_center is not None:
         boxes.append((scene.obstacle_center, scene.obstacle_half_extents))
     for center, half in boxes:
         parts.append(center + rng.uniform(-1, 1, size=(n // 4, 3)) * (np.asarray(half) + 0.03))
@@ -421,6 +411,50 @@ def assert_matches_reference(scene, center, velocity, radius=0.02):
         assert clearances == reference_signed_clearances(scene, center, radius)
         assert all(type(v) is float for v in clearances.values())
 
+
+class TestPlainSceneInputs:
+    """``SceneConfig`` and ``DisturbanceSpec`` store Python floats from
+    construction, so every reset scene holds only floats."""
+
+    @pytest.mark.parametrize("form", [list, np.asarray], ids=["lists", "arrays"])
+    def test_config_from_array_likes_is_the_default(self, form):
+        config = SceneConfig(**{
+            f.name: form(f.default) for f in fields(SceneConfig) if type(f.default) is tuple
+        })
+        assert config == SceneConfig()
+        assert hash(config) == hash(SceneConfig())
+        assert RunConfig(scene=config) == RunConfig()
+
+    @pytest.mark.parametrize("name,value,size", [
+        ("cube_region_min", (0.45, -0.15, 0.0), 2),
+        ("workspace_min", (0.10, -0.38), 3),
+        ("home_position", np.zeros((1, 3)), 3),
+    ], ids=["cube_region_min", "workspace_min", "home_position"])
+    def test_vector_of_the_wrong_length_names_the_field(self, name, value, size):
+        with pytest.raises(ValueError, match=f"^{name} must hold {size} numbers$"):
+            SceneConfig(**{name: value})
+
+    def test_string_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            SceneConfig(table_height="-0.1")
+
+    def test_disturbance_deltas_are_floats(self):
+        for spec in (DisturbanceSpec(False, False), DisturbanceSpec(1, np.float32(0.005))):
+            assert all(type(v) is float for v in vars(spec).values())
+        assert DisturbanceSpec(False, False) == DisturbanceSpec()
+
+    def test_float32_scalars_reach_the_reset_scene_as_floats(self):
+        config = SceneConfig(**{
+            f.name: np.float32(f.default) for f in fields(SceneConfig) if type(f.default) is float
+        })
+        env = GraspEnv(scene_config=config)
+        for scenario, disturbance in itertools.product(
+            SCENARIOS, (None, DisturbanceSpec(np.float32(0.075), np.float32(0.005)))
+        ):
+            env.reset(seed=3, scenario=scenario, disturbance=disturbance)
+            for name, value in vars(env.scene).items():
+                values = value if type(value) is tuple else () if value is None else (value,)
+                assert all(type(v) is float for v in values), (scenario, name)
 
 class TestScalarContactsMatchArrayReference:
     """Bodies, penetration, impact speed, force and clearances, bit for bit."""
